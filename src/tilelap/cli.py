@@ -70,6 +70,16 @@ def _load(args):
     return surface, bundle
 
 
+def _positive_int(text):
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("invalid integer %r" % text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be >= 1, got %d" % value)
+    return value
+
+
 def _parse_ns(text):
     try:
         ns = [int(t) for t in text.split(",") if t.strip()]
@@ -120,8 +130,19 @@ def _converge_one(params):
     return n, vals
 
 
+def _parse_reference(text, k):
+    kind, _, params = text.partition(":")
+    try:
+        params = tuple(float(p) for p in params.split(",")) if params else ()
+    except ValueError:
+        raise ValueError("bad reference parameters %r" % text)
+    return spectral.reference_spectrum(kind, params, k)
+
+
 def cmd_converge(args):
     ns = _parse_ns(args.ns)
+    reference = (_parse_reference(args.reference, args.k)
+                 if args.reference else None)
     jobs = [(args.surface, n, args.k, args.seed) for n in ns]
     if args.jobs > 1:
         from multiprocessing import Pool
@@ -132,10 +153,7 @@ def cmd_converge(args):
         results = [_converge_one(j) for j in jobs]
     computed = dict(results)
     summary = {}
-    if args.reference:
-        kind, _, params = args.reference.partition(":")
-        params = tuple(float(p) for p in params.split(",")) if params else ()
-        reference = spectral.reference_spectrum(kind, params, args.k)
+    if reference is not None:
         rows = spectral.convergence_table(ns, computed, reference)
         errs = [r["error"] for r in rows if r["n"] == ns[-1]]
         summary["max_error_finest"] = max(errs)
@@ -193,6 +211,7 @@ def cmd_interp_check(args):
     rng = np.random.default_rng(args.seed)
     rows = []
     worst = 0.0
+    scale = 1.0
     for n in _parse_ns(args.ns):
         disc = Discretization(surface, bundle, n)
         size = disc.n_vertices * bundle.rank
@@ -206,6 +225,7 @@ def cmd_interp_check(args):
                 interp.linearize(disc, g))
             err = abs(graph_energy - field_energy)
             worst = max(worst, err)
+            scale = max(scale, abs(graph_energy), abs(field_energy))
             rows.append({"n": n, "trial": trial, "graph": graph_energy.real,
                          "field": field_energy.real, "error": err,
                          "pairing_ratio": None})
@@ -218,8 +238,10 @@ def cmd_interp_check(args):
                                                            vecs[:, 1])})
     _emit(rows, ["n", "trial", "graph", "field", "error", "pairing_ratio"],
           args, {"max_error": worst})
-    if worst > args.tol:
-        raise ToleranceFailure("energy identity error %.3e" % worst)
+    if worst > args.tol * scale:
+        raise ToleranceFailure("energy identity error %.3e exceeds %.1e "
+                               "relative to energy scale %.3e"
+                               % (worst, args.tol, scale))
 
 
 def cmd_consistency(args):
@@ -406,7 +428,9 @@ def build_parser():
     p.add_argument("--surface", required=True)
     p.add_argument("--ns", required=True)
     p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--tol", type=float, default=1e-12)
+    p.add_argument("--tol", type=float, default=1e-12,
+                   help="energy identity tolerance, relative to "
+                        "max(1, largest |energy|)")
 
     p = add("consistency", cmd_consistency,
             help="finite-difference consistency residuals")
@@ -426,7 +450,7 @@ def build_parser():
     p.add_argument("--tol", type=float, default=1e-10)
 
     p = add("flow", cmd_flow, help="corner flow divergence and norm")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--tol", type=float, default=1e-12)
 
     p = add("barrier", cmd_barrier, help="convex barrier check")

@@ -12,6 +12,7 @@ Vertices are ordered square-major, then row (j), then column (i).
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -179,36 +180,46 @@ class Discretization:
     # ---- edges ---------------------------------------------------------
 
     def _build_edges(self):
-        n = self.n
-        self._eye = np.eye(self.bundle.rank, dtype=complex)
-        edges = []
-        for q in range(self.surface.n_squares):
-            for j in range(n):
-                for i in range(n):
-                    v = self.vertex_index(q, i, j)
-                    if i + 1 < n:
-                        edges.append(Edge(v, self.vertex_index(q, i + 1, j),
-                                          self._eye, False))
-                    if j + 1 < n:
-                        edges.append(Edge(v, self.vertex_index(q, i, j + 1),
-                                          self._eye, False))
+        """Edge arrays: ``tails``, ``heads`` and the ``transports`` stack.
+
+        Interior edges come first, in (square, row, column, east-then-north)
+        order, then n edges per seam.  The stack holds one head -> tail
+        frame transport per edge; it is real when every seam unitary is.
+        """
+        n, rank = self.n, self.bundle.rank
+        self._eye = np.eye(rank, dtype=complex)
+        v = np.arange(self.n_vertices).reshape(-1, n, n)  # [square, j, i]
+        jj, ii = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+        keep = np.broadcast_to(np.stack([ii + 1 < n, jj + 1 < n], axis=-1),
+                               v.shape + (2,))
+        tails = [np.stack([v, v], axis=-1)[keep]]
+        heads = [np.stack([v + 1, v + n], axis=-1)[keep]]
+        blocks = [np.broadcast_to(np.eye(rank), (len(tails[0]), rank, rank))]
+        k = np.arange(n)
         for seam in self.surface.seams:
             qa, sa = seam.first
-            u = self.bundle.seam_unitary(seam.index, +1)
-            for k in range(n):
-                ia, ja = self._side_cell(sa, k)
-                res = self.step(qa, ia, ja, sa)
-                assert res is not None
-                qb, ib, jb, trans, _ = res
-                edges.append(Edge(self.vertex_index(qa, ia, ja),
-                                  self.vertex_index(qb, ib, jb),
-                                  trans, True))
-        self.edges = edges
-        deg = np.zeros(self.n_vertices, dtype=int)
-        for e in edges:
-            deg[e.tail] += 1
-            deg[e.head] += 1
-        self.degrees = deg
+            qb, sb, kind, role = self.surface.cross(qa, sa)
+            kb = k if kind == "translation" else n - 1 - k
+            tails.append(self.vertex_index(qa, *self._side_cell(sa, k)))
+            heads.append(self.vertex_index(qb, *self._side_cell(sb, kb)))
+            # value in the neighbour's frame, expressed in the source frame
+            u = self.bundle.seam_unitary(seam.index, -role)
+            blocks.append(np.broadcast_to(u, (n, rank, rank)))
+        self._n_interior_edges = len(tails[0])
+        self.tails = np.concatenate(tails)
+        self.heads = np.concatenate(heads)
+        stack = np.concatenate(blocks)
+        self.transports = stack if stack.imag.any() else stack.real.copy()
+        self.degrees = (np.bincount(self.tails, minlength=self.n_vertices)
+                        + np.bincount(self.heads, minlength=self.n_vertices))
+
+    @cached_property
+    def edges(self):
+        """Edge records, one per entry of the edge arrays."""
+        return [Edge(t, h, u, k >= self._n_interior_edges)
+                for k, (t, h, u) in enumerate(zip(
+                    self.tails.tolist(), self.heads.tolist(),
+                    self.transports))]
 
     def _side_cell(self, side, k):
         """Cell adjacent to the given side at segment k, in-chart coords."""
@@ -223,13 +234,11 @@ class Discretization:
 
     def doubled_edge_count(self):
         """Number of vertex pairs joined by more than one edge."""
-        from collections import Counter
-
-        pairs = Counter()
-        for e in self.edges:
-            if e.tail != e.head:
-                pairs[frozenset((e.tail, e.head))] += 1
-        return sum(1 for c in pairs.values() if c > 1)
+        loop = self.tails == self.heads
+        pairs = np.sort(np.stack([self.tails, self.heads], axis=1)[~loop],
+                        axis=1)
+        _, counts = np.unique(pairs, axis=0, return_counts=True)
+        return int(np.count_nonzero(counts > 1))
 
     # ---- lattice points ------------------------------------------------
 
@@ -376,7 +385,7 @@ class Discretization:
         corners = [p for p in pts if not p.interior and p.singular]
         return {
             "n_vertices": self.n_vertices,
-            "n_edges": len(self.edges),
+            "n_edges": len(self.tails),
             "degree_min": int(self.degrees.min()),
             "degree_max": int(self.degrees.max()),
             "n_cone_points": len(cones),

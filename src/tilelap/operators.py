@@ -14,53 +14,43 @@ import numpy as np
 import scipy.sparse as sp
 
 
-def _block_coo(entries, shape, rank):
-    """Assemble a sparse matrix from (row, col, rank x rank block) entries."""
-    rows, cols, vals = [], [], []
+def _block_matrix(rows, cols, blocks, shape):
+    """Sparse matrix from block rows, block columns and a (m, r, r) stack
+    of blocks; blocks at the same position add up."""
+    rank = blocks.shape[-1]
     idx = np.arange(rank)
-    ii, jj = np.meshgrid(idx, idx, indexing="ij")
-    for r, c, block in entries:
-        rows.append((r * rank + ii).ravel())
-        cols.append((c * rank + jj).ravel())
-        vals.append(np.asarray(block, dtype=complex).ravel())
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    vals = np.concatenate(vals)
-    mat = sp.coo_matrix((vals, (rows, cols)),
+    rr = np.broadcast_to(rows[:, None, None] * rank + idx[:, None],
+                         blocks.shape)
+    cc = np.broadcast_to(cols[:, None, None] * rank + idx, blocks.shape)
+    mat = sp.coo_matrix((blocks.ravel(), (rr.ravel(), cc.ravel())),
                         shape=(shape[0] * rank, shape[1] * rank))
     return mat.tocsr()
 
 
 def laplacian(disc):
-    """Sparse Hermitian bundle Laplacian, (n_vertices * rank) square."""
-    rank = disc.bundle.rank
-    eye = np.eye(rank, dtype=complex)
-    entries = []
-    for e in disc.edges:
-        u = e.transport  # head frame -> tail frame
-        if e.tail == e.head:
-            entries.append((e.tail, e.tail, 2 * eye - u - u.conj().T))
-            continue
-        entries.append((e.tail, e.tail, eye))
-        entries.append((e.head, e.head, eye))
-        entries.append((e.tail, e.head, -u))
-        entries.append((e.head, e.tail, -u.conj().T))
-    n = disc.n_vertices
-    return _block_coo(entries, (n, n), rank)
+    """Sparse Hermitian bundle Laplacian, (n_vertices * rank) square.
+
+    Real when the bundle's transports are.  A self-loop adds the two
+    transport blocks of its orientations to the degree block, 2I - U - U*.
+    """
+    t, h, u = disc.tails, disc.heads, disc.transports
+    rank = u.shape[-1]
+    v = np.arange(disc.n_vertices)
+    diag = disc.degrees[:, None, None] * np.eye(rank, dtype=u.dtype)
+    adjoints = u.conj().transpose(0, 2, 1)
+    return _block_matrix(np.concatenate([v, t, h]), np.concatenate([v, h, t]),
+                         np.concatenate([diag, -u, -adjoints]),
+                         (disc.n_vertices, disc.n_vertices))
 
 
 def gradient(disc):
     """Sparse gradient, mapping sections to edge-indexed (tail-frame) data."""
-    rank = disc.bundle.rank
-    eye = np.eye(rank, dtype=complex)
-    entries = []
-    for k, e in enumerate(disc.edges):
-        if e.tail == e.head:
-            entries.append((k, e.tail, eye - e.transport))
-        else:
-            entries.append((k, e.tail, eye))
-            entries.append((k, e.head, -e.transport))
-    return _block_coo(entries, (len(disc.edges), disc.n_vertices), rank)
+    t, h, u = disc.tails, disc.heads, disc.transports
+    k = np.arange(len(t))
+    eye = np.broadcast_to(np.eye(u.shape[-1], dtype=u.dtype), u.shape)
+    return _block_matrix(np.concatenate([k, k]), np.concatenate([t, h]),
+                         np.concatenate([eye, -u]),
+                         (len(t), disc.n_vertices))
 
 
 def divergence(disc):
@@ -84,26 +74,20 @@ def hermitian_defect(mat):
     return float(np.max(np.abs(diff.data)))
 
 
+def _edge_values(disc, f):
+    """Per-edge tail-frame differences f(t) - U_{h->t} f(h), (m, rank)."""
+    f = np.asarray(f).reshape(disc.n_vertices, disc.bundle.rank)
+    return f[disc.tails] - np.einsum("mij,mj->mi", disc.transports,
+                                     f[disc.heads])
+
+
 def edge_differences(disc, f):
     """Per-edge norms |f(t) - U_{h->t} f(h)| of a section."""
-    rank = disc.bundle.rank
-    f = np.asarray(f, dtype=complex).reshape(disc.n_vertices, rank)
-    out = np.empty(len(disc.edges))
-    for k, e in enumerate(disc.edges):
-        diff = f[e.tail] - e.transport @ f[e.head]
-        out[k] = np.linalg.norm(diff)
-    return out
+    return np.linalg.norm(_edge_values(disc, f), axis=1)
 
 
 def dirichlet_form(disc, f, g=None):
     """<grad f, grad g> summed over edges (g defaults to f)."""
-    rank = disc.bundle.rank
-    f = np.asarray(f, dtype=complex).reshape(disc.n_vertices, rank)
-    g = f if g is None else np.asarray(g, dtype=complex).reshape(
-        disc.n_vertices, rank)
-    total = 0j
-    for e in disc.edges:
-        df = f[e.tail] - e.transport @ f[e.head]
-        dg = g[e.tail] - e.transport @ g[e.head]
-        total += np.vdot(dg, df)
-    return complex(total)
+    df = _edge_values(disc, f)
+    dg = df if g is None else _edge_values(disc, g)
+    return complex(np.vdot(dg, df))

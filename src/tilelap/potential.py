@@ -248,9 +248,9 @@ def graph_distances(disc, sources):
     from collections import deque
 
     adj = [[] for _ in range(disc.n_vertices)]
-    for e in disc.edges:
-        adj[e.tail].append(e.head)
-        adj[e.head].append(e.tail)
+    for t, h in zip(disc.tails.tolist(), disc.heads.tolist()):
+        adj[t].append(h)
+        adj[h].append(t)
     dist = [-1] * disc.n_vertices
     queue = deque()
     for s in sources:
@@ -276,10 +276,10 @@ def convex_barrier(disc, cluster_cells):
     if min(dist) < 0:
         raise ValueError("mesh graph is disconnected from the cluster")
     h = [d * d for d in dist]
-    lap = [disc.degrees[v] * h[v] for v in range(disc.n_vertices)]
-    for e in disc.edges:
-        lap[e.tail] -= h[e.head]
-        lap[e.head] -= h[e.tail]
+    lap = [d * hv for d, hv in zip(disc.degrees.tolist(), h)]
+    for t, hd in zip(disc.tails.tolist(), disc.heads.tolist()):
+        lap[t] -= h[hd]
+        lap[hd] -= h[t]
     return h, lap, dist
 
 

@@ -176,3 +176,26 @@ def test_out_files_and_determinism(tmp_path, capsys):
     assert side1["params"]["n"] == 8
     assert "out" not in side1["params"]
     assert side1["summary"] == side2["summary"]
+
+
+def test_interp_check_tolerance_relative_to_energy(capsys):
+    # round-off of ~1e-12 on energies of size ~100 failed an absolute
+    # 1e-12 tolerance here
+    code, out = run(capsys, "interp-check", "--surface", "lshape",
+                    "--ns", "16", "--trials", "5", "--seed", "8")
+    assert code == 0
+    header, rows = read_csv(out)
+    trials = [r for r in rows if r[header.index("trial")] != "-1"]
+    scale = max(abs(float(r[header.index("graph")])) for r in trials)
+    assert max(float(r[header.index("error")]) for r in trials) \
+        <= 1e-12 * scale
+
+
+def test_invalid_input_exits_1(capsys):
+    code = main(["converge", "--surface", "square", "--ns", "4",
+                 "--reference", "torus:1,1"])
+    assert code == 1
+    assert "4 parameters" in capsys.readouterr().err
+    code = main(["flow", "--n", "0"])
+    assert code == 1
+    assert "--n" in capsys.readouterr().err

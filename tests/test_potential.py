@@ -153,7 +153,11 @@ def test_harnack_normalization_and_gap():
     diag = potential.harnack_diagnostics(disc, vecs[:, 1])
     # any unit combination of the four degenerate plane waves has sup <= 2
     assert diag["sup"] <= 2.0 * 1.01
-    assert 0 < diag["max_edge_gap"] < 1.0
+    # an edge difference sees only the two waves along the edge, each
+    # scaled by |1 - e^{2 pi i / n}| = 2 sin(pi / n), so by Cauchy-Schwarz
+    # every vector of the eigenspace has gap <= 2 sqrt(2) sin(pi / n)
+    bound = 2 * math.sqrt(2) * math.sin(math.pi / 8)
+    assert 0 < diag["max_edge_gap"] <= bound * (1 + 1e-9)
     assert diag["interior_sup"] is not None
     with pytest.raises(ValueError):
         potential.harnack_diagnostics(disc, np.zeros(disc.n_vertices))

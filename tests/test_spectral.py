@@ -7,7 +7,7 @@ from tilelap import catalog, operators, spectral
 from tilelap.bundle import FlatUnitaryBundle
 from tilelap.discretize import Discretization
 
-from conftest import make_disc
+from conftest import SURFACE_NAMES, make_disc, random_unitary
 
 
 def test_assembled_torus_matches_fourier_oracle():
@@ -118,3 +118,72 @@ def test_eigenpairs_deterministic_with_seed():
     v1 = spectral.lowest_eigenpairs(lap, 3, seed=7, dense_cutoff=1)[0]
     v2 = spectral.lowest_eigenpairs(lap, 3, seed=7, dense_cutoff=1)[0]
     assert np.array_equal(v1, v2)
+
+
+def _twisted_rank2_torus(n, seed):
+    # commuting holonomies V diag(e^{i a}) V*, V diag(e^{i b}) V*: flat
+    rng = np.random.default_rng(seed)
+    a, b = rng.uniform(0, 2 * np.pi, size=(2, 2))
+    v = random_unitary(rng, 2)
+    surf = catalog.torus()
+    bundle = FlatUnitaryBundle(surf, 2, {
+        0: v @ np.diag(np.exp(1j * a)) @ v.conj().T,
+        1: v @ np.diag(np.exp(1j * b)) @ v.conj().T})
+    return Discretization(surf, bundle, n)
+
+
+@pytest.mark.parametrize("name", SURFACE_NAMES + ["twisted-rank2"])
+def test_sparse_path_matches_dense(name):
+    disc = (_twisted_rank2_torus(6, seed=11) if name == "twisted-rank2"
+            else make_disc(name, 6))
+    lap = operators.laplacian(disc)
+    dense_vals, _, _ = spectral.lowest_eigenpairs(lap, 8, dense_cutoff=10000)
+    sparse_vals, _, _ = spectral.lowest_eigenpairs(lap, 8)
+    assert np.allclose(sparse_vals, dense_vals, rtol=0, atol=1e-10)
+
+
+def test_laplacian_dtype_follows_transports():
+    surf = catalog.torus()
+    real = [FlatUnitaryBundle.trivial(surf, 2),
+            FlatUnitaryBundle(surf, 1, {0: np.array([[-1.0]])})]
+    for bundle in real:
+        lap = operators.laplacian(Discretization(surf, bundle, 4))
+        assert lap.dtype == np.float64
+    twisted = FlatUnitaryBundle.twisted_torus(surf, 0.8, -1.9)
+    lap = operators.laplacian(Discretization(surf, twisted, 4))
+    assert lap.dtype == np.complex128
+    assert operators.laplacian(_twisted_rank2_torus(4, 3)).dtype == \
+        np.complex128
+
+
+def test_k_dim_minus_one_takes_dense_path(monkeypatch):
+    disc = make_disc("torus", 3)
+    lap = operators.laplacian(disc)
+
+    def no_lanczos(*args, **kwargs):
+        raise AssertionError("eigsh cannot serve k >= dim - 1")
+
+    monkeypatch.setattr(spectral.spla, "eigsh", no_lanczos)
+    vals, vecs, _ = spectral.lowest_eigenpairs(lap, 8)
+    oracle = spectral.discrete_torus_spectrum(3)
+    assert np.allclose(vals, oracle[:8], atol=1e-12)
+    assert vecs.shape == (9, 8)
+
+
+def test_residual_gate_rejects_perturbed_pair(monkeypatch):
+    # raw eigenvalues here are at most 0.04, so an absolute 1e-8 gate would
+    # let a residual of a few 1e-9 through; the relative gate does not
+    lap = operators.laplacian(make_disc("torus", 32))
+    vals, _, res = spectral.lowest_eigenpairs(lap, 4)
+    assert res.max() <= 1e-8 * vals.max()
+    eigsh = spectral.spla.eigsh
+
+    def perturbed(*args, **kwargs):
+        w, v = eigsh(*args, **kwargs)
+        noise = np.random.default_rng(0).standard_normal(v.shape[0])
+        v[:, -1] += 1e-9 * noise / np.linalg.norm(noise)
+        return w, v
+
+    monkeypatch.setattr(spectral.spla, "eigsh", perturbed)
+    with pytest.raises(RuntimeError, match="residual"):
+        spectral.lowest_eigenpairs(lap, 4)
