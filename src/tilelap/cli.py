@@ -70,16 +70,6 @@ def _load(args):
     return surface, bundle
 
 
-def _positive_int(text):
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError("invalid integer %r" % text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be >= 1, got %d" % value)
-    return value
-
-
 def _parse_ns(text):
     try:
         ns = [int(t) for t in text.split(",") if t.strip()]
@@ -323,6 +313,8 @@ def cmd_green(args):
 
 def cmd_flow(args):
     n = args.n
+    if n < 1:
+        raise SurfaceFormatError("--n must be >= 1")
     div = potential.corner_flow_divergence(n)
     norm_sq = potential.corner_flow_norm_sq(n)
     bound = 2 * potential.harmonic_number(n)
@@ -450,7 +442,7 @@ def build_parser():
     p.add_argument("--tol", type=float, default=1e-10)
 
     p = add("flow", cmd_flow, help="corner flow divergence and norm")
-    p.add_argument("--n", type=_positive_int, required=True)
+    p.add_argument("--n", type=int, required=True)
     p.add_argument("--tol", type=float, default=1e-12)
 
     p = add("barrier", cmd_barrier, help="convex barrier check")

@@ -164,14 +164,7 @@ class Discretization:
         q2, side2, kind, role = hit
         k = i if direction in ("N", "S") else j
         k2 = k if kind == "translation" else n - 1 - k
-        if side2 == "N":
-            i2, j2 = k2, n - 1
-        elif side2 == "S":
-            i2, j2 = k2, 0
-        elif side2 == "E":
-            i2, j2 = n - 1, k2
-        else:
-            i2, j2 = 0, k2
+        i2, j2 = self._side_cell(side2, k2)
         seam, _ = self.surface.seam_at(q, direction)
         # value in the neighbour's frame, expressed in the source frame
         u = self.bundle.seam_unitary(seam.index, -role)
@@ -195,16 +188,14 @@ class Discretization:
         tails = [np.stack([v, v], axis=-1)[keep]]
         heads = [np.stack([v + 1, v + n], axis=-1)[keep]]
         blocks = [np.broadcast_to(np.eye(rank), (len(tails[0]), rank, rank))]
-        k = np.arange(n)
         for seam in self.surface.seams:
             qa, sa = seam.first
-            qb, sb, kind, role = self.surface.cross(qa, sa)
-            kb = k if kind == "translation" else n - 1 - k
-            tails.append(self.vertex_index(qa, *self._side_cell(sa, k)))
-            heads.append(self.vertex_index(qb, *self._side_cell(sb, kb)))
-            # value in the neighbour's frame, expressed in the source frame
-            u = self.bundle.seam_unitary(seam.index, -role)
-            blocks.append(np.broadcast_to(u, (n, rank, rank)))
+            for k in range(n):
+                cell = self._side_cell(sa, k)
+                qb, ib, jb, u, _ = self.step(qa, *cell, sa)
+                tails.append([self.vertex_index(qa, *cell)])
+                heads.append([self.vertex_index(qb, ib, jb)])
+                blocks.append(u[None])
         self._n_interior_edges = len(tails[0])
         self.tails = np.concatenate(tails)
         self.heads = np.concatenate(heads)

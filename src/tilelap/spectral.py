@@ -16,6 +16,10 @@ SHIFT = -1e-2
 # dimensions at or below this take the dense path; tests raise it to force
 # that path, which otherwise serves only k >= dim - 1
 DENSE_CUTOFF = 0
+# the residual gate scales by max |lambda| but by no less than this fraction
+# of |A|_1, so that a lone zero mode (returned as round-off) is judged
+# against the matrix scale
+ZERO_SCALE = 1e-6
 
 
 def lowest_eigenpairs(mat, k, seed=0, dense_cutoff=DENSE_CUTOFF,
@@ -29,7 +33,7 @@ def lowest_eigenpairs(mat, k, seed=0, dense_cutoff=DENSE_CUTOFF,
     ``dense_cutoff``.  Returns (values, vectors, residuals) with values
     ascending and vectors in columns; raises if any residual
     |A v - lambda v| exceeds ``residual_tol`` times the largest |lambda|
-    returned (or times the 1-norm of A when all of them are 0).
+    returned, or times ZERO_SCALE |A|_1 if that is larger.
     """
     dim = mat.shape[0]
     if k >= dim:
@@ -50,9 +54,7 @@ def lowest_eigenpairs(mat, k, seed=0, dense_cutoff=DENSE_CUTOFF,
         order = np.argsort(vals)
         vals, vecs = vals[order], vecs[:, order]
     residuals = np.linalg.norm(mat @ vecs - vecs * vals, axis=0)
-    scale = np.max(np.abs(vals))
-    if scale == 0:
-        scale = abs(mat).sum(axis=0).max()
+    scale = max(np.max(np.abs(vals)), ZERO_SCALE * abs(mat).sum(axis=0).max())
     if residuals.max() > residual_tol * scale:
         raise RuntimeError(
             "eigenpair residual %.3e exceeds %.1e relative to scale %.3e"

@@ -102,6 +102,22 @@ def test_eigvec_table(capsys):
     assert errs == sorted(errs, reverse=True)
 
 
+def test_constant_mode_commands(capsys):
+    # k = 1 on a trivial bundle returns only the zero mode
+    code, _ = run(capsys, "eigvec", "--surface", "square", "--ns", "8",
+                  "--group", "0")
+    assert code == 0
+    code, _ = run(capsys, "harnack", "--surface", "square", "--ns", "8",
+                  "--index", "0")
+    assert code == 0
+    for surface in ("square", "rectangle2x1", "genus2"):
+        code, out = run(capsys, "spectrum", "--surface", surface, "--n", "8",
+                        "--k", "1")
+        assert code == 0
+        header, rows = read_csv(out)
+        assert abs(float(rows[0][header.index("rescaled")])) < 1e-9
+
+
 def test_eigvec_needs_planar_surface(capsys):
     code, _ = run(capsys, "eigvec", "--surface", "pillowcase", "--ns", "8")
     assert code == 1
