@@ -389,7 +389,6 @@ def build_parser():
         p.set_defaults(func=func)
         p.add_argument("--out", help="output path prefix (.csv/.json)")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--jobs", type=int, default=1)
         return p
 
     p = add("validate", cmd_validate, help="surface and bundle census")
@@ -408,6 +407,8 @@ def build_parser():
     p.add_argument("--k", type=int, default=6)
     p.add_argument("--reference",
                    help="rectangle:a,b or torus:a,b,alpha,beta")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="worker processes for the mesh sweep")
 
     p = add("eigvec", cmd_eigvec, help="eigenvector subspace convergence")
     p.add_argument("--surface", required=True)

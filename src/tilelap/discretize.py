@@ -16,19 +16,14 @@ from functools import cached_property
 
 import numpy as np
 
+from .surface import CORNERS, SIDES
+
 DIR_DELTA = {"N": (0, 1), "S": (0, -1), "E": (1, 0), "W": (-1, 0)}
-DIR_FLIP = {"N": "S", "S": "N", "E": "W", "W": "E"}
 
-# counter-clockwise rotation around a lattice point: the vertex sits at the
-# given corner of the current cell; step in the given chart direction and
-# the vertex is then found at the new corner of the new cell.
-CCW_ROT = {"SW": ("W", "SE"), "SE": ("S", "NE"),
-           "NE": ("E", "NW"), "NW": ("N", "SW")}
-CW_ROT = {"SE": ("E", "SW"), "NE": ("N", "SE"),
-          "NW": ("W", "NE"), "SW": ("S", "NW")}
-
-# lattice coordinates of a cell corner relative to the cell (i, j)
-CORNER_OFFSET = {"SW": (0, 0), "SE": (1, 0), "NE": (1, 1), "NW": (0, 1)}
+# side through which a counter-clockwise turn around a square corner leaves
+# the square; half-turn gluings preserve orientation, so a rotation that is
+# counter-clockwise in one chart is counter-clockwise in every chart
+CCW_EXIT = {"SW": "W", "SE": "S", "NE": "E", "NW": "N"}
 
 
 @dataclass
@@ -43,8 +38,9 @@ class Edge:
 class LatticePoint:
     """One identified lattice point of the subdivided complex.
 
-    ``cells`` lists the incident cell vertices in rotational order (with
-    repetitions for cells wrapping around a low-angle cone), ``transports``
+    ``cells`` lists the incident cell vertices in counter-clockwise order
+    (with repetitions for cells wrapping around a low-angle cone; on the
+    boundary from one free side to the other), ``transports``
     the parallel transports from each listed cell's frame into the frame of
     ``cells[0]``.  ``quarters`` counts incident cell corners, so the total
     angle at the point is quarters * pi / 2.
@@ -75,42 +71,6 @@ class LatticePoint:
         return seen, trans
 
 
-class Walker:
-    """Tracks a position in the mesh while crossing seams.
-
-    Directions passed to :meth:`move` are expressed in the chart of the
-    starting square; half-turn crossings flip the chart, which the walker
-    accounts for internally.  ``transport`` maps the current cell's frame
-    back into the starting square's frame.
-    """
-
-    def __init__(self, disc, q, i, j):
-        self.disc = disc
-        self.q, self.i, self.j = q, i, j
-        self.flipped = False
-        self.transport = np.eye(disc.bundle.rank, dtype=complex)
-
-    def move(self, direction):
-        """Step one cell in the given (logical) direction.
-
-        Returns True on success, False when the step leaves the surface
-        through a free side.
-        """
-        d = DIR_FLIP[direction] if self.flipped else direction
-        res = self.disc.step(self.q, self.i, self.j, d)
-        if res is None:
-            return False
-        self.q, self.i, self.j, u, crossed_halfturn = res
-        self.transport = self.transport @ u
-        if crossed_halfturn:
-            self.flipped = not self.flipped
-        return True
-
-    @property
-    def vertex(self):
-        return self.disc.vertex_index(self.q, self.i, self.j)
-
-
 class Discretization:
     def __init__(self, surface, bundle, n):
         if n < 1:
@@ -122,7 +82,6 @@ class Discretization:
         self.n = n
         self.n_vertices = surface.n_squares * n * n
         self._build_edges()
-        self._lattice_points = None
 
     # ---- indexing ------------------------------------------------------
 
@@ -139,11 +98,9 @@ class Discretization:
     def positions(self):
         """(n_vertices, 3) array of (square, x, y) chart coordinates."""
         n = self.n
-        out = np.empty((self.n_vertices, 3))
-        for v in range(self.n_vertices):
-            q, i, j = self.vertex_cell(v)
-            out[v] = (q, (i + 0.5) / n, (j + 0.5) / n)
-        return out
+        q, rem = np.divmod(np.arange(self.n_vertices), n * n)
+        j, i = np.divmod(rem, n)
+        return np.stack([q, (i + 0.5) / n, (j + 0.5) / n], axis=1)
 
     # ---- stepping ------------------------------------------------------
 
@@ -173,11 +130,19 @@ class Discretization:
     # ---- edges ---------------------------------------------------------
 
     def _build_edges(self):
-        """Edge arrays: ``tails``, ``heads`` and the ``transports`` stack.
+        """Edge arrays ``tails``, ``heads``, ``transports`` and the halo.
 
         Interior edges come first, in (square, row, column, east-then-north)
         order, then n edges per seam.  The stack holds one head -> tail
         frame transport per edge; it is real when every seam unitary is.
+
+        The seam halo describes what each square sees across its sides:
+        ``halo_vertex[q, s, k]`` is the cell across segment k of side
+        ``SIDES[s]`` of square q (-1 on a free side) and
+        ``halo_transport[q, s, k]`` maps that cell's frame into q's frame.
+        The first side of a seam sees its edges' heads through the stack
+        entries, the second side their tails through the adjoints, at the
+        mirrored segment for a half-turn.
         """
         n, rank = self.n, self.bundle.rank
         self._eye = np.eye(rank, dtype=complex)
@@ -204,6 +169,23 @@ class Discretization:
         self.degrees = (np.bincount(self.tails, minlength=self.n_vertices)
                         + np.bincount(self.heads, minlength=self.n_vertices))
 
+        shape = (self.surface.n_squares, len(SIDES), n)
+        self.halo_vertex = np.full(shape, -1)
+        self.halo_transport = np.zeros(shape + (rank, rank),
+                                       self.transports.dtype)
+        for seam in self.surface.seams:
+            e = slice(self._n_interior_edges + seam.index * n,
+                      self._n_interior_edges + (seam.index + 1) * n)
+            (qa, sa), (qb, sb) = seam.first, seam.second
+            k = slice(None) if seam.kind == "translation" else slice(None,
+                                                                     None, -1)
+            a, b = (qa, SIDES.index(sa)), (qb, SIDES.index(sb))
+            self.halo_vertex[a] = self.heads[e]
+            self.halo_transport[a] = self.transports[e]
+            self.halo_vertex[b + (k,)] = self.tails[e]
+            self.halo_transport[b + (k,)] = (
+                self.transports[e].conj().swapaxes(1, 2))
+
     @cached_property
     def edges(self):
         """Edge records, one per entry of the edge arrays."""
@@ -223,6 +205,11 @@ class Discretization:
             return 0, k
         return n - 1, k
 
+    def _side_point(self, side, k):
+        """Lattice coordinates of point k along the given side."""
+        n = self.n
+        return {"S": (k, 0), "N": (k, n), "W": (0, k), "E": (n, k)}[side]
+
     def doubled_edge_count(self):
         """Number of vertex pairs joined by more than one edge."""
         loop = self.tails == self.heads
@@ -233,93 +220,121 @@ class Discretization:
 
     # ---- lattice points ------------------------------------------------
 
-    def _rotate(self, q, i, j, corner):
-        """Sweep around the lattice point at the given cell corner.
+    @property
+    def corner_points(self):
+        """Corner table: one :class:`LatticePoint` per class of square
+        corners (``surface.vertex_cycles()``), the only lattice points that
+        can be singular.
 
-        Returns (incidences, transports, interior, monodromy_defect) where
-        incidences is the rotationally ordered list of (q, i, j, corner).
+        Classes are ordered by their first incidence in (square, row,
+        column, SW/SE/NE/NW) scan order; an interior class lists its cells
+        counter-clockwise from that incidence, a boundary class from one
+        free side to the other.  Transports compose the seam unitaries
+        along the cycle.
         """
-        start = (q, i, j, corner)
-        incidences = [start]
-        walker = Walker(self, q, i, j)
-        transports = [walker.transport]
-        cur_corner = corner
-        interior = True
-        defect = 0.0
-        while True:
-            d, nxt_corner = CCW_ROT[cur_corner]
-            if not walker.move(d):
-                interior = False
-                break
-            cur_corner = nxt_corner
-            inc = (walker.q, walker.i, walker.j,
-                   self._logical_to_chart_corner(cur_corner, walker.flipped))
-            if inc == start:
-                defect = float(np.max(np.abs(walker.transport - self._eye)))
-                break
-            incidences.append(inc)
-            transports.append(walker.transport)
-            if len(incidences) > 8 * self.n_vertices:  # pragma: no cover
-                raise RuntimeError("rotation failed to close")
-        if interior:
-            return incidences, transports, True, defect
-        # boundary point: sweep clockwise from the start to find the rest
-        walker = Walker(self, q, i, j)
-        cur_corner = corner
-        pre_inc = []
-        pre_trans = []
-        while True:
-            d, nxt_corner = CW_ROT[cur_corner]
-            if not walker.move(d):
-                break
-            cur_corner = nxt_corner
-            inc = (walker.q, walker.i, walker.j,
-                   self._logical_to_chart_corner(cur_corner, walker.flipped))
-            pre_inc.append(inc)
-            pre_trans.append(walker.transport)
-        pre_inc.reverse()
-        pre_trans.reverse()
-        return pre_inc + incidences, pre_trans + transports, False, 0.0
+        return self._corner_table[0]
 
-    @staticmethod
-    def _logical_to_chart_corner(corner, flipped):
-        if not flipped:
-            return corner
-        return {"SW": "NE", "NE": "SW", "SE": "NW", "NW": "SE"}[corner]
+    @property
+    def corner_slots(self):
+        """Map (square, corner) -> (corner point, position in its cells)."""
+        return self._corner_table[1]
+
+    @cached_property
+    def _corner_table(self):
+        n = self.n
+        cell_of = {"SW": (0, 0), "SE": (n - 1, 0), "NE": (n - 1, n - 1),
+                   "NW": (0, n - 1)}
+        point_of = {"SW": (0, 0), "SE": (n, 0), "NE": (n, n), "NW": (0, n)}
+        seams = self.surface.seams
+
+        def crossing(idx, role):  # cell across -> current cell frame
+            return self.bundle.seam_unitary(idx, -role)
+
+        points = []
+        for cycle in self.surface.vertex_cycles():
+            ring, links = list(cycle.corners), list(cycle.seam_steps)
+            m = len(ring)
+            if links:
+                idx, role = links[0]
+                exit_side = (seams[idx].first if role == +1
+                             else seams[idx].second)[1]
+                if exit_side != CCW_EXIT[ring[0][1]]:  # clockwise: reverse
+                    ring = ring[::-1]
+                    if cycle.interior:  # keep the link ring[-1] -> ring[0]
+                        ring = ring[-1:] + ring[:-1]
+                    links = [(idx, -role) for idx, role in links[::-1]]
+            keys = [(q, cell_of[c][1], cell_of[c][0], CORNERS.index(c))
+                    for q, c in ring]
+            start = keys.index(min(keys))
+            if cycle.interior:
+                ring = ring[start:] + ring[:start]
+                links = links[start:] + links[:start]
+                start = 0
+            # transports into the start cell's frame, walked both ways
+            trans = [None] * m
+            trans[start] = self._eye
+            for k in range(start + 1, m):
+                trans[k] = trans[k - 1] @ crossing(*links[k - 1])
+            for k in range(start - 1, -1, -1):
+                idx, role = links[k]
+                trans[k] = trans[k + 1] @ crossing(idx, -role)
+            defect = 0.0
+            if cycle.interior:
+                loop = trans[-1] @ crossing(*links[-1])
+                defect = float(np.max(np.abs(loop - self._eye)))
+            base_inv = trans[0].conj().T
+            points.append((min(keys), LatticePoint(
+                [(q,) + point_of[c] for q, c in ring],
+                [self.vertex_index(q, *cell_of[c]) for q, c in ring],
+                [base_inv @ t for t in trans], cycle.interior, m, defect),
+                ring))
+        points.sort(key=lambda entry: entry[0])
+        slots = {corner: (point, k) for _, point, ring in points
+                 for k, corner in enumerate(ring)}
+        return [point for _, point, _ in points], slots
 
     def lattice_points(self):
-        """All identified lattice points of the subdivided complex."""
-        if self._lattice_points is not None:
-            return self._lattice_points
-        n = self.n
-        seen = set()
-        points = []
+        """All identified lattice points of the subdivided complex: the
+        corner table, then the points inside sides, then those inside
+        squares.  Only corner points can be singular."""
+        n, eye = self.n, self._eye
+        points = list(self.corner_points)
+        sides = [(q, s) for q in range(self.surface.n_squares) for s in SIDES
+                 if self.surface.is_free(q, s)]
+        sides += [seam.first for seam in self.surface.seams]
+        for q, side in sides:
+            halo = (q, SIDES.index(side))
+            for k in range(1, n):
+                # counter-clockwise: the cells of q, then those across
+                own = [self.vertex_index(q, *self._side_cell(side, k - 1)),
+                       self.vertex_index(q, *self._side_cell(side, k))]
+                ks = [k - 1, k]
+                if side in ("S", "E"):
+                    own.reverse()
+                    ks.reverse()
+                members = [(q,) + self._side_point(side, k)]
+                if self.halo_vertex[halo][0] < 0:
+                    points.append(LatticePoint(members, own, [eye, eye],
+                                               False, 2, 0.0))
+                    continue
+                seam, _ = self.surface.seam_at(q, side)
+                q2, side2 = seam.second
+                k2 = k if seam.kind == "translation" else n - k
+                members.append((q2,) + self._side_point(side2, k2))
+                across = [self.halo_transport[halo][kk] for kk in ks[::-1]]
+                defect = float(np.max(np.abs(
+                    across[0] @ across[1].conj().T - eye)))
+                points.append(LatticePoint(
+                    members, own + [int(self.halo_vertex[halo][kk])
+                                    for kk in ks[::-1]],
+                    [eye, eye] + across, True, 4, defect))
         for q in range(self.surface.n_squares):
-            for j in range(n):
-                for i in range(n):
-                    for corner in CORNER_OFFSET:
-                        key = (q, i, j, corner)
-                        if key in seen:
-                            continue
-                        incs, trans, interior, defect = self._rotate(
-                            q, i, j, corner)
-                        seen.update(incs)
-                        members = []
-                        for (qq, ii, jj, cc) in incs:
-                            da, db = CORNER_OFFSET[cc]
-                            member = (qq, ii + da, jj + db)
-                            if member not in members:
-                                members.append(member)
-                        cells = [self.vertex_index(qq, ii, jj)
-                                 for (qq, ii, jj, _) in incs]
-                        # re-base transports on the first listed cell
-                        base = trans[0]
-                        base_inv = base.conj().T
-                        trans = [base_inv @ t for t in trans]
-                        points.append(LatticePoint(
-                            members, cells, trans, interior, len(incs),
-                            defect))
-        self._lattice_points = points
+            for b in range(1, n):
+                for a in range(1, n):
+                    cells = [self.vertex_index(q, i, j) for i, j in
+                             ((a, b), (a - 1, b), (a - 1, b - 1), (a, b - 1))]
+                    points.append(LatticePoint([(q, a, b)], cells, [eye] * 4,
+                                               True, 4, 0.0))
         return points
 
     def singular_points(self):
@@ -328,10 +343,10 @@ class Discretization:
         For n >= 2 these coincide with the singular points of the surface;
         the incident-cell lists are the clusters V_n(P).
         """
-        return [p for p in self.lattice_points() if p.singular]
+        return [p for p in self.corner_points if p.singular]
 
     def cone_points(self):
-        return [p for p in self.lattice_points() if p.interior and p.singular]
+        return [p for p in self.singular_points() if p.interior]
 
     def cluster_sizes(self):
         """Map from singular point index to the number of distinct incident
@@ -355,25 +370,22 @@ class Discretization:
         exact whenever the nearest singular point lies on that square's
         closure (every singular point is recorded in each incident chart).
         """
-        positions = self.singular_chart_positions()
-        out = np.full(self.n_vertices, np.inf)
         n = self.n
-        for v in range(self.n_vertices):
-            q, i, j = self.vertex_cell(v)
-            pts = positions.get(q)
-            if not pts:
-                continue
-            x, y = (i + 0.5) / n, (j + 0.5) / n
-            out[v] = min(np.hypot(x - px, y - py) for (px, py) in pts)
-        return out
+        out = np.full((self.surface.n_squares, n, n), np.inf)  # [q, j, i]
+        centres = (np.arange(n) + 0.5) / n
+        for q, pts in self.singular_chart_positions().items():
+            px, py = np.array(pts).T
+            out[q] = np.hypot(centres[None, :, None] - px,
+                              centres[:, None, None] - py).min(axis=-1)
+        return out.ravel()
 
     # ---- census --------------------------------------------------------
 
     def census(self):
         """Structural summary used by validation reports and tests."""
-        pts = self.lattice_points()
-        cones = [p for p in pts if p.interior and p.singular]
-        corners = [p for p in pts if not p.interior and p.singular]
+        pts = self.singular_points()
+        cones = [p for p in pts if p.interior]
+        corners = [p for p in pts if not p.interior]
         return {
             "n_vertices": self.n_vertices,
             "n_edges": len(self.tails),

@@ -16,8 +16,6 @@ evaluated here in closed form.
 
 import numpy as np
 
-from .discretize import Walker
-
 # 6-point degree-4 triangle quadrature (barycentric coordinates, weights
 # summing to 1)
 _QW = np.array([0.223381589678011] * 3 + [0.109951743655322] * 3)
@@ -45,17 +43,15 @@ def restrict(disc, func):
     values of shape x.shape (rank 1) or x.shape + (rank,).
     """
     n = disc.n
-    rank = disc.bundle.rank
-    out = np.zeros((disc.n_vertices, rank), dtype=complex)
+    out = np.empty((disc.surface.n_squares, n, n, disc.bundle.rank),
+                   dtype=complex)
     centers = (np.arange(n) + 0.5) / n
     xs, ys = np.meshgrid(centers, centers, indexing="ij")
     for q in range(disc.surface.n_squares):
         vals = np.asarray(func(q, xs, ys), dtype=complex)
         if vals.shape == xs.shape:
             vals = vals[..., None]
-        for j in range(n):
-            for i in range(n):
-                out[disc.vertex_index(q, i, j)] = vals[i, j]
+        out[q] = vals.swapaxes(0, 1)  # vertices run over j, then i
     return out.ravel()
 
 
@@ -182,108 +178,62 @@ def linearize(disc, f):
     """Extend a section to a :class:`PiecewiseLinearField`.
 
     The section is averaged first, so that the extension is single-valued
-    (constant) around singular points.
+    (constant) around singular points.  Grid values: cell centres are the
+    cell values; a side midpoint averages the two cells sharing the side
+    (the cell itself on a free side); a regular lattice point averages the
+    two cells on its main diagonal (or the two cells of a free side); a
+    singular point takes its averaged cluster value.  Values across a
+    square's sides come from the seam halo, square corners from the corner
+    table.
     """
-    n = disc.n
-    rank = disc.bundle.rank
+    n, rank = disc.n, disc.bundle.rank
     g = _as_section(disc, average(disc, f))
-    member_class = {}
-    for point in disc.lattice_points():
-        for member in point.members:
-            member_class[member] = point
-    grids = []
-    for q in range(disc.surface.n_squares):
-        grid = np.zeros((2 * n + 1, 2 * n + 1, rank), dtype=complex)
-        for a in range(2 * n + 1):
-            for b in range(2 * n + 1):
-                grid[a, b] = _grid_value(disc, g, member_class, q, a, b)
-        grids.append(grid)
-    return PiecewiseLinearField(disc, grids)
+    cells = g.reshape(-1, n, n, rank).swapaxes(1, 2)  # [square, i, j]
+    grid = np.empty((len(cells), 2 * n + 1, 2 * n + 1, rank), dtype=complex)
+    grid[:, 1::2, 1::2] = cells
+    grid[:, 1::2, 2:-1:2] = 0.5 * (cells[:, :, :-1] + cells[:, :, 1:])
+    grid[:, 2:-1:2, 1::2] = 0.5 * (cells[:, :-1] + cells[:, 1:])
+    grid[:, 2:-1:2, 2:-1:2] = 0.5 * (cells[:, 1:, 1:] + cells[:, :-1, :-1])
 
+    # along each side (N, E, S, W): own cells, cells across, in q's frame
+    own = np.stack([cells[:, :, -1], cells[:, -1], cells[:, :, 0],
+                    cells[:, 0]], axis=1)
+    across = np.einsum("qskij,qskj->qski", disc.halo_transport,
+                       g[disc.halo_vertex])
+    free = (disc.halo_vertex < 0)[..., None]
+    mid = np.where(free, own, 0.5 * (own + across))
+    # the main diagonal through point m of a side joins the cell across at
+    # segment m to the own cell at m - 1 on N and E sides, and the own cell
+    # at m to the cell across at m - 1 on S and W sides
+    point = np.concatenate([0.5 * (across[:, :2, 1:] + own[:, :2, :-1]),
+                            0.5 * (own[:, 2:, 1:] + across[:, 2:, :-1])],
+                           axis=1)
+    point = np.where(free[:, :, 1:], 0.5 * (own[:, :, 1:] + own[:, :, :-1]),
+                     point)
+    for s, edge in enumerate(((slice(None), -1), (-1, slice(None)),
+                              (slice(None), 0), (0, slice(None)))):
+        line = grid[(slice(None),) + edge]
+        line[:, 1::2] = mid[:, s]
+        line[:, 2:-1:2] = point[:, s]
 
-def _cell_value(disc, g, q, i, j, steps):
-    """Value of the cell reached from (q, i, j) by ``steps``, in q's frame.
-
-    Returns None when a step exits through a free side.
-    """
-    walker = Walker(disc, q, i, j)
-    for d in steps:
-        if not walker.move(d):
-            return None
-    return walker.transport @ g[walker.vertex]
-
-
-def _diagonal_values(disc, g, q, a, b):
-    """Values (in q's frame) of the four cells whose corner is lattice
-    point (a, b), keyed by diagonal direction; missing cells map to None."""
-    n = disc.n
-    out = {}
-    for key, (ci, cj, dirs) in {
-        "NE": (a, b, ("E", "N")),
-        "NW": (a - 1, b, ("W", "N")),
-        "SE": (a, b - 1, ("E", "S")),
-        "SW": (a - 1, b - 1, ("W", "S")),
-    }.items():
-        steps = []
-        i = ci
-        j = cj
-        if i < 0:
-            i = 0
-            steps.append(dirs[0])
-        elif i > n - 1:
-            i = n - 1
-            steps.append(dirs[0])
-        if j < 0:
-            j = 0
-            steps.append(dirs[1])
-        elif j > n - 1:
-            j = n - 1
-            steps.append(dirs[1])
-        out[key] = _cell_value(disc, g, q, i, j, steps)
-    return out
-
-
-def _grid_value(disc, g, member_class, q, a, b):
-    n = disc.n
-    a_odd, b_odd = a % 2 == 1, b % 2 == 1
-    if a_odd and b_odd:
-        return g[disc.vertex_index(q, (a - 1) // 2, (b - 1) // 2)]
-    if a_odd != b_odd:
-        # midpoint of a cell side
-        if a_odd:
-            i = (a - 1) // 2
-            if 0 < b < 2 * n:
-                lo = g[disc.vertex_index(q, i, b // 2 - 1)]
-                hi = g[disc.vertex_index(q, i, b // 2)]
-                return 0.5 * (lo + hi)
-            j = 0 if b == 0 else n - 1
-            step = "S" if b == 0 else "N"
+    ends = {"SW": (0, 0), "SE": (2 * n, 0), "NE": (2 * n, 2 * n),
+            "NW": (0, 2 * n)}
+    for (q, corner), (lattice, k) in disc.corner_slots.items():
+        a, b = ends[corner]
+        if lattice.singular:  # averaged: constant on the cluster
+            grid[q, a, b] = g[lattice.cells[k]]
+            continue
+        m = lattice.quarters
+        if not lattice.interior:
+            pair = (0, 1)
+        elif corner in ("SW", "NE"):  # the cell itself and its opposite
+            pair = (k, (k + 2) % m)
         else:
-            j = (b - 1) // 2
-            if 0 < a < 2 * n:
-                lo = g[disc.vertex_index(q, a // 2 - 1, j)]
-                hi = g[disc.vertex_index(q, a // 2, j)]
-                return 0.5 * (lo + hi)
-            i = 0 if a == 0 else n - 1
-            step = "W" if a == 0 else "E"
-        own = g[disc.vertex_index(q, i, j)]
-        nb = _cell_value(disc, g, q, i, j, [step])
-        if nb is None:  # free side: boundary strip is constant inward
-            return own
-        return 0.5 * (own + nb)
-    # lattice point
-    point = member_class[(q, a // 2, b // 2)]
-    if point.singular:
-        # averaged sections are constant on the cluster; take the value of
-        # an incident cell of this square
-        i = a // 2 if a // 2 < n else a // 2 - 1
-        j = b // 2 if b // 2 < n else b // 2 - 1
-        return g[disc.vertex_index(q, i, j)]
-    diag = _diagonal_values(disc, g, q, a // 2, b // 2)
-    if point.interior:
-        return 0.5 * (diag["NE"] + diag["SW"])
-    found = [v for v in diag.values() if v is not None]
-    return np.mean(found, axis=0)
+            pair = ((k - 1) % m, (k + 1) % m)
+        back = lattice.transports[k].conj().T
+        grid[q, a, b] = 0.5 * sum(back @ lattice.transports[p]
+                                  @ g[lattice.cells[p]] for p in pair)
+    return PiecewiseLinearField(disc, list(grid))
 
 
 def pairing_ratio(disc, f):
@@ -309,12 +259,10 @@ def consistency_residual(disc, func, lap_func):
     resid = disc.n ** 2 * (laplacian(disc) @ f) - target
     rank = disc.bundle.rank
     resid = np.abs(resid.reshape(disc.n_vertices, rank)).max(axis=1)
-    out = {"interior": 0.0, "edge": 0.0, "corner": 0.0}
-    for v in range(disc.n_vertices):
-        deg = disc.degrees[v]
-        key = "interior" if deg >= 4 else ("edge" if deg == 3 else "corner")
-        out[key] = max(out[key], float(resid[v]))
-    return out
+    deg = disc.degrees
+    classes = {"interior": deg >= 4, "edge": deg == 3, "corner": deg <= 2}
+    return {key: float(resid[mask].max(initial=0.0))
+            for key, mask in classes.items()}
 
 
 def subspace_error(disc, eig_vectors, ref_funcs):

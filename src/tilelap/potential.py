@@ -244,43 +244,32 @@ def harmonic_number(n):
 
 
 def graph_distances(disc, sources):
-    """Integer BFS distances from a set of vertices in the mesh graph."""
-    from collections import deque
+    """Integer BFS distances (int64, -1 where unreachable) from a set of
+    vertices in the mesh graph."""
+    from scipy.sparse.csgraph import dijkstra
 
-    adj = [[] for _ in range(disc.n_vertices)]
-    for t, h in zip(disc.tails.tolist(), disc.heads.tolist()):
-        adj[t].append(h)
-        adj[h].append(t)
-    dist = [-1] * disc.n_vertices
-    queue = deque()
-    for s in sources:
-        dist[s] = 0
-        queue.append(s)
-    while queue:
-        v = queue.popleft()
-        for w in adj[v]:
-            if dist[w] < 0:
-                dist[w] = dist[v] + 1
-                queue.append(w)
-    return dist
+    adj = sp.csr_matrix((np.ones(len(disc.tails)), (disc.tails, disc.heads)),
+                        shape=(disc.n_vertices,) * 2)
+    dist = dijkstra(adj, directed=False, unweighted=True,
+                    indices=sources, min_only=True)
+    return np.where(np.isinf(dist), -1, dist).astype(np.int64)
 
 
 def convex_barrier(disc, cluster_cells):
     """Squared graph distance to a singular cluster, with its Laplacian.
 
-    Returns (h, lap_h) as integer arrays: h(Q) = dist(Q, cluster)^2 and
-    lap_h(Q) = deg(Q) h(Q) - sum of h over neighbours, both computed in
-    exact integer arithmetic.
+    Returns (h, lap_h, dist) as lists of Python integers: h(Q) =
+    dist(Q, cluster)^2 and lap_h(Q) = deg(Q) h(Q) - sum of h over
+    neighbours, both computed in exact int64 arithmetic.
     """
     dist = graph_distances(disc, cluster_cells)
-    if min(dist) < 0:
+    if dist.min() < 0:
         raise ValueError("mesh graph is disconnected from the cluster")
-    h = [d * d for d in dist]
-    lap = [d * hv for d, hv in zip(disc.degrees.tolist(), h)]
-    for t, hd in zip(disc.tails.tolist(), disc.heads.tolist()):
-        lap[t] -= h[hd]
-        lap[hd] -= h[t]
-    return h, lap, dist
+    h = dist * dist
+    lap = disc.degrees * h
+    np.subtract.at(lap, disc.tails, h[disc.heads])
+    np.subtract.at(lap, disc.heads, h[disc.tails])
+    return h.tolist(), lap.tolist(), dist.tolist()
 
 
 def barrier_report(disc, point):
@@ -290,19 +279,15 @@ def barrier_report(disc, point):
     Returns a dict with the number of checked vertices and violations.
     """
     cells, _ = point.distinct_cells()
-    h, lap, dist = convex_barrier(disc, cells)
-    n = disc.n
-    checked = 0
-    violations = 0
+    _, lap, dist = (np.array(x) for x in convex_barrier(disc, cells))
+    checked = (disc.degrees == 4) & (dist <= disc.n - 1)
+    bad = np.flatnonzero(checked & (lap > -1))
     worst = None
-    for v in range(disc.n_vertices):
-        if disc.degrees[v] != 4 or dist[v] > n - 1:
-            continue
-        checked += 1
-        if lap[v] > -1:
-            violations += 1
-            worst = (v, dist[v], lap[v]) if worst is None else worst
-    return {"checked": checked, "violations": violations, "worst": worst}
+    if len(bad):
+        v = int(bad[0])
+        worst = (v, int(dist[v]), int(lap[v]))
+    return {"checked": int(checked.sum()), "violations": len(bad),
+            "worst": worst}
 
 
 # ---- eigenvector regularity diagnostics --------------------------------

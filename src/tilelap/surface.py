@@ -53,22 +53,6 @@ class Seam:
     second: tuple  # (square, side)
     kind: str  # "translation" or "halfturn"
 
-    def param_map(self, k, n):
-        """Map a segment/lattice index along the first side to the second.
-
-        For a subdivision into ``n`` segments the segment indices run over
-        0..n-1 and lattice indices over 0..n; a translation preserves the
-        index, a half-turn sends segment k to n-1-k (lattice k to n-k).
-        """
-        if self.kind == "translation":
-            return k
-        return n - 1 - k
-
-    def lattice_map(self, k, n):
-        if self.kind == "translation":
-            return k
-        return n - k
-
 
 @dataclass
 class VertexCycle:

@@ -61,6 +61,14 @@ def test_bad_arguments_exit_1(capsys):
     assert main([]) == 1
 
 
+def test_jobs_only_on_converge(capsys):
+    # only converge runs a parallel sweep; elsewhere --jobs is rejected
+    code = main(["spectrum", "--surface", "torus", "--n", "4", "--jobs",
+                 "2"])
+    assert code == 1
+    assert "--jobs" in capsys.readouterr().err
+
+
 def test_spectrum_values(capsys):
     code, out = run(capsys, "spectrum", "--surface", "torus",
                     "--n", "8", "--k", "3")

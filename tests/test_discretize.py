@@ -83,6 +83,38 @@ def test_lattice_points_partition_incidences(named_surface):
     assert all(p.quarters == 4 for p in regular)
 
 
+def test_singular_points_match_surface_census(named_surface):
+    # the corner table's singular classes are the surface's cone points
+    # and boundary corners at every level, n = 1 included
+    name, surf = named_surface
+    expected = sorted((c.interior, c.quarters) for c in
+                      surf.cone_points() + surf.boundary_corners())
+    for n in (1, 2, 3, 4):
+        disc = Discretization(surf, FlatUnitaryBundle.trivial(surf), n)
+        found = sorted((p.interior, p.quarters)
+                       for p in disc.singular_points())
+        assert found == expected
+
+
+def test_corner_cells_turn_counter_clockwise():
+    # in the planar layout, consecutive cells around a square corner sit a
+    # quarter turn apart, counter-clockwise (lshape's chains are stored
+    # clockwise by the surface's corner sweep)
+    for name in ("square", "rectangle2x1", "lshape"):
+        for n in (1, 2, 3):
+            disc = make_disc(name, n)
+            layout = disc.surface.layout
+            pos = disc.positions()
+            for p in disc.corner_points:
+                q, a, b = p.members[0]
+                px, py = np.add(layout[q], (a / n, b / n))
+                centres = [np.add(layout[int(pos[v, 0])], pos[v, 1:])
+                           for v in p.cells]
+                angles = [np.arctan2(y - py, x - px) for x, y in centres]
+                turns = np.mod(np.diff(angles), 2 * np.pi)
+                assert np.allclose(turns, np.pi / 2), (name, n, p.members)
+
+
 def test_lattice_point_count_euler(named_surface):
     # V - E + F of the subdivided complex equals the Euler characteristic
     name, surf = named_surface

@@ -7,7 +7,7 @@ from tilelap import catalog, interp, operators, spectral
 from tilelap.bundle import FlatUnitaryBundle
 from tilelap.discretize import Discretization
 
-from conftest import make_disc
+from conftest import make_disc, random_unitary
 
 
 def _random_section(rng, disc, rank=1):
@@ -46,15 +46,35 @@ def test_average_equalizes_singular_clusters():
 def test_linear_function_reproduced_exactly():
     # interpolation of the restriction of an affine function is that
     # function away from the boundary (boundary half-cells extend the data
-    # inward, matching the Neumann convention)
-    disc = make_disc("square", 4)
-    func = lambda q, x, y: 2.0 * x - 0.5 * y + 0.25
-    field = interp.linearize(disc, interp.restrict(disc, func))
+    # inward, matching the Neumann convention); on rectangle2x1 the samples
+    # also cover the internal seam at X = 1
     rng = np.random.default_rng(3)
-    for _ in range(50):
-        x, y = rng.uniform(0.2, 0.8, 2)
-        assert field.value(0, x, y)[0] == pytest.approx(func(0, x, y),
-                                                        abs=1e-12)
+    for name, n in (("square", 4), ("rectangle2x1", 4), ("rectangle2x1", 3)):
+        disc = make_disc(name, n)
+        layout = disc.surface.layout
+        func = lambda q, x, y: 2.0 * (x + layout[q][0]) - 0.5 * y + 0.25
+        field = interp.linearize(disc, interp.restrict(disc, func))
+        width = disc.surface.n_squares
+        for _ in range(50):
+            x, y = rng.uniform(0.2, width - 0.2), rng.uniform(0.2, 0.8)
+            q = min(int(x), width - 1)
+            assert field.value(q, x - q, y)[0] == pytest.approx(
+                func(q, x - q, y), abs=1e-12)
+
+
+def test_lattice_points_average_main_diagonal():
+    # on the torus every lattice point (a, b), square corners and seam
+    # points included, takes the mean of the cells NE and SW of it
+    for n in (1, 2, 3):
+        disc = make_disc("torus", n)
+        f = np.random.default_rng(n).standard_normal(disc.n_vertices)
+        grid = interp.linearize(disc, f).grids[0][..., 0]
+        for a in range(n + 1):
+            for b in range(n + 1):
+                ne = f[disc.vertex_index(0, a % n, b % n)]
+                sw = f[disc.vertex_index(0, (a - 1) % n, (b - 1) % n)]
+                assert grid[2 * a, 2 * b] == pytest.approx(0.5 * (ne + sw),
+                                                           abs=1e-14)
 
 
 def test_field_continuous_across_seams():
@@ -76,6 +96,47 @@ def test_field_continuous_across_seams():
                 v2 = field.value(q2, *p2)
                 # v1 is in the frame of q1; transport v2 into it
                 assert np.allclose(v1, u @ v2, atol=1e-10)
+
+
+def test_gauge_covariance_rank2():
+    # a gauge-trivial bundle: square q's frame is g_q times the global one,
+    # so a seam carries g_second g_first^* and the gauged section g_q f(v)
+    # must extend to g_q times the trivial bundle's extension of f
+    rng = np.random.default_rng(11)
+    for name in ("pillowcase", "genus2", "lshape"):
+        surf = catalog.BUILTIN[name]()
+        gauge = [random_unitary(rng, 2) for _ in range(surf.n_squares)]
+        bundle = FlatUnitaryBundle(surf, 2, {
+            seam.index: gauge[seam.second[0]] @ gauge[seam.first[0]].conj().T
+            for seam in surf.seams})
+        trivial = FlatUnitaryBundle.trivial(surf, 2)
+        for n in (1, 2, 3, 5):
+            disc = Discretization(surf, bundle, n)
+            plain = Discretization(surf, trivial, n)
+            squares = np.arange(disc.n_vertices) // (n * n)
+            f = _random_section(rng, disc, rank=2).reshape(-1, 2)
+            gauged = np.einsum("vij,vj->vi", np.array(gauge)[squares], f)
+            field = interp.linearize(disc, gauged)
+            reference = interp.linearize(plain, f)
+            for q in range(surf.n_squares):
+                expected = np.einsum("ij,abj->abi", gauge[q],
+                                     reference.grids[q])
+                assert np.allclose(field.grids[q], expected, atol=1e-12)
+            g = interp.average(disc, _random_section(rng, disc, rank=2))
+            graph = operators.dirichlet_form(
+                disc, interp.average(disc, gauged), g)
+            energy = field.dirichlet_energy(interp.linearize(disc, g))
+            assert abs(graph - energy) <= 1e-12 * (1 + abs(graph)
+                                                   + abs(energy))
+            for seam in surf.seams:
+                (q1, s1), (q2, s2) = seam.first, seam.second
+                back = bundle.seam_unitary(seam.index, -1)  # second -> first
+                for t in (0.125, 0.5, 0.8):
+                    t2 = t if seam.kind == "translation" else 1.0 - t
+                    assert np.allclose(field.value(q1, *_side_point(s1, t)),
+                                       back @ field.value(
+                                           q2, *_side_point(s2, t2)),
+                                       atol=1e-10)
 
 
 def _side_point(side, t):

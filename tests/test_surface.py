@@ -38,16 +38,6 @@ def test_unknown_kind_and_bad_indices():
         SquareTiledSurface(1, [((0, "X"), (0, "W"), "translation")])
 
 
-def test_seam_parameter_maps():
-    surf = catalog.pillowcase()
-    tr = surf.seams[0]
-    ht = surf.seams[2]
-    n = 8
-    assert [tr.param_map(k, n) for k in range(n)] == list(range(n))
-    assert [ht.param_map(k, n) for k in range(n)] == list(range(n - 1, -1, -1))
-    assert ht.lattice_map(0, n) == n and ht.lattice_map(n, n) == 0
-
-
 def test_torus_census():
     surf = catalog.torus()
     cycles = surf.vertex_cycles()
