@@ -11,12 +11,13 @@ Self-loops (which occur for subdivision 1) contribute both orientations.
 """
 
 import numpy as np
-import scipy.sparse as sp
 
 
 def _block_matrix(rows, cols, blocks, shape):
     """Sparse matrix from block rows, block columns and a (m, r, r) stack
     of blocks; blocks at the same position add up."""
+    import scipy.sparse as sp
+
     rank = blocks.shape[-1]
     idx = np.arange(rank)
     rr = np.broadcast_to(rows[:, None, None] * rank + idx[:, None],

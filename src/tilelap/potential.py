@@ -11,64 +11,90 @@ diagnostics.
 import math
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 EULER_MASCHERONI = 0.5772156649015329
 
+# lattice steps to the four neighbours of a point (row, column)
+STEPS = np.array([(1, 0), (-1, 0), (0, 1), (0, -1)])
+
+
+def _locator(points):
+    """Function mapping integer points (an array ending in an axis of 2)
+    to their row in the (N, 2) array ``points``, -1 where absent."""
+    def key(coords):
+        coords = np.asarray(coords, dtype=np.int64)
+        return coords[..., 0] * (1 << 32) + coords[..., 1]
+
+    keys = key(points)
+    order = np.argsort(keys, kind="stable")
+    ordered = keys[order]
+
+    def locate(coords):
+        wanted = key(coords)
+        pos = np.minimum(np.searchsorted(ordered, wanted), len(ordered) - 1)
+        return np.where(ordered[pos] == wanted, order[pos], -1)
+
+    return locate
+
 
 class GreenFunction:
-    """Solution values of a lattice Dirichlet problem on a finite set."""
+    """Solution values of a lattice Dirichlet problem on a finite set,
+    given as an (N, 2) integer array of points."""
 
     def __init__(self, points, values, source):
-        self.points = [tuple(p) for p in points]
+        self.points = np.asarray(points, dtype=np.int64).reshape(-1, 2)
         self.values = np.asarray(values)
         self.source = tuple(source)
-        self._index = {p: k for k, p in enumerate(self.points)}
+        self._locate = _locator(self.points)
 
     def __contains__(self, p):
-        return tuple(p) in self._index
+        return bool(self._locate(p) >= 0)
 
     def __call__(self, p):
         """Value at a lattice point (0 outside the domain)."""
-        k = self._index.get(tuple(p))
-        return 0.0 if k is None else float(self.values[k])
+        k = int(self._locate(p))
+        return 0.0 if k < 0 else float(self.values[k])
 
     def residual(self, laplacian_row):
         """Max |(Delta G)(p) - delta_source(p)| over the domain, where
-        ``laplacian_row(p)`` yields (degree, neighbour list)."""
-        worst = 0.0
-        for p in self.points:
-            deg, nbrs = laplacian_row(p)
-            val = deg * self(p) - sum(self(q) for q in nbrs)
-            target = 1.0 if p == self.source else 0.0
-            worst = max(worst, abs(val - target))
-        return worst
+        ``laplacian_row(points)`` gives the degrees and (N, 4, 2) lattice
+        neighbours of an (N, 2) array of points."""
+        deg, nbrs = laplacian_row(self.points)
+        k = self._locate(nbrs)
+        around = np.where(k >= 0, self.values[k], 0.0)
+        val = deg * self.values - around.sum(axis=1)
+        val[self._locate(self.source)] -= 1.0
+        return float(np.abs(val).max())
 
 
-def _solve_green(points, degree_of, neighbours_of, source):
-    index = {p: k for k, p in enumerate(points)}
-    rows, cols, vals = [], [], []
-    for p, k in index.items():
-        rows.append(k)
-        cols.append(k)
-        vals.append(float(degree_of(p)))
-        for q in neighbours_of(p):
-            kq = index.get(q)
-            if kq is not None:
-                rows.append(k)
-                cols.append(kq)
-                vals.append(-1.0)
-    mat = sp.csr_matrix((vals, (rows, cols)), shape=(len(points),) * 2)
-    rhs = np.zeros(len(points))
-    rhs[index[source]] = 1.0
-    sol = spla.spsolve(mat.tocsc(), rhs)
-    return GreenFunction(points, sol, source)
+def _solve_green(points, laplacian_row, sources):
+    """Solution u on the (N, 2) integer array ``points`` of Delta u = 1 at
+    each of ``sources`` and 0 elsewhere, with u = 0 off ``points``."""
+    import scipy.sparse as sp
+    from scipy.sparse.linalg import spsolve
+
+    size = len(points)
+    locate = _locator(points)
+    deg, nbrs = laplacian_row(points)
+    cols = locate(nbrs)
+    inside = cols >= 0
+    rows = np.broadcast_to(np.arange(size)[:, None], cols.shape)[inside]
+    diag = np.arange(size)
+    mat = sp.csc_matrix(
+        (np.concatenate([deg.astype(float), -np.ones(len(rows))]),
+         (np.concatenate([diag, rows]), np.concatenate([diag, cols[inside]]))),
+        shape=(size, size))
+    rhs = np.zeros(size)
+    rhs[locate(sources)] = 1.0
+    # the matrix is symmetric: minimum degree on A^T + A fills less than
+    # the default column ordering
+    return spsolve(mat, rhs, permc_spec="MMD_AT_PLUS_A")
 
 
-def _plane_neighbours(p):
-    a, b = p
-    return [(a + 1, b), (a - 1, b), (a, b + 1), (a, b - 1)]
+def ball_laplacian_row(points):
+    """Degrees and (N, 4, 2) neighbours of an (N, 2) array of points of
+    Z^2."""
+    return np.full(len(points), 4), points[:, None, :] + STEPS
 
 
 def green_ball(radius, center=(0, 0)):
@@ -76,17 +102,13 @@ def green_ball(radius, center=(0, 0)):
 
     Delta G = 1 at the center, 0 elsewhere in the ball, G = 0 outside.
     """
-    r2 = radius * radius
     rr = int(math.floor(radius))
-    cx, cy = center
-    points = [(cx + a, cy + b)
-              for a in range(-rr, rr + 1) for b in range(-rr, rr + 1)
-              if a * a + b * b <= r2]
-    return _solve_green(points, lambda p: 4, _plane_neighbours, tuple(center))
-
-
-def ball_laplacian_row(p):
-    return 4, _plane_neighbours(p)
+    a, b = np.meshgrid(np.arange(-rr, rr + 1), np.arange(-rr, rr + 1),
+                       indexing="ij")
+    inside = a * a + b * b <= radius * radius
+    points = np.column_stack([a[inside], b[inside]]) + center
+    return GreenFunction(points, _solve_green(points, ball_laplacian_row,
+                                              [center]), center)
 
 
 def fullplane_constant(radius, seed_green=None):
@@ -104,14 +126,11 @@ def fullplane_constant(radius, seed_green=None):
     radius/4 <= |z| <= radius/2; returns (c, max deviation from the fit).
     """
     green = seed_green if seed_green is not None else green_ball(radius)
-    g0 = green((0, 0))
-    lo, hi = radius / 4.0, radius / 2.0
-    samples = []
-    for p in green.points:
-        r = math.hypot(*p)
-        if lo <= r <= hi:
-            samples.append((green(p) - g0) + math.log(r) / (2 * math.pi))
-    samples = np.array(samples)
+    a, b = green.points.T
+    r = np.sqrt(a * a + b * b)
+    ring = (radius / 4.0 <= r) & (r <= radius / 2.0)
+    samples = ((green.values[ring] - green((0, 0)))
+               + np.log(r[ring]) / (2 * math.pi))
     c = float(samples.mean())
     return c, float(np.max(np.abs(samples - c)))
 
@@ -140,17 +159,11 @@ def quasi_ball(radius, source):
     return [(int(x), int(y)) for x, y in zip(aa[mask], bb[mask])]
 
 
-def _halfplane_neighbours(p):
-    a, b = p
-    out = [(a + 1, b), (a, b + 1), (a, b - 1)]
-    if a > 0:
-        out.append((a - 1, b))
-    return out
-
-
-def halfplane_laplacian_row(p):
-    nbrs = _halfplane_neighbours(p)
-    return len(nbrs), nbrs
+def halfplane_laplacian_row(points):
+    """Degrees and (N, 4, 2) lattice neighbours of an (N, 2) array of
+    points of the half-plane graph N x Z.  Row 0 has degree 3: its
+    neighbour in row -1 is off the graph, hence outside every domain."""
+    return 3 + (points[:, 0] > 0), points[:, None, :] + STEPS
 
 
 def green_halfplane(source, radius):
@@ -159,8 +172,9 @@ def green_halfplane(source, radius):
     points = quasi_ball(radius, source)
     if tuple(source) not in set(points):
         raise ValueError("source not inside its quasi-ball")
-    return _solve_green(points, lambda p: len(_halfplane_neighbours(p)),
-                        _halfplane_neighbours, tuple(source))
+    points = np.array(points)
+    return GreenFunction(points, _solve_green(points, halfplane_laplacian_row,
+                                              [source]), source)
 
 
 def reflected_plane_green(source, radius):
@@ -172,25 +186,11 @@ def reflected_plane_green(source, radius):
     problem, so it must agree with :func:`green_halfplane`.
     """
     a0, b0 = source
-    upper = quasi_ball(radius, source)
-    points = upper + [(-1 - a, b) for (a, b) in upper]
-    index = {p: k for k, p in enumerate(points)}
-    rows, cols, vals = [], [], []
-    for p, k in index.items():
-        rows.append(k)
-        cols.append(k)
-        vals.append(4.0)
-        for q in _plane_neighbours(p):
-            kq = index.get(q)
-            if kq is not None:
-                rows.append(k)
-                cols.append(kq)
-                vals.append(-1.0)
-    mat = sp.csr_matrix((vals, (rows, cols)), shape=(len(points),) * 2)
-    rhs = np.zeros(len(points))
-    rhs[index[(a0, b0)]] = 1.0
-    rhs[index[(-1 - a0, b0)]] = 1.0
-    sol = spla.spsolve(mat.tocsc(), rhs)
+    upper = np.array(quasi_ball(radius, source))
+    points = np.concatenate([upper, np.column_stack([-1 - upper[:, 0],
+                                                     upper[:, 1]])])
+    sol = _solve_green(points, ball_laplacian_row,
+                       [(a0, b0), (-1 - a0, b0)])
     return GreenFunction(upper, sol[:len(upper)], source)
 
 
@@ -245,14 +245,25 @@ def harmonic_number(n):
 
 def graph_distances(disc, sources):
     """Integer BFS distances (int64, -1 where unreachable) from a set of
-    vertices in the mesh graph."""
-    from scipy.sparse.csgraph import dijkstra
-
-    adj = sp.csr_matrix((np.ones(len(disc.tails)), (disc.tails, disc.heads)),
-                        shape=(disc.n_vertices,) * 2)
-    dist = dijkstra(adj, directed=False, unweighted=True,
-                    indices=sources, min_only=True)
-    return np.where(np.isinf(dist), -1, dist).astype(np.int64)
+    vertices in the mesh graph, one frontier per level."""
+    ends = np.concatenate([disc.tails, disc.heads])
+    order = np.argsort(ends, kind="stable")
+    ends = ends[order]
+    slots = np.arange(len(ends)) - np.searchsorted(ends, ends)
+    # row v lists v's neighbours, padded with v itself, which the search
+    # has reached before it looks at v's row
+    table = np.repeat(np.arange(disc.n_vertices)[:, None],
+                      slots.max(initial=0) + 1, axis=1)
+    table[ends, slots] = np.concatenate([disc.heads, disc.tails])[order]
+    dist = np.full(disc.n_vertices, -1, dtype=np.int64)
+    front = np.unique(np.asarray(sources, dtype=np.int64))
+    level = 0
+    while len(front):
+        dist[front] = level
+        level += 1
+        reached = table[front].ravel()
+        front = np.unique(reached[dist[reached] < 0])
+    return dist
 
 
 def convex_barrier(disc, cluster_cells):

@@ -7,9 +7,9 @@ deterministically, provides closed-form reference spectra for flat tori
 and rectangles, and fits empirical convergence orders.
 """
 
+import math
+
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 # shift of the shift-invert factorization, below the (nonnegative) spectrum
 SHIFT = -1e-2
@@ -35,6 +35,9 @@ def lowest_eigenpairs(mat, k, seed=0, dense_cutoff=DENSE_CUTOFF,
     |A v - lambda v| exceeds ``residual_tol`` times the largest |lambda|
     returned, or times ZERO_SCALE |A|_1 if that is larger.
     """
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
     dim = mat.shape[0]
     if k >= dim:
         raise ValueError("need k < matrix dimension")
@@ -181,14 +184,70 @@ def eigenvalue_groups(values, rel_tol=1e-6, abs_tol=1e-9):
     return groups
 
 
+def _bounded_minimum(func, lo, hi, xatol):
+    """Minimiser of a scalar function on [lo, hi] by Brent's method
+    (Algorithms for Minimization without Derivatives, 1973, ch. 5):
+    parabolic steps through the three best points where they fall well
+    inside the bracket, golden-section steps otherwise, until both ends of
+    the bracket lie within 2 (sqrt(eps) |x| + xatol / 3) of the best point
+    x.  This is the iteration of scipy's bounded ``minimize_scalar``, step
+    for step."""
+    golden = 0.5 * (3.0 - math.sqrt(5.0))
+    sqrt_eps = math.sqrt(2.2e-16)
+    a, b = lo, hi
+    x = w = v = a + golden * (b - a)
+    fx = fw = fv = func(x)
+    step = last = 0.0
+    while True:
+        mid = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(x) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if abs(x - mid) <= tol2 - 0.5 * (b - a):
+            return x
+        parabolic = False
+        if abs(last) > tol1:
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, last = last, step
+            if abs(p) < abs(0.5 * q * r) and q * (a - x) < p < q * (b - x):
+                parabolic = True
+                step = p / q
+                if x + step - a < tol2 or b - (x + step) < tol2:
+                    step = tol1 if mid >= x else -tol1
+        if not parabolic:
+            last = a - x if x >= mid else b - x
+            step = golden * last
+        u = x + (1.0 if step >= 0 else -1.0) * max(abs(step), tol1)
+        fu = func(u)
+        if fu <= fx:
+            if u >= x:
+                a = x
+            else:
+                b = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
+
+
 def richardson_extrapolate(ns, values, order_guess=2.0):
     """Fit values(n) ~ limit + c * n^(-p) by least squares.
 
-    Returns (limit, p, residual).  The order p is optimized around the
-    guess; limit and c are solved linearly for each trial p.
+    Returns (limit, p, residual).  The order p is optimized over
+    [guess / 4, 4 guess] with absolute tolerance 1e-8; limit and c are
+    solved linearly for each trial p.
     """
-    from scipy.optimize import minimize_scalar
-
     ns = np.asarray(ns, dtype=float)
     values = np.asarray(values, dtype=float)
     if len(ns) < 3:
@@ -200,13 +259,7 @@ def richardson_extrapolate(ns, values, order_guess=2.0):
         resid = np.linalg.norm(basis @ coeffs - values)
         return coeffs, resid
 
-    def objective(p):
-        return fit(p)[1]
-
-    res = minimize_scalar(objective, bounds=(order_guess / 4,
-                                             order_guess * 4),
-                          method="bounded",
-                          options={"xatol": 1e-8})
-    p = float(res.x)
+    p = float(_bounded_minimum(lambda p: fit(p)[1], order_guess / 4,
+                               order_guess * 4, 1e-8))
     coeffs, resid = fit(p)
     return float(coeffs[0]), p, float(resid)

@@ -3,9 +3,14 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
+import tilelap
 from tilelap import catalog
 from tilelap.cli import main
 
@@ -223,3 +228,25 @@ def test_invalid_input_exits_1(capsys):
     code = main(["flow", "--n", "0"])
     assert code == 1
     assert "--n" in capsys.readouterr().err
+
+
+def test_numpy_only_commands_leave_scipy_unloaded():
+    # scipy is imported inside the functions that solve, so importing the
+    # CLI and running commands that solve nothing must not load it
+    script = textwrap.dedent("""
+        import contextlib, io, sys
+        from tilelap import cli
+        for argv in (["validate", "--surface", "genus2"],
+                     ["crsf-check", "--count", "20"],
+                     ["barrier", "--surface", "lshape", "--n", "8"],
+                     ["flow", "--n", "8"]):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(argv) == 0, argv
+        print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+    """)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(tilelap.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

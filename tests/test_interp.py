@@ -79,8 +79,11 @@ def test_lattice_points_average_main_diagonal():
 
 def test_field_continuous_across_seams():
     # values match when the same seam point is evaluated from both squares
-    for name in ("torus", "pillowcase", "genus2"):
-        disc = make_disc(name, 4)
+    torus = catalog.torus()
+    twisted = Discretization(
+        torus, FlatUnitaryBundle.twisted_torus(torus, 1.1, -0.4), 4)
+    discs = [make_disc(name, 4) for name in ("torus", "pillowcase", "genus2")]
+    for disc in discs + [twisted]:
         rng = np.random.default_rng(4)
         f = interp.average(disc, _random_section(rng, disc))
         field = interp.linearize(disc, f)
@@ -92,7 +95,7 @@ def test_field_continuous_across_seams():
                 p1 = _side_point(s1, t)
                 p2 = _side_point(s2, t2)
                 v1 = field.value(q1, *p1)
-                u = disc.bundle.seam_unitary(seam.index, +1)
+                u = disc.bundle.seam_unitary(seam.index, -1)
                 v2 = field.value(q2, *p2)
                 # v1 is in the frame of q1; transport v2 into it
                 assert np.allclose(v1, u @ v2, atol=1e-10)

@@ -1,6 +1,7 @@
 """Lattice Green functions, corner flow, barrier, regularity diagnostics."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -127,6 +128,37 @@ def test_graph_distances_torus():
     assert dist[disc.vertex_index(0, 2, 0)] == 2
     assert dist[disc.vertex_index(0, 4, 0)] == 1  # wraps around
     assert dist[disc.vertex_index(0, 2, 2)] == 4
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7])
+def test_graph_distances_match_dijkstra(named_surface, n):
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import dijkstra
+
+    name, surf = named_surface
+    disc = Discretization(surf, FlatUnitaryBundle.trivial(surf), n)
+    size = disc.n_vertices
+    adj = csr_matrix((np.ones(len(disc.tails)), (disc.tails, disc.heads)),
+                     shape=(size, size))
+    rng = np.random.default_rng(n)
+    for _ in range(4):
+        count = rng.integers(1, min(3, size) + 1)
+        sources = rng.choice(size, size=count, replace=False)
+        want = dijkstra(adj, directed=False, unweighted=True,
+                        indices=sources, min_only=True)
+        got = potential.graph_distances(disc, sources)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want.astype(np.int64)), (name, sources)
+
+
+def test_graph_distances_unreachable():
+    # two paths 0-1-2 and 3-4 with a self-loop at 4, and an isolated 5
+    graph = SimpleNamespace(tails=np.array([0, 1, 3, 4]),
+                            heads=np.array([1, 2, 4, 4]), n_vertices=6)
+    assert potential.graph_distances(graph, [2]).tolist() == \
+        [2, 1, 0, -1, -1, -1]
+    assert potential.graph_distances(graph, [4, 0]).tolist() == \
+        [0, 1, 2, 1, 0, -1]
 
 
 def test_barrier_integer_arithmetic():

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 from tilelap import catalog, operators, spectral
 from tilelap.bundle import FlatUnitaryBundle
@@ -137,6 +138,37 @@ def test_richardson_extrapolation_recovers_limit():
         spectral.richardson_extrapolate([8, 16], [1.0, 2.0])
 
 
+def test_richardson_order_matches_scipy_bounded_minimiser():
+    from scipy.optimize import minimize_scalar
+
+    def residual(ns, values):
+        def fit(p):
+            basis = np.column_stack([np.ones_like(ns), ns ** (-p)])
+            coeffs = np.linalg.lstsq(basis, values, rcond=None)[0]
+            return np.linalg.norm(basis @ coeffs - values)
+        return fit
+
+    rng = np.random.default_rng(3)
+    series = []
+    for sizes in ([16, 24, 32], [8, 12, 16, 24, 32]):
+        ns = np.array(sizes, dtype=float)
+        for _ in range(10):
+            p = rng.uniform(0.8, 4.0)
+            series.append((ns, 2.0 + rng.normal() * ns ** -p
+                           + 1e-6 * rng.standard_normal(len(ns))))
+    # decay faster than the upper bound 4 * 2 allows: the best p is there
+    at_bound = np.array([2.0, 3.0, 4.0, 6.0, 8.0])
+    series.append((at_bound, 1.0 + at_bound ** -12.0))
+    orders = []
+    for ns, values in series:
+        want = minimize_scalar(residual(ns, values), bounds=(0.5, 8.0),
+                               method="bounded", options={"xatol": 1e-8}).x
+        _, p, _ = spectral.richardson_extrapolate(ns, values, 2.0)
+        assert abs(p - want) <= 1e-7
+        orders.append(p)
+    assert orders[-1] >= 8.0 - 1e-6
+
+
 def test_eigenpairs_deterministic_with_seed():
     disc = make_disc("lshape", 12)  # 432 vertices; force the sparse path
     lap = operators.laplacian(disc)
@@ -166,7 +198,7 @@ def test_k_dim_minus_one_takes_dense_path(monkeypatch):
     def no_lanczos(*args, **kwargs):
         raise AssertionError("eigsh cannot serve k >= dim - 1")
 
-    monkeypatch.setattr(spectral.spla, "eigsh", no_lanczos)
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_lanczos)
     vals, vecs, _ = spectral.lowest_eigenpairs(lap, 8)
     oracle = spectral.discrete_torus_spectrum(3)
     assert np.allclose(vals, oracle[:8], atol=1e-12)
@@ -179,7 +211,7 @@ def test_residual_gate_rejects_perturbed_pair(monkeypatch):
     lap = operators.laplacian(make_disc("torus", 32))
     vals, _, res = spectral.lowest_eigenpairs(lap, 4)
     assert res.max() <= 1e-8 * vals.max()
-    eigsh = spectral.spla.eigsh
+    eigsh = scipy.sparse.linalg.eigsh
 
     def perturbed(*args, **kwargs):
         w, v = eigsh(*args, **kwargs)
@@ -187,6 +219,6 @@ def test_residual_gate_rejects_perturbed_pair(monkeypatch):
         v[:, -1] += 1e-9 * noise / np.linalg.norm(noise)
         return w, v
 
-    monkeypatch.setattr(spectral.spla, "eigsh", perturbed)
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", perturbed)
     with pytest.raises(RuntimeError, match="residual"):
         spectral.lowest_eigenpairs(lap, 4)
