@@ -64,9 +64,13 @@ def _emit(rows, fieldnames, args, summary):
         sys.stdout.write(text)
 
 
-def _load(args):
-    surface, spec = catalog.load(args.surface)
+def _load(name, check=True):
+    """Surface and bundle by built-in name or file path.  The bundle must
+    be unitary and flat (ValueError otherwise) unless ``check`` is False."""
+    surface, spec = catalog.load(name)
     bundle = FlatUnitaryBundle.from_spec(surface, spec)
+    if check:
+        bundle.validate()
     return surface, bundle
 
 
@@ -77,6 +81,9 @@ def _parse_ns(text):
         raise SurfaceFormatError("bad mesh list %r" % text)
     if not ns or any(n < 1 for n in ns):
         raise SurfaceFormatError("mesh sizes must be positive")
+    if any(a >= b for a, b in zip(ns, ns[1:])):
+        raise SurfaceFormatError("mesh sizes must increase strictly, got %r"
+                                 % text)
     return ns
 
 
@@ -84,7 +91,7 @@ def _parse_ns(text):
 
 
 def cmd_validate(args):
-    surface, bundle = _load(args)
+    surface, bundle = _load(args.surface, check=False)
     bundle_defect = max(bundle.unitarity_defect(),
                         bundle.cone_monodromy_defect())
     disc = Discretization(surface, bundle, args.n)
@@ -103,7 +110,7 @@ def cmd_validate(args):
 
 
 def cmd_spectrum(args):
-    surface, bundle = _load(args)
+    surface, bundle = _load(args.surface)
     disc = Discretization(surface, bundle, args.n)
     vals, _ = spectral.rescaled_spectrum(disc, args.k, seed=args.seed)
     rows = [{"i": i, "rescaled": v, "raw": v / args.n ** 2}
@@ -113,8 +120,7 @@ def cmd_spectrum(args):
 
 def _converge_one(params):
     surface_name, n, k, seed = params
-    surface, spec = catalog.load(surface_name)
-    bundle = FlatUnitaryBundle.from_spec(surface, spec)
+    surface, bundle = _load(surface_name)
     disc = Discretization(surface, bundle, n)
     vals, _ = spectral.rescaled_spectrum(disc, k, seed=seed)
     return n, vals
@@ -165,7 +171,7 @@ def cmd_converge(args):
 
 
 def cmd_eigvec(args):
-    surface, bundle = _load(args)
+    surface, bundle = _load(args.surface)
     if surface.layout is None or not surface.free_sides:
         raise SurfaceFormatError(
             "eigvec needs a planar rectangle-type surface with layout")
@@ -175,7 +181,7 @@ def cmd_eigvec(args):
     modes = spectral.rectangle_modes(a, b, args.k)
     values = [m[0] for m in modes]
     groups = spectral.eigenvalue_groups(values)
-    if args.group >= len(groups):
+    if not 0 <= args.group < len(groups):
         raise SurfaceFormatError("group index out of range")
     group = groups[args.group]
     funcs = [spectral.rectangle_eigenfunction(surface.layout, a, b,
@@ -197,7 +203,7 @@ def cmd_eigvec(args):
 
 
 def cmd_interp_check(args):
-    surface, bundle = _load(args)
+    surface, bundle = _load(args.surface)
     rng = np.random.default_rng(args.seed)
     rows = []
     worst = 0.0
@@ -235,7 +241,7 @@ def cmd_interp_check(args):
 
 
 def cmd_consistency(args):
-    surface, bundle = _load(args)
+    surface, bundle = _load(args.surface)
     if surface.layout is None:
         raise SurfaceFormatError("consistency needs a surface with layout")
     xs = [ox for ox, _ in surface.layout.values()]
@@ -264,7 +270,7 @@ def cmd_consistency(args):
 
 
 def cmd_harnack(args):
-    surface, bundle = _load(args)
+    surface, bundle = _load(args.surface)
     rows = []
     for n in _parse_ns(args.ns):
         disc = Discretization(surface, bundle, n)
@@ -298,7 +304,12 @@ def cmd_green(args):
                      / (4 * np.pi)})
         summary = {"fitted_constant": c}
     else:  # halfplane
-        source = tuple(int(t) for t in args.source.split(","))
+        try:  # a wrong count fails the unpacking with a ValueError too
+            a, b = (int(t) for t in args.source.split(","))
+        except ValueError:
+            raise ValueError("--source needs two integers a,b, got %r"
+                             % args.source)
+        source = (a, b)
         green = potential.green_halfplane(source, args.radius)
         resid = green.residual(potential.halfplane_laplacian_row)
         rows.append({"key": "source", "value": "%d %d" % source})
@@ -333,7 +344,7 @@ def cmd_flow(args):
 
 
 def cmd_barrier(args):
-    surface, bundle = _load(args)
+    surface, bundle = _load(args.surface)
     disc = Discretization(surface, bundle, args.n)
     points = disc.singular_points()
     if not points:

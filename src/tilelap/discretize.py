@@ -16,14 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .surface import CORNERS, SIDES
-
-DIR_DELTA = {"N": (0, 1), "S": (0, -1), "E": (1, 0), "W": (-1, 0)}
-
-# side through which a counter-clockwise turn around a square corner leaves
-# the square; half-turn gluings preserve orientation, so a rotation that is
-# counter-clockwise in one chart is counter-clockwise in every chart
-CCW_EXIT = {"SW": "W", "SE": "S", "NE": "E", "NW": "N"}
+from .surface import CORNERS, SIDES, facing
 
 
 @dataclass
@@ -40,7 +33,7 @@ class LatticePoint:
 
     ``cells`` lists the incident cell vertices in counter-clockwise order
     (with repetitions for cells wrapping around a low-angle cone; on the
-    boundary from one free side to the other), ``transports``
+    boundary from the free clockwise side to the other), ``transports``
     the parallel transports from each listed cell's frame into the frame of
     ``cells[0]``.  ``quarters`` counts incident cell corners, so the total
     angle at the point is quarters * pi / 2.
@@ -102,89 +95,63 @@ class Discretization:
         j, i = np.divmod(rem, n)
         return np.stack([q, (i + 0.5) / n, (j + 0.5) / n], axis=1)
 
-    # ---- stepping ------------------------------------------------------
-
-    def step(self, q, i, j, direction):
-        """Move one cell in chart direction ``direction``.
-
-        Returns (q2, i2, j2, transport head->source frame, crossed_halfturn)
-        or None when the step exits through a free side.
-        """
-        n = self.n
-        di, dj = DIR_DELTA[direction]
-        i2, j2 = i + di, j + dj
-        if 0 <= i2 < n and 0 <= j2 < n:
-            return q, i2, j2, self._eye, False
-        hit = self.surface.cross(q, direction)
-        if hit is None:
-            return None
-        q2, side2, kind, role = hit
-        k = i if direction in ("N", "S") else j
-        k2 = k if kind == "translation" else n - 1 - k
-        i2, j2 = self._side_cell(side2, k2)
-        seam, _ = self.surface.seam_at(q, direction)
-        # value in the neighbour's frame, expressed in the source frame
-        u = self.bundle.seam_unitary(seam.index, -role)
-        return q2, i2, j2, u, kind == "halfturn"
-
     # ---- edges ---------------------------------------------------------
 
     def _build_edges(self):
-        """Edge arrays ``tails``, ``heads``, ``transports`` and the halo.
-
-        Interior edges come first, in (square, row, column, east-then-north)
-        order, then n edges per seam.  The stack holds one head -> tail
-        frame transport per edge; it is real when every seam unitary is.
+        """The seam halo, then the edge arrays ``tails``, ``heads`` and
+        ``transports``.
 
         The seam halo describes what each square sees across its sides:
         ``halo_vertex[q, s, k]`` is the cell across segment k of side
         ``SIDES[s]`` of square q (-1 on a free side) and
         ``halo_transport[q, s, k]`` maps that cell's frame into q's frame.
-        The first side of a seam sees its edges' heads through the stack
-        entries, the second side their tails through the adjoints, at the
-        mirrored segment for a half-turn.
+        Both are read from :meth:`SquareTiledSurface.across`.
+
+        Interior edges come first, in (square, row, column, east-then-north)
+        order, then the n edges of each seam, read off the halo of its first
+        side.  The stack holds one head -> tail frame transport per edge; it
+        is real when every seam unitary is.
         """
         n, rank = self.n, self.bundle.rank
+        n_squares = self.surface.n_squares
         self._eye = np.eye(rank, dtype=complex)
+        k = np.arange(n)
+        # cell of a square next to segment k of each side, N E S W
+        side_cells = np.stack([(n - 1) * n + k, k * n + n - 1, k, k * n])
+        shape = (n_squares, len(SIDES), n)
+        self.halo_vertex = np.full(shape, -1)
+        halo = np.zeros(shape + (rank, rank), complex)
+        for q in range(n_squares):
+            for s, side in enumerate(SIDES):
+                hit = self.surface.across(q, side)
+                if hit is None:
+                    continue
+                q2, side2, index, role, flip = hit
+                self.halo_vertex[q, s] = q2 * n * n + facing(
+                    side_cells[SIDES.index(side2)], flip)
+                halo[q, s] = self.bundle.seam_unitary(index, -role)
+        self.halo_transport = halo if halo.imag.any() else halo.real.copy()
+
         v = np.arange(self.n_vertices).reshape(-1, n, n)  # [square, j, i]
-        jj, ii = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+        jj, ii = np.meshgrid(k, k, indexing="ij")
         keep = np.broadcast_to(np.stack([ii + 1 < n, jj + 1 < n], axis=-1),
                                v.shape + (2,))
-        tails = [np.stack([v, v], axis=-1)[keep]]
-        heads = [np.stack([v + 1, v + n], axis=-1)[keep]]
-        blocks = [np.broadcast_to(np.eye(rank), (len(tails[0]), rank, rank))]
-        for seam in self.surface.seams:
-            qa, sa = seam.first
-            for k in range(n):
-                cell = self._side_cell(sa, k)
-                qb, ib, jb, u, _ = self.step(qa, *cell, sa)
-                tails.append([self.vertex_index(qa, *cell)])
-                heads.append([self.vertex_index(qb, ib, jb)])
-                blocks.append(u[None])
-        self._n_interior_edges = len(tails[0])
-        self.tails = np.concatenate(tails)
-        self.heads = np.concatenate(heads)
-        stack = np.concatenate(blocks)
-        self.transports = stack if stack.imag.any() else stack.real.copy()
+        # each seam's first side: square and side index
+        fq, fs = np.array([(q, SIDES.index(side)) for q, side in
+                           (seam.first for seam in self.surface.seams)],
+                          dtype=int).reshape(-1, 2).T
+        self.tails = np.concatenate([np.stack([v, v], axis=-1)[keep],
+                                     (fq[:, None] * n * n
+                                      + side_cells[fs]).ravel()])
+        self.heads = np.concatenate([np.stack([v + 1, v + n], axis=-1)[keep],
+                                     self.halo_vertex[fq, fs].ravel()])
+        self._n_interior_edges = int(np.count_nonzero(keep))
+        self.transports = np.concatenate([
+            np.broadcast_to(np.eye(rank), (self._n_interior_edges, rank,
+                                           rank)),
+            self.halo_transport[fq, fs].reshape(-1, rank, rank)])
         self.degrees = (np.bincount(self.tails, minlength=self.n_vertices)
                         + np.bincount(self.heads, minlength=self.n_vertices))
-
-        shape = (self.surface.n_squares, len(SIDES), n)
-        self.halo_vertex = np.full(shape, -1)
-        self.halo_transport = np.zeros(shape + (rank, rank),
-                                       self.transports.dtype)
-        for seam in self.surface.seams:
-            e = slice(self._n_interior_edges + seam.index * n,
-                      self._n_interior_edges + (seam.index + 1) * n)
-            (qa, sa), (qb, sb) = seam.first, seam.second
-            k = slice(None) if seam.kind == "translation" else slice(None,
-                                                                     None, -1)
-            a, b = (qa, SIDES.index(sa)), (qb, SIDES.index(sb))
-            self.halo_vertex[a] = self.heads[e]
-            self.halo_transport[a] = self.transports[e]
-            self.halo_vertex[b + (k,)] = self.tails[e]
-            self.halo_transport[b + (k,)] = (
-                self.transports[e].conj().swapaxes(1, 2))
 
     @cached_property
     def edges(self):
@@ -193,22 +160,6 @@ class Discretization:
                 for k, (t, h, u) in enumerate(zip(
                     self.tails.tolist(), self.heads.tolist(),
                     self.transports))]
-
-    def _side_cell(self, side, k):
-        """Cell adjacent to the given side at segment k, in-chart coords."""
-        n = self.n
-        if side == "S":
-            return k, 0
-        if side == "N":
-            return k, n - 1
-        if side == "W":
-            return 0, k
-        return n - 1, k
-
-    def _side_point(self, side, k):
-        """Lattice coordinates of point k along the given side."""
-        n = self.n
-        return {"S": (k, 0), "N": (k, n), "W": (0, k), "E": (n, k)}[side]
 
     def doubled_edge_count(self):
         """Number of vertex pairs joined by more than one edge."""
@@ -245,24 +196,14 @@ class Discretization:
         cell_of = {"SW": (0, 0), "SE": (n - 1, 0), "NE": (n - 1, n - 1),
                    "NW": (0, n - 1)}
         point_of = {"SW": (0, 0), "SE": (n, 0), "NE": (n, n), "NW": (0, n)}
-        seams = self.surface.seams
 
         def crossing(idx, role):  # cell across -> current cell frame
             return self.bundle.seam_unitary(idx, -role)
 
         points = []
         for cycle in self.surface.vertex_cycles():
-            ring, links = list(cycle.corners), list(cycle.seam_steps)
+            ring, links = cycle.corners, cycle.seam_steps
             m = len(ring)
-            if links:
-                idx, role = links[0]
-                exit_side = (seams[idx].first if role == +1
-                             else seams[idx].second)[1]
-                if exit_side != CCW_EXIT[ring[0][1]]:  # clockwise: reverse
-                    ring = ring[::-1]
-                    if cycle.interior:  # keep the link ring[-1] -> ring[0]
-                        ring = ring[-1:] + ring[:-1]
-                    links = [(idx, -role) for idx, role in links[::-1]]
             keys = [(q, cell_of[c][1], cell_of[c][0], CORNERS.index(c))
                     for q, c in ring]
             start = keys.index(min(keys))
@@ -293,50 +234,6 @@ class Discretization:
                  for k, corner in enumerate(ring)}
         return [point for _, point, _ in points], slots
 
-    def lattice_points(self):
-        """All identified lattice points of the subdivided complex: the
-        corner table, then the points inside sides, then those inside
-        squares.  Only corner points can be singular."""
-        n, eye = self.n, self._eye
-        points = list(self.corner_points)
-        sides = [(q, s) for q in range(self.surface.n_squares) for s in SIDES
-                 if self.surface.is_free(q, s)]
-        sides += [seam.first for seam in self.surface.seams]
-        for q, side in sides:
-            halo = (q, SIDES.index(side))
-            for k in range(1, n):
-                # counter-clockwise: the cells of q, then those across
-                own = [self.vertex_index(q, *self._side_cell(side, k - 1)),
-                       self.vertex_index(q, *self._side_cell(side, k))]
-                ks = [k - 1, k]
-                if side in ("S", "E"):
-                    own.reverse()
-                    ks.reverse()
-                members = [(q,) + self._side_point(side, k)]
-                if self.halo_vertex[halo][0] < 0:
-                    points.append(LatticePoint(members, own, [eye, eye],
-                                               False, 2, 0.0))
-                    continue
-                seam, _ = self.surface.seam_at(q, side)
-                q2, side2 = seam.second
-                k2 = k if seam.kind == "translation" else n - k
-                members.append((q2,) + self._side_point(side2, k2))
-                across = [self.halo_transport[halo][kk] for kk in ks[::-1]]
-                defect = float(np.max(np.abs(
-                    across[0] @ across[1].conj().T - eye)))
-                points.append(LatticePoint(
-                    members, own + [int(self.halo_vertex[halo][kk])
-                                    for kk in ks[::-1]],
-                    [eye, eye] + across, True, 4, defect))
-        for q in range(self.surface.n_squares):
-            for b in range(1, n):
-                for a in range(1, n):
-                    cells = [self.vertex_index(q, i, j) for i, j in
-                             ((a, b), (a - 1, b), (a - 1, b - 1), (a, b - 1))]
-                    points.append(LatticePoint([(q, a, b)], cells, [eye] * 4,
-                                               True, 4, 0.0))
-        return points
-
     def singular_points(self):
         """Cone points and boundary corners at this subdivision level.
 
@@ -347,11 +244,6 @@ class Discretization:
 
     def cone_points(self):
         return [p for p in self.singular_points() if p.interior]
-
-    def cluster_sizes(self):
-        """Map from singular point index to the number of distinct incident
-        cells (equal to 2 * angle / pi for n >= 2)."""
-        return [len(p.distinct_cells()[0]) for p in self.singular_points()]
 
     # ---- metric helpers ------------------------------------------------
 

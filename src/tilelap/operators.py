@@ -59,22 +59,6 @@ def divergence(disc):
     return gradient(disc).conj().T.tocsr()
 
 
-def rayleigh(mat, f):
-    """Rayleigh quotient <f, A f> / <f, f> (real part)."""
-    f = np.asarray(f, dtype=complex).ravel()
-    denom = np.vdot(f, f).real
-    if denom == 0:
-        raise ValueError("Rayleigh quotient of the zero vector")
-    return float(np.vdot(f, mat @ f).real / denom)
-
-
-def hermitian_defect(mat):
-    diff = (mat - mat.conj().T).tocoo()
-    if diff.nnz == 0:
-        return 0.0
-    return float(np.max(np.abs(diff.data)))
-
-
 def _edge_values(disc, f):
     """Per-edge tail-frame differences f(t) - U_{h->t} f(h), (m, rank)."""
     f = np.asarray(f).reshape(disc.n_vertices, disc.bundle.rank)

@@ -10,25 +10,18 @@ boundary.
 Sides are labelled N, E, S, W.  A point on a side is located by the
 absolute coordinate running along that side (x for horizontal sides, y for
 vertical ones); a translation gluing preserves that coordinate while a
-half-turn reverses it.
+half-turn reverses it.  :meth:`SquareTiledSurface.across` is the one
+crossing rule; corner cycles and the mesh's seam halo are both read from
+it.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 SIDES = ("N", "E", "S", "W")
 OPPOSITE = {"N": "S", "S": "N", "E": "W", "W": "E"}
-HORIZONTAL = {"N", "S"}
 CORNERS = ("SW", "SE", "NE", "NW")
-
-# sides meeting at each corner of a square
-CORNER_SIDES = {
-    "SW": ("S", "W"),
-    "SE": ("S", "E"),
-    "NE": ("N", "E"),
-    "NW": ("N", "W"),
-}
 
 # corner sitting at parameter 0 / parameter 1 of each side (absolute
 # coordinate: x for N and S, y for E and W)
@@ -38,6 +31,18 @@ SIDE_ENDS = {
     "W": ("SW", "NW"),
     "E": ("SE", "NE"),
 }
+
+# side through which a counter-clockwise turn around a square corner leaves
+# the square (the corner's other side is its clockwise side); half-turn
+# gluings preserve orientation, so a rotation that is counter-clockwise in
+# one chart is counter-clockwise in every chart
+CCW_EXIT = {"SW": "W", "SE": "S", "NE": "E", "NW": "N"}
+
+
+def facing(seq, flip):
+    """``seq``, laid along a side in its coordinate, read along the side
+    glued to it: a half-turn (``flip``) reverses the coordinate."""
+    return seq[::-1] if flip else seq
 
 
 class SurfaceFormatError(ValueError):
@@ -56,13 +61,15 @@ class Seam:
 
 @dataclass
 class VertexCycle:
-    """A cyclically ordered list of square corners meeting at one point.
+    """The square corners meeting at one point, in counter-clockwise order.
 
     ``corners`` lists (square, corner) pairs; ``seam_steps`` lists, for each
     consecutive corner transition, either ``(seam_index, +1)`` when the step
     crosses the seam from its first side or ``(seam_index, -1)`` when it
-    crosses from the second side.  For boundary cycles the two ends are on
-    free sides and there is one fewer step than corners.
+    crosses from the second side.  An interior cycle's last step returns to
+    its first corner.  A boundary cycle runs from the corner whose clockwise
+    side is free to the one whose counter-clockwise side is free, with one
+    fewer step than corners.
     """
 
     corners: list
@@ -100,7 +107,7 @@ class SquareTiledSurface:
         self.n_squares = n_squares
         self.layout = layout
         self.seams = []
-        self._side_seam = {}
+        self._across = {}
         for first, second, kind in gluings:
             self._add_seam(first, second, kind)
 
@@ -119,124 +126,83 @@ class SquareTiledSurface:
                     "translation gluing must join opposite side labels, "
                     "got %s-%s" % (first[1], second[1]))
         elif kind == "halfturn":
-            if (first[1] in HORIZONTAL) != (second[1] in HORIZONTAL):
+            # z -> -z + c carries a side onto one with the same label; an
+            # E-W or N-S pairing with a reversed coordinate is a reflection
+            if first[1] != second[1]:
                 raise SurfaceFormatError(
-                    "half-turn gluing must join two horizontal or two "
-                    "vertical sides, got %s-%s" % (first[1], second[1]))
+                    "half-turn gluing must join two sides with the same "
+                    "label, got %s-%s" % (first[1], second[1]))
         else:
             raise SurfaceFormatError("unknown gluing kind %r" % (kind,))
         for key in (first, second):
-            if key in self._side_seam:
+            if key in self._across:
                 raise SurfaceFormatError("side %r glued twice" % (key,))
         seam = Seam(len(self.seams), first, second, kind)
         self.seams.append(seam)
-        self._side_seam[first] = (seam, +1)
-        self._side_seam[second] = (seam, -1)
+        flip = kind == "halfturn"
+        self._across[first] = second + (seam.index, +1, flip)
+        self._across[second] = first + (seam.index, -1, flip)
 
-    # ---- basic census -------------------------------------------------
+    # ---- crossing rule ------------------------------------------------
 
-    def seam_at(self, sq, side):
-        """Return (seam, role) for a glued side, or None if the side is free."""
-        return self._side_seam.get((sq, side))
+    def across(self, sq, side):
+        """What lies across a side: (square, side, seam index, role, flip),
+        or None when the side is free.
 
-    def is_free(self, sq, side):
-        return (sq, side) not in self._side_seam
+        ``role`` is +1 when (sq, side) is the seam's first side and -1 when
+        it is the second; ``flip`` is True for a half-turn, which reverses
+        the coordinate along the side (see :func:`facing`).
+        """
+        return self._across.get((sq, side))
 
     @property
     def free_sides(self):
         return [(sq, s) for sq in range(self.n_squares) for s in SIDES
-                if self.is_free(sq, s)]
+                if (sq, s) not in self._across]
 
     @property
     def is_closed(self):
         return not self.free_sides
 
-    def cross(self, sq, side):
-        """Cross a glued side: return (other square, other side, kind, dir).
-
-        ``dir`` is +1 when crossing from the seam's first side.
-        """
-        hit = self.seam_at(sq, side)
-        if hit is None:
-            return None
-        seam, role = hit
-        if role == +1:
-            osq, oside = seam.second
-        else:
-            osq, oside = seam.first
-        return osq, oside, seam.kind, role
-
     # ---- corner cycles ------------------------------------------------
 
-    def _step_around(self, sq, corner, in_side):
-        """One rotation step around the vertex at (sq, corner).
+    def _turn(self, sq, corner):
+        """One counter-clockwise step around the vertex at (sq, corner).
 
-        Leaves the current square through the side of ``corner`` other than
-        ``in_side``.  Returns (next square, next corner, next in_side,
-        (seam_index, dir)) or None when the exit side is free.
+        Returns the (square, corner) reached through ``CCW_EXIT[corner]``
+        and the (seam index, role) crossed, or None when that side is free.
         """
-        s1, s2 = CORNER_SIDES[corner]
-        out_side = s2 if in_side == s1 else s1
-        hit = self.seam_at(sq, out_side)
+        side = CCW_EXIT[corner]
+        hit = self.across(sq, side)
         if hit is None:
             return None
-        seam, role = hit
-        osq, oside, kind, _ = self.cross(sq, out_side)
-        end = SIDE_ENDS[out_side].index(corner)  # 0 or 1
-        oend = end if kind == "translation" else 1 - end
-        ocorner = SIDE_ENDS[oside][oend]
-        return osq, ocorner, oside, (seam.index, role)
+        osq, oside, index, role, flip = hit
+        end = SIDE_ENDS[side].index(corner)
+        return (osq, facing(SIDE_ENDS[oside], flip)[end]), (index, role)
 
     def vertex_cycles(self):
-        """All equivalence classes of square corners, as ordered cycles."""
+        """All equivalence classes of square corners, as counter-clockwise
+        cycles: boundary classes first, then interior ones, each in the
+        (square, SW/SE/NE/NW) order of their first corner."""
+        corners = [(sq, c) for sq in range(self.n_squares) for c in CORNERS]
+        # a boundary class starts where the clockwise side is free
+        starts = [(sq, c) for sq, c in corners
+                  if self.across(sq, c.replace(CCW_EXIT[c], "")) is None]
         cycles = []
         seen = set()
-
-        # boundary chains: start on a free side and sweep to the other end
-        for sq in range(self.n_squares):
-            for corner in CORNERS:
-                if (sq, corner) in seen:
-                    continue
-                s1, s2 = CORNER_SIDES[corner]
-                free = [s for s in (s1, s2) if self.is_free(sq, s)]
-                if not free:
-                    continue
-                in_side = free[0]
-                corners = [(sq, corner)]
-                steps = []
-                state = (sq, corner, in_side)
-                while True:
-                    nxt = self._step_around(*state)
-                    if nxt is None:
-                        break
-                    nsq, ncorner, nin, step = nxt
-                    corners.append((nsq, ncorner))
-                    steps.append(step)
-                    state = (nsq, ncorner, nin)
-                seen.update(corners)
-                cycles.append(VertexCycle(corners, steps, interior=False))
-
-        # interior cycles
-        for sq in range(self.n_squares):
-            for corner in CORNERS:
-                if (sq, corner) in seen:
-                    continue
-                in_side = CORNER_SIDES[corner][0]
-                corners = []
-                steps = []
-                state = (sq, corner, in_side)
-                while True:
-                    corners.append(state[:2])
-                    nxt = self._step_around(*state)
-                    if nxt is None:  # pragma: no cover - guarded above
-                        raise SurfaceFormatError("inconsistent gluing data")
-                    nsq, ncorner, nin, step = nxt
-                    steps.append(step)
-                    state = (nsq, ncorner, nin)
-                    if state == (sq, corner, in_side):
-                        break
-                seen.update(corners)
-                cycles.append(VertexCycle(corners, steps, interior=True))
+        for start in starts + corners:
+            if start in seen:
+                continue
+            ring, steps = [start], []
+            nxt = self._turn(*start)
+            while nxt is not None and nxt[0] != start:
+                ring.append(nxt[0])
+                steps.append(nxt[1])
+                nxt = self._turn(*nxt[0])
+            if nxt is not None:
+                steps.append(nxt[1])
+            seen.update(ring)
+            cycles.append(VertexCycle(ring, steps, interior=nxt is not None))
         return cycles
 
     def cone_points(self):

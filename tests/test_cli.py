@@ -55,6 +55,25 @@ def test_validate_nonflat_bundle_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+def test_nonflat_bundle_rejected_outside_validate(tmp_path, capsys):
+    # only validate reports a bad bundle; every other command refuses it
+    for name, text, message in (
+            ("pillow", catalog.pillowcase().to_text()
+             + "rank: 1\ntransport: 2 i\n", "nontrivial monodromy"),
+            ("torus", catalog.torus().to_text()
+             + "rank: 1\ntransport: 0 2\n", "fails unitarity")):
+        path = tmp_path / (name + ".surf")
+        path.write_text(text)
+        for argv in (["spectrum", "--n", "4"],
+                     ["converge", "--ns", "2,4,6"],
+                     ["harnack", "--ns", "4"]):
+            code = main(argv + ["--surface", str(path)])
+            captured = capsys.readouterr()
+            assert code == 1, argv
+            assert captured.out == ""
+            assert message in captured.err
+
+
 def test_unknown_surface_exits_1(capsys):
     code, _ = run(capsys, "spectrum", "--surface", "nosuch", "--n", "4")
     assert code == 1
@@ -64,6 +83,21 @@ def test_bad_arguments_exit_1(capsys):
     assert main(["spectrum"]) == 1
     assert main(["no-such-command"]) == 1
     assert main([]) == 1
+    capsys.readouterr()
+    for argv, message in (
+            (["green", "--mode", "halfplane", "--source", "1"], "--source"),
+            (["green", "--mode", "halfplane", "--source=0,0,1"], "--source"),
+            (["green", "--mode", "halfplane", "--source", "a,1"], "--source"),
+            (["eigvec", "--surface", "square", "--ns", "8", "--group", "-1"],
+             "group index"),
+            (["converge", "--surface", "square", "--ns", "4,4,8"],
+             "increase"),
+            (["harnack", "--surface", "square", "--ns", "8,4"], "increase")):
+        assert main(argv) == 1, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+        assert "unpack" not in captured.err
 
 
 def test_jobs_only_on_converge(capsys):

@@ -41,13 +41,11 @@ def test_halfturn_seam_reverses_segments():
     surf = catalog.pillowcase()
     bundle = FlatUnitaryBundle.trivial(surf)
     disc = Discretization(surf, bundle, 4)
-    # stepping south from the bottom row of square 0 lands on the bottom
-    # row of square 1 at the mirrored column
+    # across the south side of square 0 lies the bottom row of square 1 at
+    # the mirrored column
+    south = disc.halo_vertex[0, 2]
     for i in range(4):
-        q2, i2, j2, _, crossed = disc.step(0, i, 0, "S")
-        assert (q2, j2) == (1, 0)
-        assert i2 == 4 - 1 - i
-        assert crossed
+        assert disc.vertex_cell(int(south[i])) == (1, 4 - 1 - i, 0)
 
 
 def test_doubled_edges_on_pillowcase():
@@ -74,13 +72,15 @@ def test_cluster_sizes_match_angles(named_surface):
 
 
 def test_lattice_points_partition_incidences(named_surface):
+    # one corner point per class of square corners, and every square
+    # corner in exactly one of them
     name, surf = named_surface
-    disc = Discretization(surf, FlatUnitaryBundle.trivial(surf), 3)
-    total = sum(p.quarters for p in disc.lattice_points())
-    assert total == 4 * surf.n_squares * 9
-    regular = [p for p in disc.lattice_points()
-               if p.interior and not p.singular]
-    assert all(p.quarters == 4 for p in regular)
+    for n in (1, 2, 3):
+        disc = Discretization(surf, FlatUnitaryBundle.trivial(surf), n)
+        assert len(disc.corner_points) == len(surf.vertex_cycles())
+        assert sum(p.quarters for p in disc.corner_points) == (
+            4 * surf.n_squares)
+        assert len(disc.corner_slots) == 4 * surf.n_squares
 
 
 def test_singular_points_match_surface_census(named_surface):
@@ -120,8 +120,11 @@ def test_lattice_point_count_euler(named_surface):
     name, surf = named_surface
     for n in (1, 2, 3):
         disc = Discretization(surf, FlatUnitaryBundle.trivial(surf), n)
-        v = len(disc.lattice_points())
         free = len(surf.free_sides)
+        # corner classes, n - 1 points inside each free side or seam, and
+        # (n - 1)^2 inside each square
+        v = (len(disc.corner_points) + (n - 1) * (free + len(surf.seams))
+             + (n - 1) ** 2 * surf.n_squares)
         # interior grid edges, one edge per seam segment, free segments
         e = 2 * n * (n - 1) * surf.n_squares + n * len(surf.seams) + n * free
         f = n * n * surf.n_squares
@@ -131,10 +134,11 @@ def test_lattice_point_count_euler(named_surface):
 def test_cone_monodromy_trivial_for_flat_bundles():
     surf = catalog.torus()
     bundle = FlatUnitaryBundle.twisted_torus(surf, 1.1, -0.4)
-    disc = Discretization(surf, bundle, 4)
-    for p in disc.lattice_points():
-        if p.interior:
-            assert p.monodromy_defect <= 1e-12
+    for n in (1, 2, 4):
+        disc = Discretization(surf, bundle, n)
+        interior = [p for p in disc.corner_points if p.interior]
+        assert interior
+        assert all(p.monodromy_defect <= 1e-12 for p in interior)
 
 
 def test_pillowcase_census_all_n():

@@ -19,7 +19,8 @@ def _random_section(rng, disc, rank=1):
 def test_laplacian_hermitian(named_surface):
     name, surf = named_surface
     disc = Discretization(surf, FlatUnitaryBundle.trivial(surf), 3)
-    assert operators.hermitian_defect(operators.laplacian(disc)) <= 1e-13
+    lap = operators.laplacian(disc)
+    assert abs(lap - lap.conj().T).max() <= 1e-13
 
 
 def test_factorization_exact(named_surface):
@@ -114,8 +115,8 @@ def test_rank2_laplacian_unitary_conjugation():
     assert np.allclose(big_w @ l1 @ big_w.conj().T, l2, atol=1e-12)
 
 
-def test_rayleigh_quotient():
+def test_torus_constants_in_kernel():
     disc = make_disc("torus", 3)
     lap = operators.laplacian(disc)
     f = np.ones(disc.n_vertices, dtype=complex)
-    assert operators.rayleigh(lap, f) == pytest.approx(0.0, abs=1e-13)
+    assert np.abs(lap @ f).max() <= 1e-13

@@ -1,0 +1,136 @@
+"""Seeded random square-tiled surfaces against independent oracles."""
+
+import numpy as np
+import pytest
+
+from tilelap.bundle import FlatUnitaryBundle
+from tilelap.discretize import Discretization
+from tilelap.surface import OPPOSITE, SIDE_ENDS, SIDES, SquareTiledSurface
+
+from conftest import random_unitary
+
+SEEDS = range(200)
+
+
+def random_surface(rng):
+    """1-5 unit squares.  Sides are visited in random order; each stays
+    free with probability 0.15, otherwise it is glued to a random unused
+    side: by a translation to an opposite label or by a half-turn to the
+    same label (free when no such side is left)."""
+    m = int(rng.integers(1, 6))
+    sides = [(q, s) for q in range(m) for s in SIDES]
+    used, gluings = set(), []
+    for idx in rng.permutation(len(sides)):
+        a = sides[idx]
+        if a in used:
+            continue
+        used.add(a)
+        if rng.random() < 0.15:
+            continue
+        kind = "halfturn" if rng.random() < 0.3 else "translation"
+        want = a[1] if kind == "halfturn" else OPPOSITE[a[1]]
+        options = [b for b in sides if b not in used and b[1] == want]
+        if options:
+            b = options[rng.integers(len(options))]
+            used.add(b)
+            gluings.append((a, b, kind))
+    return SquareTiledSurface(m, gluings)
+
+
+def corner_classes(surface):
+    """{class of square corners: interior?} by union-find over side ends.
+
+    A seam glues end e of its first side to end e of its second side, or
+    to end 1 - e for a half-turn.  A class is on the boundary when one of
+    its corners lies on a free side.
+    """
+    parent = {(q, c): (q, c) for q in range(surface.n_squares)
+              for c in ("SW", "SE", "NE", "NW")}
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for seam in surface.seams:
+        (q, s), (q2, s2) = seam.first, seam.second
+        flip = int(seam.kind == "halfturn")
+        for e in (0, 1):
+            parent[find((q, SIDE_ENDS[s][e]))] = find(
+                (q2, SIDE_ENDS[s2][e ^ flip]))
+    classes = {}
+    for x in parent:
+        classes.setdefault(find(x), set()).add(x)
+    free = set(surface.free_sides)
+    return {frozenset(c): not any((q, side) in free for q, corner in c
+                                  for side in corner)
+            for c in classes.values()}
+
+
+def side_cell(n, q, side, k):
+    """Vertex of the cell of square q next to segment k of ``side``."""
+    i, j = {"N": (k, n - 1), "E": (n - 1, k), "S": (k, 0),
+            "W": (0, k)}[side]
+    return q * n * n + j * n + i
+
+
+@pytest.mark.parametrize("block", range(4))
+def test_vertex_cycles_match_union_find(block):
+    for seed in SEEDS[block::4]:
+        surface = random_surface(np.random.default_rng(seed))
+        cycles = surface.vertex_cycles()
+        found = {frozenset(c.corners): c.interior for c in cycles}
+        assert found == corner_classes(surface), seed
+        for c in cycles:
+            assert len(set(c.corners)) == c.quarters
+            assert len(c.seam_steps) == c.quarters - (not c.interior)
+        assert surface.gauss_bonnet_defect() == pytest.approx(0.0,
+                                                               abs=1e-12)
+
+
+@pytest.mark.parametrize("block", range(4))
+def test_halo_is_an_involution(block):
+    for seed in SEEDS[block::4]:
+        rng = np.random.default_rng(seed)
+        surface = random_surface(rng)
+        rank = int(rng.integers(1, 3))
+        bundle = FlatUnitaryBundle(surface, rank, {
+            seam.index: random_unitary(rng, rank) for seam in surface.seams})
+        partner = {}
+        for seam in surface.seams:
+            flip = seam.kind == "halfturn"
+            partner[seam.first] = seam.second, flip, seam.index, -1
+            partner[seam.second] = seam.first, flip, seam.index, +1
+        for n in (1, 2, 3):
+            disc = Discretization(surface, bundle, n)
+            for q in range(surface.n_squares):
+                for s, side in enumerate(SIDES):
+                    if (q, side) not in partner:
+                        assert (disc.halo_vertex[q, s] == -1).all()
+                        continue
+                    (q2, side2), flip, index, back = partner[q, side]
+                    s2 = SIDES.index(side2)
+                    for k in range(n):
+                        k2 = n - 1 - k if flip else k
+                        v = disc.halo_vertex[q, s, k]
+                        assert v == side_cell(n, q2, side2, k2), seed
+                        assert disc.halo_vertex[q2, s2, k2] == side_cell(
+                            n, q, side, k)
+                        u = disc.halo_transport[q, s, k]
+                        assert np.allclose(u, bundle.seam_unitary(index,
+                                                                  back))
+                        assert np.allclose(
+                            u @ disc.halo_transport[q2, s2, k2],
+                            np.eye(rank), atol=1e-14)
+            # after the 2n(n - 1) interior edges per square, the n edges
+            # of each seam join its first side to its second
+            inner = 2 * n * (n - 1) * surface.n_squares
+            first = disc.tails[inner:].reshape(-1, n)
+            second = disc.heads[inner:].reshape(-1, n)
+            for seam in surface.seams:
+                k = np.arange(n)
+                k2 = k[::-1] if seam.kind == "halfturn" else k
+                assert first[seam.index].tolist() == [
+                    side_cell(n, *seam.first, kk) for kk in k]
+                assert second[seam.index].tolist() == [
+                    side_cell(n, *seam.second, kk) for kk in k2]

@@ -16,9 +16,13 @@ def test_translation_must_join_opposite_sides():
 def test_halfturn_must_join_same_axis():
     with pytest.raises(SurfaceFormatError):
         SquareTiledSurface(2, [((0, "E"), (1, "N"), "halfturn")])
-    # same-axis half-turns are fine, including same-label pairs
+    # z -> -z + c maps a side onto one with the same label; opposite labels
+    # with a reversed coordinate would be a reflection
     SquareTiledSurface(2, [((0, "E"), (1, "E"), "halfturn")])
-    SquareTiledSurface(2, [((0, "E"), (1, "W"), "halfturn")])
+    with pytest.raises(SurfaceFormatError):
+        SquareTiledSurface(2, [((0, "E"), (1, "W"), "halfturn")])
+    with pytest.raises(SurfaceFormatError):
+        SquareTiledSurface(1, [((0, "N"), (0, "S"), "halfturn")])
 
 
 def test_no_self_gluing_and_no_double_gluing():
