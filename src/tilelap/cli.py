@@ -203,6 +203,8 @@ def cmd_eigvec(args):
 
 
 def cmd_interp_check(args):
+    if args.trials < 1:
+        raise SurfaceFormatError("--trials must be >= 1")
     surface, bundle = _load(args.surface)
     rng = np.random.default_rng(args.seed)
     rows = []
@@ -274,6 +276,13 @@ def cmd_harnack(args):
     rows = []
     for n in _parse_ns(args.ns):
         disc = Discretization(surface, bundle, n)
+        # the eigensolver needs index + 1 < dim; meshes only grow along
+        # --ns, so the first one is checked before anything is solved
+        dim = disc.n_vertices * bundle.rank
+        if not 0 <= args.index < dim - 1:
+            raise SurfaceFormatError("--index must lie in [0, %d) on the "
+                                     "n = %d mesh, got %d"
+                                     % (dim - 1, n, args.index))
         _, vecs = spectral.rescaled_spectrum(disc, args.index + 1,
                                              seed=args.seed)
         diag = potential.harnack_diagnostics(disc, vecs[:, args.index])
@@ -283,6 +292,15 @@ def cmd_harnack(args):
 
 
 def cmd_green(args):
+    if not 0 <= args.radius < np.inf:
+        raise SurfaceFormatError("--radius must be finite and >= 0, got %r"
+                                 % args.radius)
+    # the fit samples lattice points 0 < radius/4 <= |z| <= radius/2: for
+    # radius >= 2 an integer |z| lies there, below 2 no point does
+    if args.mode == "constant" and args.radius < 2:
+        raise SurfaceFormatError("--radius must be >= 2 in constant mode: "
+                                 "no lattice point z != 0 has radius/4 <= "
+                                 "|z| <= radius/2")
     rows = []
     summary = {}
     if args.mode == "ball":
@@ -365,6 +383,8 @@ def cmd_barrier(args):
 
 
 def cmd_crsf_check(args):
+    if args.count < 1:
+        raise SurfaceFormatError("--count must be >= 1")
     rng = np.random.default_rng(args.seed)
     rows = []
     worst = 0.0

@@ -97,18 +97,34 @@ def ball_laplacian_row(points):
     return np.full(len(points), 4), points[:, None, :] + STEPS
 
 
+def _fold(offsets):
+    """Image (max(|a|, |b|), min(|a|, |b|)) of each offset (a, b) in the
+    wedge 0 <= b <= a under the dihedral group of the square."""
+    mags = np.abs(offsets)
+    return np.stack([mags.max(axis=-1), mags.min(axis=-1)], axis=-1)
+
+
 def green_ball(radius, center=(0, 0)):
     """Green function of the Euclidean ball {|z - center| <= radius} in Z^2.
 
     Delta G = 1 at the center, 0 elsewhere in the ball, G = 0 outside.
+    The ball and the Laplacian are invariant under the dihedral group of
+    the square about the center, and so is the unique solution: it is
+    solved on the wedge 0 <= b <= a of offsets (a, b), each neighbour
+    folded into the wedge (the fold keeps |z|, so neighbours off the ball
+    stay off), and unfolded to every point of the ball.
     """
     rr = int(math.floor(radius))
     a, b = np.meshgrid(np.arange(-rr, rr + 1), np.arange(-rr, rr + 1),
                        indexing="ij")
     inside = a * a + b * b <= radius * radius
-    points = np.column_stack([a[inside], b[inside]]) + center
-    return GreenFunction(points, _solve_green(points, ball_laplacian_row,
-                                              [center]), center)
+    offsets = np.column_stack([a[inside], b[inside]])
+    wedge = offsets[(0 <= offsets[:, 1]) & (offsets[:, 1] <= offsets[:, 0])]
+    values = _solve_green(
+        wedge, lambda p: (np.full(len(p), 4), _fold(p[:, None, :] + STEPS)),
+        [(0, 0)])
+    return GreenFunction(offsets + center,
+                         values[_locator(wedge)(_fold(offsets))], center)
 
 
 def fullplane_constant(radius, seed_green=None):

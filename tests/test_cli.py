@@ -92,7 +92,20 @@ def test_bad_arguments_exit_1(capsys):
              "group index"),
             (["converge", "--surface", "square", "--ns", "4,4,8"],
              "increase"),
-            (["harnack", "--surface", "square", "--ns", "8,4"], "increase")):
+            (["harnack", "--surface", "square", "--ns", "8,4"], "increase"),
+            (["green", "--radius", "-1"], "--radius"),
+            (["green", "--mode", "constant", "--radius", "-1"], "--radius"),
+            (["green", "--mode", "halfplane", "--radius", "-3",
+              "--source", "0,3"], "--radius"),
+            # no lattice point in the fitting annulus 1/4 <= |z| <= 1/2
+            (["green", "--mode", "constant", "--radius", "1"], "--radius"),
+            (["harnack", "--surface", "lshape", "--ns", "4", "--index",
+              "-1"], "--index"),
+            (["harnack", "--surface", "lshape", "--ns", "4", "--index",
+              "500"], "--index"),
+            (["interp-check", "--surface", "square", "--ns", "2",
+              "--trials", "0"], "--trials"),
+            (["crsf-check", "--count", "0"], "--count")):
         assert main(argv) == 1, argv
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -36,6 +36,26 @@ def test_green_ball_translation_covariance():
         assert g1((a + 3, b - 5)) == pytest.approx(g0((a, b)), abs=1e-12)
 
 
+@pytest.mark.parametrize("radius,center", [
+    (0, (0, 0)), (1, (0, 0)), (math.sqrt(18.5), (0, 0)), (4.301, (0, 0)),
+    (16, (0, 0)), (4.301, (3, -5)), (16, (3, -5))])
+def test_green_ball_wedge_fold_matches_full_solve(radius, center):
+    # the wedge solve, unfolded, equals a direct solve over the whole ball
+    green = potential.green_ball(radius, center=center)
+    direct = potential._solve_green(green.points, potential.ball_laplacian_row,
+                                    [center])
+    scale = green(center)
+    assert np.abs(green.values - direct).max() <= 1e-13 * scale
+    # and is invariant under the eight symmetries of the square about the
+    # center
+    a, b = (green.points - center).T
+    for image in ((a, -b), (-a, b), (-a, -b), (b, a), (b, -a), (-b, a),
+                  (-b, -a)):
+        moved = np.column_stack(image) + center
+        assert np.array_equal(green.values,
+                              green.values[green._locate(moved)])
+
+
 def test_fullplane_log_asymptotics():
     # G(z) - G(0) ~ -(1/2pi) log |z| + c with a radius-independent c
     c64, dev64 = potential.fullplane_constant(64)
