@@ -87,6 +87,17 @@ def _parse_ns(text):
     return ns
 
 
+def _check_mesh(disc, k, flag):
+    """Reject a mesh with no more than k unknowns, naming the flag at
+    fault: the eigensolver needs k < dim.  Meshes only grow along --ns, so
+    a check in the sweep loop stops at the first mesh, before any solve."""
+    dim = disc.n_vertices * disc.bundle.rank
+    if k >= dim:
+        raise SurfaceFormatError("%s: the n = %d mesh has dimension %d, "
+                                 "too small for %d eigenpairs"
+                                 % (flag, disc.n, dim, k))
+
+
 # ---- subcommands -------------------------------------------------------
 
 
@@ -191,6 +202,7 @@ def cmd_eigvec(args):
     prev = None
     for n in _parse_ns(args.ns):
         disc = Discretization(surface, bundle, n)
+        _check_mesh(disc, max(group) + 1, "--ns")
         _, vecs = spectral.rescaled_spectrum(disc, max(group) + 1,
                                              seed=args.seed)
         err = interp.subspace_error(disc, vecs[:, group], funcs)
@@ -212,6 +224,7 @@ def cmd_interp_check(args):
     scale = 1.0
     for n in _parse_ns(args.ns):
         disc = Discretization(surface, bundle, n)
+        _check_mesh(disc, 2, "--ns")
         size = disc.n_vertices * bundle.rank
         for trial in range(args.trials):
             f = interp.average(disc, rng.standard_normal(size)
@@ -272,17 +285,13 @@ def cmd_consistency(args):
 
 
 def cmd_harnack(args):
+    if args.index < 0:
+        raise SurfaceFormatError("--index must be >= 0")
     surface, bundle = _load(args.surface)
     rows = []
     for n in _parse_ns(args.ns):
         disc = Discretization(surface, bundle, n)
-        # the eigensolver needs index + 1 < dim; meshes only grow along
-        # --ns, so the first one is checked before anything is solved
-        dim = disc.n_vertices * bundle.rank
-        if not 0 <= args.index < dim - 1:
-            raise SurfaceFormatError("--index must lie in [0, %d) on the "
-                                     "n = %d mesh, got %d"
-                                     % (dim - 1, n, args.index))
+        _check_mesh(disc, args.index + 1, "--index")
         _, vecs = spectral.rescaled_spectrum(disc, args.index + 1,
                                              seed=args.seed)
         diag = potential.harnack_diagnostics(disc, vecs[:, args.index])

@@ -32,17 +32,19 @@ class ConnectionGraph:
             self.edges.append((u, v, w))
 
     def laplacian(self):
-        """Dense connection Laplacian Delta f(v) = deg f(v) - sum w f(v')."""
+        """Dense connection Laplacian Delta f(v) = deg f(v) - sum w f(v'),
+        from the block rule of the mesh Laplacian."""
+        from .operators import laplacian_blocks
+
         n = self.n_vertices
+        # w carries f(u) to v: it is the rule's U for tail v and head u
+        heads = np.array([u for (u, _, _) in self.edges], dtype=int)
+        tails = np.array([v for (_, v, _) in self.edges], dtype=int)
+        weights = np.array([w for (_, _, w) in self.edges], dtype=complex)
+        rows, cols, blocks = laplacian_blocks(n, tails, heads,
+                                              weights.reshape(-1, 1, 1))
         mat = np.zeros((n, n), dtype=complex)
-        for (u, v, w) in self.edges:
-            if u == v:
-                mat[u, u] += 2 - w - np.conj(w)
-                continue
-            mat[u, u] += 1
-            mat[v, v] += 1
-            mat[v, u] -= w
-            mat[u, v] -= np.conj(w)
+        np.add.at(mat, (rows, cols), blocks[:, 0, 0])
         return mat
 
     def determinant(self):
@@ -55,113 +57,41 @@ class ConnectionGraph:
                  for (u, v, w) in self.edges]
         return ConnectionGraph(self.n_vertices, edges)
 
-    # ---- forest enumeration -------------------------------------------
-
-    def _component_split(self, edge_ids):
-        parent = list(range(self.n_vertices))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for k in edge_ids:
-            u, v, _ = self.edges[k]
-            parent[find(u)] = find(v)
-        comps = {}
-        for k in edge_ids:
-            u, _, _ = self.edges[k]
-            comps.setdefault(find(u), []).append(k)
-        vert_count = {}
-        for v in range(self.n_vertices):
-            root = find(v)
-            vert_count[root] = vert_count.get(root, 0) + 1
-        return comps, vert_count
-
-    def _cycle_monodromy(self, edge_ids):
-        """Monodromy of the unique cycle of a component with #edges ==
-        #vertices, or None when the component has no such cycle structure."""
-        from collections import defaultdict
-
-        incident = defaultdict(list)
-        alive = set(edge_ids)
-        for k in edge_ids:
-            u, v, _ = self.edges[k]
-            incident[u].append(k)
-            if u != v:
-                incident[v].append(k)
-        degree = {v: 0 for v in incident}
-        for k in edge_ids:
-            u, v, _ = self.edges[k]
-            degree[u] += 1
-            degree[v] += 1  # self-loop counts twice
-        # strip trees hanging off the cycle
-        stack = [v for v, d in degree.items() if d == 1]
-        while stack:
-            v = stack.pop()
-            for k in incident[v]:
-                if k not in alive:
-                    continue
-                alive.discard(k)
-                u, w, _ = self.edges[k]
-                other = w if u == v else u
-                degree[v] -= 1
-                degree[other] -= 1
-                if degree[other] == 1:
-                    stack.append(other)
-        if not alive:
-            return None
-        # remaining edges form disjoint cycles; valid only if a single one
-        start_edge = min(alive)
-        u0, v0, w0 = self.edges[start_edge]
-        mon = w0
-        used = {start_edge}
-        cur = v0
-        while cur != u0:
-            nxt = None
-            for k in incident[cur]:
-                if k in alive and k not in used:
-                    nxt = k
-                    break
-            if nxt is None:
-                return None
-            u, v, w = self.edges[nxt]
-            if u == cur:
-                mon = w * mon
-                cur = v
-            else:
-                mon = np.conj(w) * mon
-                cur = u
-            used.add(nxt)
-        if used != alive:
-            return None  # more than one cycle in this component
-        return mon
-
     def forest_sum(self):
         """Sum over cycle-rooted spanning forests of
-        prod over cycles (2 - w(gamma) - conj(w(gamma)))."""
+        prod over cycles (2 - w(gamma) - conj(w(gamma))).
+
+        One pass per subset of n_vertices edges, with a union-find that
+        keeps each vertex's transport to its parent.  n edges on n vertices
+        close one cycle per component unless some component closes a
+        second, so an edge that would give a component a second cycle ends
+        the subset, and one that closes a first cycle contributes.
+        """
         n = self.n_vertices
+
+        def find(x):  # root of x and the transport from x to it
+            phi = 1.0
+            while parent[x] != x:
+                phi, x = to_parent[x] * phi, parent[x]
+            return x, phi
+
         total = 0.0
-        for subset in combinations(range(len(self.edges)), n):
-            comps, vert_count = self._component_split(subset)
-            # every vertex must be covered and every component must carry
-            # exactly as many edges as vertices
-            covered = sum(vert_count[root] for root in comps)
-            if covered != n:
-                continue
-            ok = True
+        for subset in combinations(self.edges, n):
+            parent, to_parent = list(range(n)), [1.0] * n
+            cyclic = [False] * n
             weight = 1.0
-            for root, ids in comps.items():
-                if len(ids) != vert_count[root]:
-                    ok = False
+            for (u, v, w) in subset:
+                (ru, phi_u), (rv, phi_v) = find(u), find(v)
+                loop = phi_v * w * phi_u.conjugate()
+                if cyclic[ru] and (ru == rv or cyclic[rv]):
                     break
-                mon = self._cycle_monodromy(ids)
-                if mon is None:
-                    ok = False
-                    break
-                weight *= 2.0 - 2.0 * mon.real
-            if ok:
+                if ru == rv:
+                    cyclic[ru] = True
+                    weight *= 2.0 - 2.0 * loop.real
+                else:
+                    parent[ru], to_parent[ru] = rv, loop
+                    cyclic[rv] = cyclic[rv] or cyclic[ru]
+            else:
                 total += weight
         return total
 

@@ -90,10 +90,8 @@ class Discretization:
 
     def positions(self):
         """(n_vertices, 3) array of (square, x, y) chart coordinates."""
-        n = self.n
-        q, rem = np.divmod(np.arange(self.n_vertices), n * n)
-        j, i = np.divmod(rem, n)
-        return np.stack([q, (i + 0.5) / n, (j + 0.5) / n], axis=1)
+        q, i, j = self.vertex_cell(np.arange(self.n_vertices))
+        return np.stack([q, (i + 0.5) / self.n, (j + 0.5) / self.n], axis=1)
 
     # ---- edges ---------------------------------------------------------
 

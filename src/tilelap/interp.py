@@ -29,6 +29,8 @@ _QBARY = np.array([
     [_QB, 1 - 2 * _QB, _QB],
     [1 - 2 * _QB, _QB, _QB],
 ])
+# grid offsets of the corners of the two triangles of a half-step cell
+_TRIANGLES = (((0, 0), (1, 0), (1, 1)), ((0, 0), (1, 1), (0, 1)))
 
 
 def _as_section(disc, f):
@@ -126,8 +128,7 @@ class PiecewiseLinearField:
         area = 1.0 / (2 * m * m)  # area of one half-step triangle
         total = 0j
         for gu, gv in zip(self.grids, other.grids):
-            for corners in (((0, 0), (1, 0), (1, 1)), ((0, 0), (1, 1),
-                                                       (0, 1))):
+            for corners in _TRIANGLES:
                 us = [gu[da:da + m, db:db + m] for (da, db) in corners]
                 vs = [gv[da:da + m, db:db + m].conj() for (da, db) in corners]
                 diag = sum(np.einsum("abr,abr->", u, v)
@@ -152,8 +153,7 @@ class PiecewiseLinearField:
         A, B = np.meshgrid(idx, idx, indexing="ij")
         total = 0j
         for q, gu in enumerate(self.grids):
-            for corners in (((0, 0), (1, 0), (1, 1)), ((0, 0), (1, 1),
-                                                       (0, 1))):
+            for corners in _TRIANGLES:
                 xs = [(A + da) / m for (da, db) in corners]
                 ys = [(B + db) / m for (da, db) in corners]
                 us = [gu[da:da + m, db:db + m] for (da, db) in corners]

@@ -28,19 +28,27 @@ def _block_matrix(rows, cols, blocks, shape):
     return mat.tocsr()
 
 
-def laplacian(disc):
-    """Sparse Hermitian bundle Laplacian, (n_vertices * rank) square.
+def laplacian_blocks(n_vertices, tails, heads, transports):
+    """Block rows, block columns and (m, r, r) blocks of the Laplacian of
+    an edge list: the degree blocks, then -U at (tail, head) and -U* at
+    (head, tail), with U the transport head -> tail.  A self-loop adds
+    both orientations to its degree block, 2I - U - U*."""
+    rank = transports.shape[-1]
+    v = np.arange(n_vertices)
+    degrees = (np.bincount(tails, minlength=n_vertices)
+               + np.bincount(heads, minlength=n_vertices))
+    diag = degrees[:, None, None] * np.eye(rank, dtype=transports.dtype)
+    adjoints = transports.conj().transpose(0, 2, 1)
+    return (np.concatenate([v, tails, heads]),
+            np.concatenate([v, heads, tails]),
+            np.concatenate([diag, -transports, -adjoints]))
 
-    Real when the bundle's transports are.  A self-loop adds the two
-    transport blocks of its orientations to the degree block, 2I - U - U*.
-    """
-    t, h, u = disc.tails, disc.heads, disc.transports
-    rank = u.shape[-1]
-    v = np.arange(disc.n_vertices)
-    diag = disc.degrees[:, None, None] * np.eye(rank, dtype=u.dtype)
-    adjoints = u.conj().transpose(0, 2, 1)
-    return _block_matrix(np.concatenate([v, t, h]), np.concatenate([v, h, t]),
-                         np.concatenate([diag, -u, -adjoints]),
+
+def laplacian(disc):
+    """Sparse Hermitian bundle Laplacian, (n_vertices * rank) square, real
+    when the bundle's transports are."""
+    return _block_matrix(*laplacian_blocks(disc.n_vertices, disc.tails,
+                                           disc.heads, disc.transports),
                          (disc.n_vertices, disc.n_vertices))
 
 

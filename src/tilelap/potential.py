@@ -139,8 +139,12 @@ def fullplane_constant(radius, seed_green=None):
     (2 gamma + log 8)/pi + O(|z|^-2) (Lawler-Limic, Random Walk: A Modern
     Introduction, 2010, Thm 4.4.4), so c = -(2 gamma + log 8)/(4 pi)
     ~ -0.2573434.  The constant is fitted over the annulus
-    radius/4 <= |z| <= radius/2; returns (c, max deviation from the fit).
+    radius/4 <= |z| <= radius/2, which holds a lattice point z != 0 from
+    radius 2 on; returns (c, max deviation from the fit).
     """
+    if not radius >= 2:
+        raise ValueError("radius must be >= 2 for a lattice point z != 0 "
+                         "with radius/4 <= |z| <= radius/2, got %r" % radius)
     green = seed_green if seed_green is not None else green_ball(radius)
     a, b = green.points.T
     r = np.sqrt(a * a + b * b)

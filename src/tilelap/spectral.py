@@ -93,16 +93,12 @@ def reference_spectrum(kind, params, k):
         raise ValueError("reference %s takes %d parameters %s, got %d"
                          % (kind, len(names), ",".join(names), len(params)))
     if kind == "rectangle":
-        a, b = params
-        cut = int(np.ceil(np.sqrt(k) + 2)) * max(1, int(max(a, b))) + 2
-        vals = [np.pi ** 2 * (p ** 2 / a ** 2 + q ** 2 / b ** 2)
-                for p in range(cut) for q in range(cut)]
-    else:
-        a, b, alpha, beta = params
-        cut = int(np.ceil(np.sqrt(k))) + 3
-        vals = [4 * np.pi ** 2 * ((p + alpha / (2 * np.pi)) ** 2 / a ** 2
-                                  + (q + beta / (2 * np.pi)) ** 2 / b ** 2)
-                for p in range(-cut, cut + 1) for q in range(-cut, cut + 1)]
+        return np.array([m[0] for m in rectangle_modes(*params, k)])
+    a, b, alpha, beta = params
+    cut = int(np.ceil(np.sqrt(k))) + 3
+    vals = [4 * np.pi ** 2 * ((p + alpha / (2 * np.pi)) ** 2 / a ** 2
+                              + (q + beta / (2 * np.pi)) ** 2 / b ** 2)
+            for p in range(-cut, cut + 1) for q in range(-cut, cut + 1)]
     return np.sort(np.array(vals))[:k]
 
 

@@ -105,7 +105,12 @@ def test_bad_arguments_exit_1(capsys):
               "500"], "--index"),
             (["interp-check", "--surface", "square", "--ns", "2",
               "--trials", "0"], "--trials"),
-            (["crsf-check", "--count", "0"], "--count")):
+            (["crsf-check", "--count", "0"], "--count"),
+            # meshes too small for the eigenpairs the command solves for
+            (["interp-check", "--surface", "torus", "--ns", "1",
+              "--trials", "1"], "--ns"),
+            (["eigvec", "--surface", "square", "--ns", "2", "--group", "3"],
+             "--ns")):
         assert main(argv) == 1, argv
         captured = capsys.readouterr()
         assert captured.out == ""

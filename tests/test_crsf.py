@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tilelap import catalog, operators
+from tilelap.bundle import FlatUnitaryBundle
 from tilelap.crsf import ConnectionGraph, random_connection_graph
+from tilelap.discretize import Discretization
 
 
 def w(theta):
@@ -55,6 +58,45 @@ def test_no_spanning_forest_means_zero():
     g = ConnectionGraph(2, [(0, 1, w(0.4))])
     assert abs(g.determinant()) <= 1e-12
     assert g.forest_sum() == 0.0
+
+
+def test_edge_carries_weight_from_tail_to_head():
+    # (u, v, w) carries f(u) to v: (Delta f)(v) has -w f(u), so L is not
+    # conjugated, which no determinant can tell
+    g = ConnectionGraph(2, [(0, 1, w(0.9))])
+    lap = g.laplacian()
+    assert lap[1, 0] == -w(0.9)
+    assert lap[0, 1] == -np.conj(w(0.9))
+    assert np.array_equal(np.diag(lap), [1, 1])
+
+
+def _mesh_bundle(name):
+    surface = catalog.BUILTIN[name]()
+    if name == "torus":
+        return surface, FlatUnitaryBundle.twisted_torus(surface, 0.7, -0.3)
+    # around genus2's one cone point every seam is crossed once each way,
+    # so any rank-1 transports are flat
+    rng = np.random.default_rng(3)
+    bundle = FlatUnitaryBundle(surface, 1, {
+        seam.index: [[w(rng.uniform(0, 2 * np.pi))]]
+        for seam in surface.seams})
+    bundle.validate()
+    return surface, bundle
+
+
+@pytest.mark.parametrize("name, n, det", [("torus", 2, 18.0537),
+                                          ("torus", 3, 6522.90),
+                                          ("genus2", 1, 46.7965)])
+def test_forest_identity_on_mesh(name, n, det):
+    # a mesh edge (t, h) transports h -> t, so it enters as (h, t, U)
+    disc = Discretization(*_mesh_bundle(name), n)
+    g = ConnectionGraph(disc.n_vertices, zip(
+        disc.heads, disc.tails, disc.transports[:, 0, 0]))
+    assert np.array_equal(g.laplacian(),
+                          operators.laplacian(disc).toarray())
+    forest = g.forest_sum()
+    assert g.determinant() == pytest.approx(forest, rel=1e-12)
+    assert forest == pytest.approx(det, rel=1e-5)
 
 
 def test_edge_validation():

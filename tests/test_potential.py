@@ -68,6 +68,13 @@ def test_fullplane_log_asymptotics():
     assert c128 == pytest.approx(closed, abs=1e-5)
 
 
+@pytest.mark.parametrize("radius", [0, 1])
+def test_fullplane_constant_needs_radius_2(radius):
+    # no lattice point z != 0 lies in the annulus radius/4 <= |z| <= radius/2
+    with pytest.raises(ValueError, match="radius must be >= 2"):
+        potential.fullplane_constant(radius)
+
+
 def test_quasi_ball_contains_source_and_respects_halfplane():
     for source in ((0, 0), (3, -2), (10, 5)):
         pts = potential.quasi_ball(4.0, source)
