@@ -10,6 +10,8 @@ every cone point must be trivial.
 
 import numpy as np
 
+FLAT_TOL = 1e-12
+
 
 class FlatUnitaryBundle:
     def __init__(self, surface, rank, seam_transports):
@@ -99,15 +101,15 @@ class FlatUnitaryBundle:
             worst = max(worst, float(np.max(np.abs(mon - eye))))
         return worst
 
-    def validate(self, tol=1e-12):
+    def validate(self):
         """Raise ValueError if transports are non-unitary or the monodromy
-        around some interior point is nontrivial (tolerance ``tol``)."""
+        around some interior point is nontrivial (tolerance FLAT_TOL)."""
         defect = self.unitarity_defect()
-        if defect > tol:
+        if defect > FLAT_TOL:
             raise ValueError(
                 "seam transport fails unitarity by %.3e" % defect)
         defect = self.cone_monodromy_defect()
-        if defect > tol:
+        if defect > FLAT_TOL:
             raise ValueError(
                 "nontrivial monodromy around an interior point: "
                 "defect %.3e" % defect)

@@ -74,28 +74,69 @@ def _load(name, check=True):
     return surface, bundle
 
 
-def _parse_ns(text):
+def _bounded(kind, low):
+    """Argument type: a finite ``kind`` number no smaller than ``low``."""
+    def parse(text):
+        value = kind(text)
+        if not low <= value < np.inf:
+            raise argparse.ArgumentTypeError(
+                "must be a finite number >= %s, got %r" % (low, text))
+        return value
+    parse.__name__ = kind.__name__  # argparse names it in "invalid int value"
+    return parse
+
+
+def _mesh_sizes(text):
+    """Argument type of --ns: a strictly increasing list of sizes >= 1."""
     try:
         ns = [int(t) for t in text.split(",") if t.strip()]
     except ValueError:
-        raise SurfaceFormatError("bad mesh list %r" % text)
+        raise argparse.ArgumentTypeError("bad mesh list %r" % text)
     if not ns or any(n < 1 for n in ns):
-        raise SurfaceFormatError("mesh sizes must be positive")
+        raise argparse.ArgumentTypeError("mesh sizes must be positive")
     if any(a >= b for a, b in zip(ns, ns[1:])):
-        raise SurfaceFormatError("mesh sizes must increase strictly, got %r"
-                                 % text)
+        raise argparse.ArgumentTypeError(
+            "mesh sizes must increase strictly, got %r" % text)
     return ns
 
 
-def _check_mesh(disc, k, flag):
-    """Reject a mesh with no more than k unknowns, naming the flag at
+def _source(text):
+    """Argument type of --source: two integers a,b."""
+    try:  # a wrong count fails the unpacking with a ValueError too
+        a, b = (int(t) for t in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError("needs two integers a,b, got %r"
+                                         % text)
+    return a, b
+
+
+def _check_mesh(bundle, n, k, flag):
+    """Reject an n-mesh with no more than k unknowns, naming the flag at
     fault: the eigensolver needs k < dim.  Meshes only grow along --ns, so
-    a check in the sweep loop stops at the first mesh, before any solve."""
-    dim = disc.n_vertices * disc.bundle.rank
+    commands check the first one, before any solve."""
+    dim = bundle.surface.n_squares * n * n * bundle.rank
     if k >= dim:
         raise SurfaceFormatError("%s: the n = %d mesh has dimension %d, "
                                  "too small for %d eigenpairs"
-                                 % (flag, disc.n, dim, k))
+                                 % (flag, n, dim, k))
+
+
+def _rectangle(surface, command):
+    """Sides (a, b) of the rectangle that the surface's layout tiles with
+    every outer side free.  ``command`` compares against the Neumann modes
+    of that a x b box, which describe no other surface."""
+    if surface.layout is None:
+        raise SurfaceFormatError("%s needs a planar surface with a layout"
+                                 % command)
+    cells = sorted(surface.layout.values())
+    a, b = (max(c) + 1 for c in zip(*cells))
+    if (cells != [(x, y) for x in range(a) for y in range(b)]
+            or len(surface.free_sides) != 2 * (a + b)):
+        raise SurfaceFormatError(
+            "%s compares with the Neumann modes of the layout's %d x %d "
+            "bounding box, so it needs a surface that fills that box with "
+            "every outer side free" % (command, a, b))
+    return a, b
 
 
 # ---- subcommands -------------------------------------------------------
@@ -122,6 +163,7 @@ def cmd_validate(args):
 
 def cmd_spectrum(args):
     surface, bundle = _load(args.surface)
+    _check_mesh(bundle, args.n, args.k, "--k")
     disc = Discretization(surface, bundle, args.n)
     vals, _ = spectral.rescaled_spectrum(disc, args.k, seed=args.seed)
     rows = [{"i": i, "rescaled": v, "raw": v / args.n ** 2}
@@ -130,8 +172,7 @@ def cmd_spectrum(args):
 
 
 def _converge_one(params):
-    surface_name, n, k, seed = params
-    surface, bundle = _load(surface_name)
+    surface, bundle, n, k, seed = params
     disc = Discretization(surface, bundle, n)
     vals, _ = spectral.rescaled_spectrum(disc, k, seed=seed)
     return n, vals
@@ -147,10 +188,12 @@ def _parse_reference(text, k):
 
 
 def cmd_converge(args):
-    ns = _parse_ns(args.ns)
+    ns = args.ns
     reference = (_parse_reference(args.reference, args.k)
                  if args.reference else None)
-    jobs = [(args.surface, n, args.k, args.seed) for n in ns]
+    surface, bundle = _load(args.surface)
+    _check_mesh(bundle, ns[0], args.k, "--k")
+    jobs = [(surface, bundle, n, args.k, args.seed) for n in ns]
     if args.jobs > 1:
         from multiprocessing import Pool
 
@@ -183,26 +226,22 @@ def cmd_converge(args):
 
 def cmd_eigvec(args):
     surface, bundle = _load(args.surface)
-    if surface.layout is None or not surface.free_sides:
-        raise SurfaceFormatError(
-            "eigvec needs a planar rectangle-type surface with layout")
-    xs = [ox for ox, _ in surface.layout.values()]
-    ys = [oy for _, oy in surface.layout.values()]
-    a, b = max(xs) + 1, max(ys) + 1
+    a, b = _rectangle(surface, "eigvec")
     modes = spectral.rectangle_modes(a, b, args.k)
-    values = [m[0] for m in modes]
-    groups = spectral.eigenvalue_groups(values)
-    if not 0 <= args.group < len(groups):
-        raise SurfaceFormatError("group index out of range")
+    groups = spectral.eigenvalue_groups([m[0] for m in modes])
+    if args.group >= len(groups):
+        raise SurfaceFormatError("--group must be < %d, the number of "
+                                 "eigenvalue groups among the first --k %d "
+                                 "modes" % (len(groups), args.k))
     group = groups[args.group]
+    _check_mesh(bundle, args.ns[0], max(group) + 1, "--ns")
     funcs = [spectral.rectangle_eigenfunction(surface.layout, a, b,
                                               modes[i][1], modes[i][2])
              for i in group]
     rows = []
     prev = None
-    for n in _parse_ns(args.ns):
+    for n in args.ns:
         disc = Discretization(surface, bundle, n)
-        _check_mesh(disc, max(group) + 1, "--ns")
         _, vecs = spectral.rescaled_spectrum(disc, max(group) + 1,
                                              seed=args.seed)
         err = interp.subspace_error(disc, vecs[:, group], funcs)
@@ -215,16 +254,14 @@ def cmd_eigvec(args):
 
 
 def cmd_interp_check(args):
-    if args.trials < 1:
-        raise SurfaceFormatError("--trials must be >= 1")
     surface, bundle = _load(args.surface)
+    _check_mesh(bundle, args.ns[0], 2, "--ns")
     rng = np.random.default_rng(args.seed)
     rows = []
     worst = 0.0
     scale = 1.0
-    for n in _parse_ns(args.ns):
+    for n in args.ns:
         disc = Discretization(surface, bundle, n)
-        _check_mesh(disc, 2, "--ns")
         size = disc.n_vertices * bundle.rank
         for trial in range(args.trials):
             f = interp.average(disc, rng.standard_normal(size)
@@ -257,11 +294,7 @@ def cmd_interp_check(args):
 
 def cmd_consistency(args):
     surface, bundle = _load(args.surface)
-    if surface.layout is None:
-        raise SurfaceFormatError("consistency needs a surface with layout")
-    xs = [ox for ox, _ in surface.layout.values()]
-    ys = [oy for _, oy in surface.layout.values()]
-    a, b = max(xs) + 1, max(ys) + 1
+    a, b = _rectangle(surface, "consistency")
     func = spectral.rectangle_eigenfunction(surface.layout, a, b, 1, 1)
     lam = np.pi ** 2 * (1 / a ** 2 + 1 / b ** 2)
 
@@ -270,7 +303,7 @@ def cmd_consistency(args):
 
     rows = []
     prev = None
-    for n in _parse_ns(args.ns):
+    for n in args.ns:
         disc = Discretization(surface, bundle, n)
         res = interp.consistency_residual(disc, func, lap)
         row = {"n": n, **res}
@@ -285,13 +318,11 @@ def cmd_consistency(args):
 
 
 def cmd_harnack(args):
-    if args.index < 0:
-        raise SurfaceFormatError("--index must be >= 0")
     surface, bundle = _load(args.surface)
+    _check_mesh(bundle, args.ns[0], args.index + 1, "--index")
     rows = []
-    for n in _parse_ns(args.ns):
+    for n in args.ns:
         disc = Discretization(surface, bundle, n)
-        _check_mesh(disc, args.index + 1, "--index")
         _, vecs = spectral.rescaled_spectrum(disc, args.index + 1,
                                              seed=args.seed)
         diag = potential.harnack_diagnostics(disc, vecs[:, args.index])
@@ -301,15 +332,6 @@ def cmd_harnack(args):
 
 
 def cmd_green(args):
-    if not 0 <= args.radius < np.inf:
-        raise SurfaceFormatError("--radius must be finite and >= 0, got %r"
-                                 % args.radius)
-    # the fit samples lattice points 0 < radius/4 <= |z| <= radius/2: for
-    # radius >= 2 an integer |z| lies there, below 2 no point does
-    if args.mode == "constant" and args.radius < 2:
-        raise SurfaceFormatError("--radius must be >= 2 in constant mode: "
-                                 "no lattice point z != 0 has radius/4 <= "
-                                 "|z| <= radius/2")
     rows = []
     summary = {}
     if args.mode == "ball":
@@ -323,7 +345,10 @@ def cmd_green(args):
         rows.append({"key": "min_value", "value": float(green.values.min())})
         summary = {"residual": resid}
     elif args.mode == "constant":
-        c, dev = potential.fullplane_constant(args.radius)
+        try:
+            c, dev = potential.fullplane_constant(args.radius)
+        except ValueError as exc:
+            raise ValueError("--radius: %s" % exc) from None
         rows.append({"key": "fitted_constant", "value": c})
         rows.append({"key": "max_deviation", "value": dev})
         rows.append({"key": "closed_form_constant",
@@ -331,15 +356,9 @@ def cmd_green(args):
                      / (4 * np.pi)})
         summary = {"fitted_constant": c}
     else:  # halfplane
-        try:  # a wrong count fails the unpacking with a ValueError too
-            a, b = (int(t) for t in args.source.split(","))
-        except ValueError:
-            raise ValueError("--source needs two integers a,b, got %r"
-                             % args.source)
-        source = (a, b)
-        green = potential.green_halfplane(source, args.radius)
+        green = potential.green_halfplane(args.source, args.radius)
         resid = green.residual(potential.halfplane_laplacian_row)
-        rows.append({"key": "source", "value": "%d %d" % source})
+        rows.append({"key": "source", "value": "%d %d" % args.source})
         rows.append({"key": "radius", "value": args.radius})
         rows.append({"key": "points", "value": len(green.points)})
         rows.append({"key": "residual", "value": resid})
@@ -351,8 +370,6 @@ def cmd_green(args):
 
 def cmd_flow(args):
     n = args.n
-    if n < 1:
-        raise SurfaceFormatError("--n must be >= 1")
     div = potential.corner_flow_divergence(n)
     norm_sq = potential.corner_flow_norm_sq(n)
     bound = 2 * potential.harmonic_number(n)
@@ -392,8 +409,6 @@ def cmd_barrier(args):
 
 
 def cmd_crsf_check(args):
-    if args.count < 1:
-        raise SurfaceFormatError("--count must be >= 1")
     rng = np.random.default_rng(args.seed)
     rows = []
     worst = 0.0
@@ -423,78 +438,55 @@ def cmd_crsf_check(args):
 def build_parser():
     parser = _Parser(prog="tilelap", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    count, index = _bounded(int, 1), _bounded(int, 0)
+    amount = _bounded(float, 0)
+    # every flag once: counts >= 1, indices >= 0, amounts finite and >= 0
+    flags = {
+        "surface": {}, "ns": {"type": _mesh_sizes},
+        "n": {"type": count}, "k": {"type": count},
+        "trials": {"type": count}, "count": {"type": count},
+        "jobs": {"type": count, "help": "worker processes for the mesh "
+                                        "sweep"},
+        "group": {"type": index}, "index": {"type": index},
+        "radius": {"type": amount}, "source": {"type": _source},
+        "tol": {"type": amount, "help": "tolerance of the command's check; "
+                "interp-check takes it relative to max(1, largest "
+                "|energy|)"},
+        "reference": {"help": "rectangle:a,b or torus:a,b,alpha,beta"},
+        "mode": {"choices": ("ball", "constant", "halfplane")},
+    }
 
-    def add(name, func, **kwargs):
-        p = sub.add_parser(name, **kwargs)
+    def add(name, func, help, *required, **defaults):
+        """Subcommand ``name`` with the ``required`` flags and the others
+        at their ``defaults``."""
+        p = sub.add_parser(name, help=help)
         p.set_defaults(func=func)
         p.add_argument("--out", help="output path prefix (.csv/.json)")
-        p.add_argument("--seed", type=int, default=0)
-        return p
+        p.add_argument("--seed", type=index, default=0)
+        for flag, default in (dict.fromkeys(required) | defaults).items():
+            p.add_argument("--" + flag, required=flag in required,
+                           default=default, **flags[flag])
 
-    p = add("validate", cmd_validate, help="surface and bundle census")
-    p.add_argument("--surface", required=True)
-    p.add_argument("--n", type=int, default=2)
-    p.add_argument("--tol", type=float, default=1e-12)
-
-    p = add("spectrum", cmd_spectrum, help="rescaled Laplacian spectrum")
-    p.add_argument("--surface", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, default=6)
-
-    p = add("converge", cmd_converge, help="eigenvalue convergence table")
-    p.add_argument("--surface", required=True)
-    p.add_argument("--ns", required=True)
-    p.add_argument("--k", type=int, default=6)
-    p.add_argument("--reference",
-                   help="rectangle:a,b or torus:a,b,alpha,beta")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes for the mesh sweep")
-
-    p = add("eigvec", cmd_eigvec, help="eigenvector subspace convergence")
-    p.add_argument("--surface", required=True)
-    p.add_argument("--ns", required=True)
-    p.add_argument("--k", type=int, default=8)
-    p.add_argument("--group", type=int, default=1)
-
-    p = add("interp-check", cmd_interp_check,
-            help="exact Dirichlet energy identity")
-    p.add_argument("--surface", required=True)
-    p.add_argument("--ns", required=True)
-    p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--tol", type=float, default=1e-12,
-                   help="energy identity tolerance, relative to "
-                        "max(1, largest |energy|)")
-
-    p = add("consistency", cmd_consistency,
-            help="finite-difference consistency residuals")
-    p.add_argument("--surface", required=True)
-    p.add_argument("--ns", required=True)
-
-    p = add("harnack", cmd_harnack, help="eigenvector regularity")
-    p.add_argument("--surface", required=True)
-    p.add_argument("--ns", required=True)
-    p.add_argument("--index", type=int, default=1)
-
-    p = add("green", cmd_green, help="lattice Green functions")
-    p.add_argument("--mode", choices=("ball", "constant", "halfplane"),
-                   default="ball")
-    p.add_argument("--radius", type=float, default=32)
-    p.add_argument("--source", default="0,0")
-    p.add_argument("--tol", type=float, default=1e-10)
-
-    p = add("flow", cmd_flow, help="corner flow divergence and norm")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--tol", type=float, default=1e-12)
-
-    p = add("barrier", cmd_barrier, help="convex barrier check")
-    p.add_argument("--surface", required=True)
-    p.add_argument("--n", type=int, default=16)
-
-    p = add("crsf-check", cmd_crsf_check,
-            help="determinant vs forest-sum identity")
-    p.add_argument("--count", type=int, default=200)
-    p.add_argument("--tol", type=float, default=1e-9)
-
+    add("validate", cmd_validate, "surface and bundle census", "surface",
+        n=2, tol=1e-12)
+    add("spectrum", cmd_spectrum, "rescaled Laplacian spectrum", "surface",
+        "n", k=6)
+    add("converge", cmd_converge, "eigenvalue convergence table", "surface",
+        "ns", k=6, reference=None, jobs=1)
+    add("eigvec", cmd_eigvec, "eigenvector subspace convergence", "surface",
+        "ns", k=8, group=1)
+    add("interp-check", cmd_interp_check, "exact Dirichlet energy identity",
+        "surface", "ns", trials=20, tol=1e-12)
+    add("consistency", cmd_consistency,
+        "finite-difference consistency residuals", "surface", "ns")
+    add("harnack", cmd_harnack, "eigenvector regularity", "surface", "ns",
+        index=1)
+    add("green", cmd_green, "lattice Green functions", mode="ball",
+        radius=32, source="0,0", tol=1e-10)
+    add("flow", cmd_flow, "corner flow divergence and norm", "n", tol=1e-12)
+    add("barrier", cmd_barrier, "convex barrier check", "surface", n=16)
+    add("crsf-check", cmd_crsf_check, "determinant vs forest-sum identity",
+        count=200, tol=1e-9)
     return parser
 
 

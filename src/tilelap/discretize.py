@@ -44,7 +44,6 @@ class LatticePoint:
     transports: list
     interior: bool
     quarters: int
-    monodromy_defect: float
 
     @property
     def angle(self):
@@ -217,15 +216,11 @@ class Discretization:
             for k in range(start - 1, -1, -1):
                 idx, role = links[k]
                 trans[k] = trans[k + 1] @ crossing(idx, -role)
-            defect = 0.0
-            if cycle.interior:
-                loop = trans[-1] @ crossing(*links[-1])
-                defect = float(np.max(np.abs(loop - self._eye)))
             base_inv = trans[0].conj().T
             points.append((min(keys), LatticePoint(
                 [(q,) + point_of[c] for q, c in ring],
                 [self.vertex_index(q, *cell_of[c]) for q, c in ring],
-                [base_inv @ t for t in trans], cycle.interior, m, defect),
+                [base_inv @ t for t in trans], cycle.interior, m),
                 ring))
         points.sort(key=lambda entry: entry[0])
         slots = {corner: (point, k) for _, point, ring in points

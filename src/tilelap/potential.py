@@ -323,12 +323,14 @@ def barrier_report(disc, point):
 
 # ---- eigenvector regularity diagnostics --------------------------------
 
+INTERIOR_MARGIN = 0.25
 
-def harnack_diagnostics(disc, f, interior_margin=0.25):
+
+def harnack_diagnostics(disc, f):
     """Regularity diagnostics of a section normalized to |f|^2 = n^2.
 
     Returns max |f(t) - U f(h)| over edges, sup |f| / sqrt(log n), and
-    sup |f| over vertices at chart distance at least ``interior_margin``
+    sup |f| over vertices at chart distance at least INTERIOR_MARGIN
     from every singular point (None when no vertex qualifies).
     """
     from .operators import edge_differences
@@ -343,7 +345,7 @@ def harnack_diagnostics(disc, f, interior_margin=0.25):
     mags = np.linalg.norm(f, axis=1)
     sup = float(mags.max())
     dist = disc.distance_to_singular()
-    interior = mags[dist >= interior_margin]
+    interior = mags[dist >= INTERIOR_MARGIN]
     return {
         "max_edge_gap": float(gaps.max()),
         "sup_over_sqrt_log": sup / math.sqrt(math.log(disc.n))

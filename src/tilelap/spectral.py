@@ -16,14 +16,16 @@ SHIFT = -1e-2
 # dimensions at or below this take the dense path; tests raise it to force
 # that path, which otherwise serves only k >= dim - 1
 DENSE_CUTOFF = 0
-# the residual gate scales by max |lambda| but by no less than this fraction
-# of |A|_1, so that a lone zero mode (returned as round-off) is judged
-# against the matrix scale
+# the residual gate accepts RESIDUAL_TOL times max |lambda|, a scale no
+# smaller than ZERO_SCALE |A|_1, so that a lone zero mode (returned as
+# round-off) is judged against the matrix scale
+RESIDUAL_TOL = 1e-8
 ZERO_SCALE = 1e-6
+# eigenvalue_groups joins values closer than these
+GROUP_REL_TOL, GROUP_ABS_TOL = 1e-6, 1e-9
 
 
-def lowest_eigenpairs(mat, k, seed=0, dense_cutoff=DENSE_CUTOFF,
-                      residual_tol=1e-8):
+def lowest_eigenpairs(mat, k, seed=0, dense_cutoff=DENSE_CUTOFF):
     """The k smallest eigenpairs of a sparse Hermitian matrix.
 
     Factors A - SHIFT I once (sparse LU, MMD ordering on A^T + A) and runs
@@ -32,7 +34,7 @@ def lowest_eigenpairs(mat, k, seed=0, dense_cutoff=DENSE_CUTOFF,
     k >= dim - 1, which Lanczos cannot, and dimensions up to
     ``dense_cutoff``.  Returns (values, vectors, residuals) with values
     ascending and vectors in columns; raises if any residual
-    |A v - lambda v| exceeds ``residual_tol`` times the largest |lambda|
+    |A v - lambda v| exceeds RESIDUAL_TOL times the largest |lambda|
     returned, or times ZERO_SCALE |A|_1 if that is larger.
     """
     import scipy.sparse as sp
@@ -58,10 +60,10 @@ def lowest_eigenpairs(mat, k, seed=0, dense_cutoff=DENSE_CUTOFF,
         vals, vecs = vals[order], vecs[:, order]
     residuals = np.linalg.norm(mat @ vecs - vecs * vals, axis=0)
     scale = max(np.max(np.abs(vals)), ZERO_SCALE * abs(mat).sum(axis=0).max())
-    if residuals.max() > residual_tol * scale:
+    if residuals.max() > RESIDUAL_TOL * scale:
         raise RuntimeError(
             "eigenpair residual %.3e exceeds %.1e relative to scale %.3e"
-            % (residuals.max(), residual_tol, scale))
+            % (residuals.max(), RESIDUAL_TOL, scale))
     return vals, vecs, residuals
 
 
@@ -167,13 +169,13 @@ def rectangle_eigenfunction(layout, a, b, p, q):
     return func
 
 
-def eigenvalue_groups(values, rel_tol=1e-6, abs_tol=1e-9):
+def eigenvalue_groups(values):
     """Split a sorted eigenvalue list into clusters of (near-)equal values,
     returned as lists of indices."""
     groups = []
     for i, v in enumerate(values):
         if groups and abs(v - values[groups[-1][-1]]) <= max(
-                abs_tol, rel_tol * max(abs(v), 1.0)):
+                GROUP_ABS_TOL, GROUP_REL_TOL * max(abs(v), 1.0)):
             groups[-1].append(i)
         else:
             groups.append([i])

@@ -72,7 +72,7 @@ def test_03_eigenvector_subspace_convergence():
     for n in SCHEDULE:
         disc = Discretization(surface, bundle, n)
         vals, vecs = spectral.rescaled_spectrum(disc, 4, seed=0)
-        groups = spectral.eigenvalue_groups(vals, rel_tol=1e-6)
+        groups = spectral.eigenvalue_groups(vals)
         group = groups[1]
         assert len(group) == 2  # the doubled eigenvalue pi^2
         errors.append(interp.subspace_error(disc, vecs[:, group], funcs))

@@ -1,5 +1,6 @@
 """Command-line interface: outputs, determinism, exit codes."""
 
+import argparse
 import csv
 import io
 import json
@@ -7,12 +8,13 @@ import os
 import subprocess
 import sys
 import textwrap
+import warnings
 
 import pytest
 
 import tilelap
 from tilelap import catalog
-from tilelap.cli import main
+from tilelap.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -89,7 +91,7 @@ def test_bad_arguments_exit_1(capsys):
             (["green", "--mode", "halfplane", "--source=0,0,1"], "--source"),
             (["green", "--mode", "halfplane", "--source", "a,1"], "--source"),
             (["eigvec", "--surface", "square", "--ns", "8", "--group", "-1"],
-             "group index"),
+             "--group"),
             (["converge", "--surface", "square", "--ns", "4,4,8"],
              "increase"),
             (["harnack", "--surface", "square", "--ns", "8,4"], "increase"),
@@ -110,12 +112,62 @@ def test_bad_arguments_exit_1(capsys):
             (["interp-check", "--surface", "torus", "--ns", "1",
               "--trials", "1"], "--ns"),
             (["eigvec", "--surface", "square", "--ns", "2", "--group", "3"],
-             "--ns")):
-        assert main(argv) == 1, argv
+             "--ns"),
+            (["spectrum", "--surface", "torus", "--n", "4", "--k", "0"],
+             "--k"),
+            (["spectrum", "--surface", "torus", "--n", "2", "--k", "9"],
+             "--k"),
+            (["converge", "--surface", "torus", "--ns", "4,8", "--k", "0"],
+             "--k"),
+            (["eigvec", "--surface", "square", "--ns", "8", "--k", "-1",
+              "--group", "0"], "--k"),
+            (["converge", "--surface", "square", "--ns", "4,8", "--jobs",
+              "0"], "--jobs"),
+            (["crsf-check", "--tol", "-1"], "--tol"),
+            # eigvec and consistency compare against the Neumann modes of a
+            # rectangle, which describe no other surface
+            (["consistency", "--surface", "lshape", "--ns", "8,16,32"],
+             "consistency"),
+            (["consistency", "--surface", "torus", "--ns", "8,16"],
+             "consistency"),
+            (["eigvec", "--surface", "lshape", "--ns", "8,16,32"], "eigvec"),
+            (["eigvec", "--surface", "pillowcase", "--ns", "8"], "eigvec")):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 1, argv
         captured = capsys.readouterr()
         assert captured.out == ""
         assert message in captured.err
         assert "unpack" not in captured.err
+
+
+def test_every_numeric_flag_is_bounded(capsys):
+    # every count, index and amount rejects -1, and a float also nan, at
+    # parse time, naming the flag; a flag added later cannot skip the rule
+    subparsers, = (a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+    valid = {"surface": "square", "ns": "4", "n": "4"}
+    checked = 0
+    for name, sub in subparsers.choices.items():
+        for action in sub._actions:
+            try:
+                kind = type(action.type("2"))
+            except (TypeError, ValueError, argparse.ArgumentTypeError):
+                continue  # no type, or not a number (--source)
+            if kind not in (int, float):
+                continue  # --ns
+            flag = action.option_strings[0]
+            others = []
+            for other in sub._actions:
+                if other.required and other is not action:
+                    others += ["--" + other.dest, valid[other.dest]]
+            for value in ("-1", "nan") if kind is float else ("-1",):
+                assert main([name, *others, flag, value]) == 1
+                captured = capsys.readouterr()
+                assert captured.out == ""
+                assert "argument %s:" % flag in captured.err, (name, flag)
+                checked += 1
+    assert checked >= 35
 
 
 def test_jobs_only_on_converge(capsys):

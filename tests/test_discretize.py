@@ -131,16 +131,6 @@ def test_lattice_point_count_euler(named_surface):
         assert v - e + f == surf.euler_characteristic()
 
 
-def test_cone_monodromy_trivial_for_flat_bundles():
-    surf = catalog.torus()
-    bundle = FlatUnitaryBundle.twisted_torus(surf, 1.1, -0.4)
-    for n in (1, 2, 4):
-        disc = Discretization(surf, bundle, n)
-        interior = [p for p in disc.corner_points if p.interior]
-        assert interior
-        assert all(p.monodromy_defect <= 1e-12 for p in interior)
-
-
 def test_pillowcase_census_all_n():
     for n in (2, 3, 4, 8):
         disc = make_disc("pillowcase", n)
