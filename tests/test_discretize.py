@@ -131,6 +131,20 @@ def test_lattice_point_count_euler(named_surface):
         assert v - e + f == surf.euler_characteristic()
 
 
+def test_cone_monodromy_trivial_for_flat_bundles():
+    surf = catalog.torus()
+    bundle = FlatUnitaryBundle.twisted_torus(surf, 1.1, -0.4)
+    # the bundle's rule is the one monodromy check of every corner class
+    assert bundle.cone_monodromy_defect() <= 1e-12
+    for n in (1, 2, 4):
+        disc = Discretization(surf, bundle, n)
+        interior = [p for p in disc.corner_points if p.interior]
+        assert interior
+        for p in interior:
+            for u in p.transports:
+                assert np.abs(u.conj().T @ u - np.eye(1)).max() <= 1e-12
+
+
 def test_pillowcase_census_all_n():
     for n in (2, 3, 4, 8):
         disc = make_disc("pillowcase", n)
