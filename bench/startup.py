@@ -1,0 +1,119 @@
+"""Start-up cost of short CLI commands, one subprocess per run.
+
+Each run spawns a fresh interpreter that imports ``tilelap.cli``, runs one
+command through ``cli.main`` and reports its peak RSS (``ru_maxrss``) and
+whether any scipy module was loaded; the parent times the run from spawn
+to exit.  The commands are the `diagnostics` workload's small-mesh ones,
+whose systems fit the dense path, plus its two sparse ones as controls.
+Each command runs REPEAT times per source tree, the trees alternating run
+by run; the file records the median wall seconds and the largest peak RSS.
+
+    python bench/startup.py [--src NAME=DIR ...] [--out BENCH_startup.json]
+
+``--src`` (repeatable) names the source trees to import tilelap from
+(default: ``change=`` this checkout's ``src``), so a parent checkout and
+a change can be measured side by side.
+"""
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import time
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+REPEAT = 5
+
+CASES = {
+    "eigvec-square": ["eigvec", "--surface", "square", "--ns", "8,16,32"],
+    "interp-check-pillowcase": ["interp-check", "--surface", "pillowcase",
+                                "--ns", "4,8,16"],
+    "interp-check-genus2": ["interp-check", "--surface", "genus2",
+                            "--ns", "4,8,16"],
+    "interp-check-lshape": ["interp-check", "--surface", "lshape",
+                            "--ns", "4,8,16"],
+    "consistency-square": ["consistency", "--surface", "square",
+                           "--ns", "16,32"],
+    "green-halfplane": ["green", "--mode", "halfplane", "--radius", "6",
+                        "--source", "0,3"],
+    # controls: their largest systems take the sparse path
+    "harnack-lshape": ["harnack", "--surface", "lshape",
+                       "--ns", "8,16,32,64"],
+    "green-ball": ["green", "--mode", "ball", "--radius", "128"],
+}
+
+# run in the child: the command's exit code, peak RSS and scipy use
+CHILD = """
+import contextlib, io, json, resource, sys
+from tilelap import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(json.loads(sys.argv[1]))
+print(json.dumps({"exit": code,
+                  "peak_rss_mb": resource.getrusage(
+                      resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+                  "scipy": any(m.split(".")[0] == "scipy"
+                               for m in sys.modules)}))
+"""
+
+
+def spawn(src, argv):
+    """One run of ``argv`` with tilelap from ``src``; returns a dict."""
+    env = dict(os.environ, PYTHONPATH=src)
+    start = time.perf_counter()
+    out = subprocess.run([sys.executable, "-c", CHILD, json.dumps(argv)],
+                         env=env, check=True, capture_output=True,
+                         text=True).stdout
+    wall = time.perf_counter() - start
+    return dict(json.loads(out), wall_s=wall)
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--src", action="append", metavar="NAME=DIR",
+                        help="a source tree to measure (repeatable)")
+    parser.add_argument("--out", default=os.path.join(ROOT,
+                                                      "BENCH_startup.json"))
+    args = parser.parse_args(argv)
+    trees = dict(s.split("=", 1) for s in args.src or
+                 ["change=" + os.path.join(ROOT, "src")])
+    import numpy
+    import scipy
+
+    results = {name: {} for name in trees}
+    for case, cmd in CASES.items():
+        runs = {name: [] for name in trees}
+        for _ in range(REPEAT):
+            for name, src in trees.items():
+                runs[name].append(spawn(os.path.abspath(src), cmd))
+        for name, got in runs.items():
+            results[name][case] = {
+                "argv": cmd,
+                "wall_s": statistics.median(r["wall_s"] for r in got),
+                "peak_rss_mb": max(r["peak_rss_mb"] for r in got),
+                "scipy_loaded": any(r["scipy"] for r in got),
+                "exit": max(r["exit"] for r in got),
+            }
+            print("%s %s: %.3f s, %.1f MB, scipy %s"
+                  % (name, case, results[name][case]["wall_s"],
+                     results[name][case]["peak_rss_mb"],
+                     results[name][case]["scipy_loaded"]), file=sys.stderr)
+    record = {
+        "benchmark": "CLI start-up and short commands",
+        "wall_s": "median over %d runs, spawn to exit, trees alternating"
+                  % REPEAT,
+        "peak_rss_mb": "largest ru_maxrss over the runs",
+        "machine": {"cpus": os.cpu_count(), "platform": platform.platform(),
+                    "python": platform.python_version(),
+                    "numpy": numpy.__version__, "scipy": scipy.__version__},
+        "results": results,
+    }
+    with open(args.out, "w") as fh:
+        json.dump(record, fh, indent=2)
+        fh.write("\n")
+
+
+if __name__ == "__main__":
+    main()

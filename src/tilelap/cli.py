@@ -110,15 +110,22 @@ def _source(text):
     return a, b
 
 
-def _check_mesh(bundle, n, k, flag):
-    """Reject an n-mesh with no more than k unknowns, naming the flag at
-    fault: the eigensolver needs k < dim.  Meshes only grow along --ns, so
-    commands check the first one, before any solve."""
-    dim = bundle.surface.n_squares * n * n * bundle.rank
-    if k >= dim:
+def _solver_path(bundle, ns, k, flag):
+    """Whether an eigen command over the meshes ``ns`` solves densely.
+
+    Rejects first a coarsest mesh with no more than k unknowns, naming the
+    flag at fault: the eigensolver needs k < dim, and meshes only grow
+    along --ns.  The path follows from the largest mesh: dense (numpy
+    only) when ``spectral.is_small`` holds for it, else sparse for every
+    mesh, so that no command pays both dense solves and the scipy import.
+    """
+    dims = [bundle.surface.n_squares * n * n * bundle.rank for n in ns]
+    if k >= dims[0]:
         raise SurfaceFormatError("%s: the n = %d mesh has dimension %d, "
                                  "too small for %d eigenpairs"
-                                 % (flag, n, dim, k))
+                                 % (flag, ns[0], dims[0], k))
+    return spectral.is_small(dims[-1],
+                             any(t.imag.any() for t in bundle.transports))
 
 
 def _rectangle(surface, command):
@@ -163,27 +170,33 @@ def cmd_validate(args):
 
 def cmd_spectrum(args):
     surface, bundle = _load(args.surface)
-    _check_mesh(bundle, args.n, args.k, "--k")
+    dense = _solver_path(bundle, [args.n], args.k, "--k")
     disc = Discretization(surface, bundle, args.n)
-    vals, _ = spectral.rescaled_spectrum(disc, args.k, seed=args.seed)
+    vals, _ = spectral.rescaled_spectrum(disc, args.k, seed=args.seed,
+                                         dense=dense)
     rows = [{"i": i, "rescaled": v, "raw": v / args.n ** 2}
             for i, v in enumerate(vals)]
     _emit(rows, ["i", "rescaled", "raw"], args, {"k": args.k})
 
 
 def _converge_one(params):
-    surface, bundle, n, k, seed = params
+    surface, bundle, n, k, seed, dense = params
     disc = Discretization(surface, bundle, n)
-    vals, _ = spectral.rescaled_spectrum(disc, k, seed=seed)
+    vals, _ = spectral.rescaled_spectrum(disc, k, seed=seed, dense=dense)
     return n, vals
 
 
 def _parse_reference(text, k):
+    """Continuum reference of --reference: finite parameters, of which the
+    first two (rectangle sides, torus periods) are > 0."""
     kind, _, params = text.partition(":")
     try:
         params = tuple(float(p) for p in params.split(",")) if params else ()
     except ValueError:
-        raise ValueError("bad reference parameters %r" % text)
+        raise ValueError("--reference: bad parameters %r" % text)
+    if not (np.isfinite(params).all() and all(p > 0 for p in params[:2])):
+        raise ValueError("--reference: parameters must be finite, and "
+                         "sides and periods > 0, got %r" % text)
     return spectral.reference_spectrum(kind, params, k)
 
 
@@ -192,8 +205,8 @@ def cmd_converge(args):
     reference = (_parse_reference(args.reference, args.k)
                  if args.reference else None)
     surface, bundle = _load(args.surface)
-    _check_mesh(bundle, ns[0], args.k, "--k")
-    jobs = [(surface, bundle, n, args.k, args.seed) for n in ns]
+    dense = _solver_path(bundle, ns, args.k, "--k")
+    jobs = [(surface, bundle, n, args.k, args.seed, dense) for n in ns]
     if args.jobs > 1:
         from multiprocessing import Pool
 
@@ -234,7 +247,7 @@ def cmd_eigvec(args):
                                  "eigenvalue groups among the first --k %d "
                                  "modes" % (len(groups), args.k))
     group = groups[args.group]
-    _check_mesh(bundle, args.ns[0], max(group) + 1, "--ns")
+    dense = _solver_path(bundle, args.ns, max(group) + 1, "--ns")
     funcs = [spectral.rectangle_eigenfunction(surface.layout, a, b,
                                               modes[i][1], modes[i][2])
              for i in group]
@@ -243,7 +256,7 @@ def cmd_eigvec(args):
     for n in args.ns:
         disc = Discretization(surface, bundle, n)
         _, vecs = spectral.rescaled_spectrum(disc, max(group) + 1,
-                                             seed=args.seed)
+                                             seed=args.seed, dense=dense)
         err = interp.subspace_error(disc, vecs[:, group], funcs)
         rows.append({"n": n, "group": args.group, "size": len(group),
                      "error": err, "decreasing":
@@ -255,7 +268,7 @@ def cmd_eigvec(args):
 
 def cmd_interp_check(args):
     surface, bundle = _load(args.surface)
-    _check_mesh(bundle, args.ns[0], 2, "--ns")
+    dense = _solver_path(bundle, args.ns, 2, "--ns")
     rng = np.random.default_rng(args.seed)
     rows = []
     worst = 0.0
@@ -279,7 +292,8 @@ def cmd_interp_check(args):
                          "pairing_ratio": None})
         # the L^2 pairing comparison needs smooth data, so it is probed on
         # the first nonzero Laplacian eigenvector rather than random noise
-        _, vecs = spectral.rescaled_spectrum(disc, 2, seed=args.seed)
+        _, vecs = spectral.rescaled_spectrum(disc, 2, seed=args.seed,
+                                             dense=dense)
         rows.append({"n": n, "trial": -1, "graph": None, "field": None,
                      "error": None,
                      "pairing_ratio": interp.pairing_ratio(disc,
@@ -302,7 +316,7 @@ def cmd_consistency(args):
         return lam * func(sq, x, y)
 
     rows = []
-    prev = None
+    prev, floor = None, 0.0
     for n in args.ns:
         disc = Discretization(surface, bundle, n)
         res = interp.consistency_residual(disc, func, lap)
@@ -310,21 +324,23 @@ def cmd_consistency(args):
         if prev:
             for key in ("interior", "edge", "corner"):
                 row[key + "_ratio"] = (res[key] / prev[key]
-                                       if prev[key] else None)
+                                       if prev[key] > floor else None)
         rows.append(row)
-        prev = res
+        # n^2 Delta_n cancels terms of size n^2 sup |f|, sup |f| = 2 /
+        # sqrt(ab); a residual below 1e-12 of that is round-off, no rate
+        prev, floor = res, 1e-12 * n ** 2 * 2 / np.sqrt(a * b)
     _emit(rows, ["n", "interior", "edge", "corner", "interior_ratio",
                  "edge_ratio", "corner_ratio"], args, {})
 
 
 def cmd_harnack(args):
     surface, bundle = _load(args.surface)
-    _check_mesh(bundle, args.ns[0], args.index + 1, "--index")
+    dense = _solver_path(bundle, args.ns, args.index + 1, "--index")
     rows = []
     for n in args.ns:
         disc = Discretization(surface, bundle, n)
         _, vecs = spectral.rescaled_spectrum(disc, args.index + 1,
-                                             seed=args.seed)
+                                             seed=args.seed, dense=dense)
         diag = potential.harnack_diagnostics(disc, vecs[:, args.index])
         rows.append({"n": n, **diag})
     _emit(rows, ["n", "max_edge_gap", "sup_over_sqrt_log", "interior_sup",

@@ -34,18 +34,16 @@ class ConnectionGraph:
     def laplacian(self):
         """Dense connection Laplacian Delta f(v) = deg f(v) - sum w f(v'),
         from the block rule of the mesh Laplacian."""
-        from .operators import laplacian_blocks
+        from .operators import _block_matrix, laplacian_blocks
 
         n = self.n_vertices
         # w carries f(u) to v: it is the rule's U for tail v and head u
         heads = np.array([u for (u, _, _) in self.edges], dtype=int)
         tails = np.array([v for (_, v, _) in self.edges], dtype=int)
         weights = np.array([w for (_, _, w) in self.edges], dtype=complex)
-        rows, cols, blocks = laplacian_blocks(n, tails, heads,
-                                              weights.reshape(-1, 1, 1))
-        mat = np.zeros((n, n), dtype=complex)
-        np.add.at(mat, (rows, cols), blocks[:, 0, 0])
-        return mat
+        return _block_matrix(*laplacian_blocks(n, tails, heads,
+                                               weights.reshape(-1, 1, 1)),
+                             (n, n), dense=True)
 
     def determinant(self):
         return float(np.linalg.det(self.laplacian()).real)

@@ -252,11 +252,11 @@ def consistency_residual(disc, func, lap_func):
     and "corner" (degree <= 2).  ``lap_func`` evaluates the continuum
     (geometric) Laplacian -f_xx - f_yy of ``func``.
     """
-    from .operators import laplacian
+    from .operators import apply_laplacian
 
     f = restrict(disc, func)
     target = restrict(disc, lap_func)
-    resid = disc.n ** 2 * (laplacian(disc) @ f) - target
+    resid = disc.n ** 2 * apply_laplacian(disc, f) - target
     rank = disc.bundle.rank
     resid = np.abs(resid.reshape(disc.n_vertices, rank)).max(axis=1)
     deg = disc.degrees

@@ -13,19 +13,24 @@ Self-loops (which occur for subdivision 1) contribute both orientations.
 import numpy as np
 
 
-def _block_matrix(rows, cols, blocks, shape):
-    """Sparse matrix from block rows, block columns and a (m, r, r) stack
-    of blocks; blocks at the same position add up."""
-    import scipy.sparse as sp
-
+def _block_matrix(rows, cols, blocks, shape, dense=False):
+    """Matrix from block rows, block columns and a (m, r, r) stack of
+    blocks; blocks at the same position add up.  Sparse CSR, or with
+    ``dense`` a numpy array, assembled without scipy."""
     rank = blocks.shape[-1]
     idx = np.arange(rank)
     rr = np.broadcast_to(rows[:, None, None] * rank + idx[:, None],
                          blocks.shape)
     cc = np.broadcast_to(cols[:, None, None] * rank + idx, blocks.shape)
-    mat = sp.coo_matrix((blocks.ravel(), (rr.ravel(), cc.ravel())),
-                        shape=(shape[0] * rank, shape[1] * rank))
-    return mat.tocsr()
+    size = (shape[0] * rank, shape[1] * rank)
+    if dense:
+        mat = np.zeros(size, dtype=blocks.dtype)
+        np.add.at(mat, (rr, cc), blocks)
+        return mat
+    import scipy.sparse as sp
+
+    return sp.coo_matrix((blocks.ravel(), (rr.ravel(), cc.ravel())),
+                         shape=size).tocsr()
 
 
 def laplacian_blocks(n_vertices, tails, heads, transports):
@@ -52,6 +57,14 @@ def laplacian(disc):
                          (disc.n_vertices, disc.n_vertices))
 
 
+def dense_laplacian(disc):
+    """The same Laplacian as a numpy array, for systems that
+    ``spectral.is_small`` sends to the dense solver."""
+    return _block_matrix(*laplacian_blocks(disc.n_vertices, disc.tails,
+                                           disc.heads, disc.transports),
+                         (disc.n_vertices, disc.n_vertices), dense=True)
+
+
 def gradient(disc):
     """Sparse gradient, mapping sections to edge-indexed (tail-frame) data."""
     t, h, u = disc.tails, disc.heads, disc.transports
@@ -72,6 +85,18 @@ def _edge_values(disc, f):
     f = np.asarray(f).reshape(disc.n_vertices, disc.bundle.rank)
     return f[disc.tails] - np.einsum("mij,mj->mi", disc.transports,
                                      f[disc.heads])
+
+
+def apply_laplacian(disc, f):
+    """Laplacian of a section as div grad on the edge arrays, with no
+    matrix: each edge's difference f(t) - U f(h) is added at its tail and,
+    carried back by U*, subtracted at its head."""
+    diff = _edge_values(disc, f)
+    out = np.zeros((disc.n_vertices, disc.bundle.rank), dtype=diff.dtype)
+    np.add.at(out, disc.tails, diff)
+    np.subtract.at(out, disc.heads,
+                   np.einsum("mji,mj->mi", disc.transports.conj(), diff))
+    return out.ravel()
 
 
 def edge_differences(disc, f):

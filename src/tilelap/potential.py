@@ -12,6 +12,8 @@ import math
 
 import numpy as np
 
+from .spectral import is_small
+
 EULER_MASCHERONI = 0.5772156649015329
 
 # lattice steps to the four neighbours of a point (row, column)
@@ -69,23 +71,30 @@ class GreenFunction:
 
 def _solve_green(points, laplacian_row, sources):
     """Solution u on the (N, 2) integer array ``points`` of Delta u = 1 at
-    each of ``sources`` and 0 elsewhere, with u = 0 off ``points``."""
-    import scipy.sparse as sp
-    from scipy.sparse.linalg import spsolve
-
+    each of ``sources`` and 0 elsewhere, with u = 0 off ``points``: by
+    numpy's dense solve when ``spectral.is_small(N)``, else by a sparse LU
+    (scipy)."""
     size = len(points)
+    dense = is_small(size)
+    if not dense:  # before the arrays below: the heap then peaks lower
+        import scipy.sparse as sp
+        from scipy.sparse.linalg import spsolve
     locate = _locator(points)
     deg, nbrs = laplacian_row(points)
     cols = locate(nbrs)
     inside = cols >= 0
     rows = np.broadcast_to(np.arange(size)[:, None], cols.shape)[inside]
     diag = np.arange(size)
-    mat = sp.csc_matrix(
-        (np.concatenate([deg.astype(float), -np.ones(len(rows))]),
-         (np.concatenate([diag, rows]), np.concatenate([diag, cols[inside]]))),
-        shape=(size, size))
+    entries = np.concatenate([deg.astype(float), -np.ones(len(rows))])
+    rows = np.concatenate([diag, rows])
+    cols = np.concatenate([diag, cols[inside]])
     rhs = np.zeros(size)
     rhs[locate(sources)] = 1.0
+    if dense:
+        mat = np.zeros((size, size))
+        np.add.at(mat, (rows, cols), entries)
+        return np.linalg.solve(mat, rhs)
+    mat = sp.csc_matrix((entries, (rows, cols)), shape=(size, size))
     # the matrix is symmetric: minimum degree on A^T + A fills less than
     # the default column ordering
     return spsolve(mat, rhs, permc_spec="MMD_AT_PLUS_A")

@@ -13,9 +13,12 @@ import numpy as np
 
 # shift of the shift-invert factorization, below the (nonnegative) spectrum
 SHIFT = -1e-2
-# dimensions at or below this take the dense path; tests raise it to force
-# that path, which otherwise serves only k >= dim - 1
-DENSE_CUTOFF = 0
+# the largest system a command solves densely, in unknowns, a complex one
+# counting double: dense eigh (numpy.linalg.solve for the Green functions)
+# without importing scipy.  Dense eigh takes 0.19 s at real dimension 1024
+# and 0.12 s at complex 512 on 2 OpenBLAS cores, and grows as dim^3, while
+# importing scipy costs 0.3-0.4 s per process
+DENSE_CUTOFF = 1024
 # the residual gate accepts RESIDUAL_TOL times max |lambda|, a scale no
 # smaller than ZERO_SCALE |A|_1, so that a lone zero mode (returned as
 # round-off) is judged against the matrix scale
@@ -25,29 +28,39 @@ ZERO_SCALE = 1e-6
 GROUP_REL_TOL, GROUP_ABS_TOL = 1e-6, 1e-9
 
 
-def lowest_eigenpairs(mat, k, seed=0, dense_cutoff=DENSE_CUTOFF):
-    """The k smallest eigenpairs of a sparse Hermitian matrix.
+def is_small(dim, is_complex=False):
+    """Whether a system of ``dim`` unknowns is solved densely: at most
+    DENSE_CUTOFF of them, complex ones counting double."""
+    return dim * (2 if is_complex else 1) <= DENSE_CUTOFF
 
-    Factors A - SHIFT I once (sparse LU, MMD ordering on A^T + A) and runs
-    shift-invert Lanczos on that factor from a deterministic seeded start
-    vector, in real arithmetic when A is real.  A dense solve serves
-    k >= dim - 1, which Lanczos cannot, and dimensions up to
-    ``dense_cutoff``.  Returns (values, vectors, residuals) with values
-    ascending and vectors in columns; raises if any residual
+
+def lowest_eigenpairs(mat, k, seed=0):
+    """The k smallest eigenpairs of a Hermitian matrix.
+
+    A dense numpy array goes straight to ``numpy.linalg.eigh``, without
+    importing scipy; callers pass one when :func:`is_small` says so.  A
+    sparse matrix is factored once as A - SHIFT I (sparse LU, MMD ordering
+    on A^T + A), and shift-invert Lanczos runs on that factor from a
+    deterministic seeded start vector, in real arithmetic when A is real;
+    only k >= dim - 1, which Lanczos cannot serve, densifies it.  The
+    dense path returns the true lowest k, while Lanczos can miss a member
+    of a multiple eigenvalue.  Returns (values, vectors, residuals) with
+    values ascending and vectors in columns; raises if any residual
     |A v - lambda v| exceeds RESIDUAL_TOL times the largest |lambda|
     returned, or times ZERO_SCALE |A|_1 if that is larger.
     """
-    import scipy.sparse as sp
-    import scipy.sparse.linalg as spla
-
     dim = mat.shape[0]
     if k >= dim:
         raise ValueError("need k < matrix dimension")
-    if k >= dim - 1 or dim <= dense_cutoff:
-        dense = mat.toarray() if sp.issparse(mat) else np.asarray(mat)
-        vals, vecs = np.linalg.eigh(dense)
-        vals, vecs = vals[:k], vecs[:, :k]
+    if isinstance(mat, np.ndarray) or k >= dim - 1:
+        vals, vecs = np.linalg.eigh(
+            mat if isinstance(mat, np.ndarray) else mat.toarray())
+        # a copy, so that the full dim x dim basis is freed
+        vals, vecs = vals[:k], vecs[:, :k].copy()
     else:
+        import scipy.sparse as sp
+        import scipy.sparse.linalg as spla
+
         mat = sp.csc_matrix(mat)
         lu = spla.splu(mat - SHIFT * sp.identity(dim, format="csc"),
                        permc_spec="MMD_AT_PLUS_A")
@@ -67,11 +80,15 @@ def lowest_eigenpairs(mat, k, seed=0, dense_cutoff=DENSE_CUTOFF):
     return vals, vecs, residuals
 
 
-def rescaled_spectrum(disc, k, seed=0):
-    """First k eigenvalues of n^2 * Delta_n, plus the eigenvectors."""
-    from .operators import laplacian
+def rescaled_spectrum(disc, k, seed=0, dense=False):
+    """First k eigenvalues of n^2 * Delta_n, plus the eigenvectors: from
+    the dense Laplacian when ``dense`` is set, else from the sparse one."""
+    from .operators import dense_laplacian, laplacian
 
-    vals, vecs, _ = lowest_eigenpairs(laplacian(disc), k, seed=seed)
+    # no local name for the matrix: the solver frees it once it has its
+    # own CSC copy
+    vals, vecs, _ = lowest_eigenpairs(
+        dense_laplacian(disc) if dense else laplacian(disc), k, seed=seed)
     return disc.n ** 2 * vals, vecs
 
 

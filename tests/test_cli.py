@@ -10,6 +10,7 @@ import sys
 import textwrap
 import warnings
 
+import numpy as np
 import pytest
 
 import tilelap
@@ -131,7 +132,14 @@ def test_bad_arguments_exit_1(capsys):
             (["consistency", "--surface", "torus", "--ns", "8,16"],
              "consistency"),
             (["eigvec", "--surface", "lshape", "--ns", "8,16,32"], "eigvec"),
-            (["eigvec", "--surface", "pillowcase", "--ns", "8"], "eigvec")):
+            (["eigvec", "--surface", "pillowcase", "--ns", "8"], "eigvec"),
+            # rectangle sides and torus periods are finite and > 0
+            (["converge", "--surface", "square", "--ns", "4,8", "--k", "2",
+              "--reference", "rectangle:0,1"], "--reference"),
+            (["converge", "--surface", "square", "--ns", "4,8", "--k", "2",
+              "--reference", "torus:1,-1,0,0"], "--reference"),
+            (["converge", "--surface", "square", "--ns", "4,8", "--k", "2",
+              "--reference", "rectangle:inf,1"], "--reference")):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main(argv) == 1, argv
@@ -256,6 +264,17 @@ def test_consistency_table(capsys):
     assert code == 0
     header, rows = read_csv(out)
     assert "interior" in header
+    # the n = 1 corner residual (1.5e-31) and the n = 1, 2 interior ones (0)
+    # are round-off: the ratios over them are empty, the others printed
+    code, out = run(capsys, "consistency", "--surface", "square",
+                    "--ns", "1,2,4")
+    assert code == 0
+    header, rows = read_csv(out)
+    ratios = [dict(zip(header, r)) for r in rows]
+    assert float(ratios[0]["corner"]) < 1e-30
+    assert ratios[1]["corner_ratio"] == ""
+    assert ratios[2]["interior_ratio"] == ""
+    assert 0 < float(ratios[2]["corner_ratio"]) < 1
 
 
 def test_harnack_table(capsys):
@@ -334,23 +353,68 @@ def test_invalid_input_exits_1(capsys):
     assert "--n" in capsys.readouterr().err
 
 
-def test_numpy_only_commands_leave_scipy_unloaded():
-    # scipy is imported inside the functions that solve, so importing the
-    # CLI and running commands that solve nothing must not load it
+def _scipy_modules_after(*argvs):
+    """scipy modules loaded after running the commands in a fresh
+    interpreter."""
     script = textwrap.dedent("""
         import contextlib, io, sys
         from tilelap import cli
-        for argv in (["validate", "--surface", "genus2"],
-                     ["crsf-check", "--count", "20"],
-                     ["barrier", "--surface", "lshape", "--n", "8"],
-                     ["flow", "--n", "8"]):
+        for argv in %r:
             with contextlib.redirect_stdout(io.StringIO()):
                 assert cli.main(argv) == 0, argv
-        print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
-    """)
+        print(" ".join(m for m in sys.modules if m.split(".")[0] == "scipy"))
+    """ % (argvs,))
     src = os.path.dirname(os.path.dirname(os.path.abspath(tilelap.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.split()
+
+
+def test_numpy_only_commands_leave_scipy_unloaded():
+    # scipy is imported only where a sparse matrix is built or solved, so
+    # commands that solve nothing, or whose largest system is small enough
+    # for the dense path, must not load it
+    assert _scipy_modules_after(
+        ["validate", "--surface", "genus2"],
+        ["crsf-check", "--count", "20"],
+        ["barrier", "--surface", "lshape", "--n", "8"],
+        ["flow", "--n", "8"],
+        ["spectrum", "--surface", "torus", "--n", "8"],
+        ["eigvec", "--surface", "square", "--ns", "8,16,32"],
+        ["interp-check", "--surface", "genus2", "--ns", "4,8,16"],
+        ["consistency", "--surface", "square", "--ns", "16,32"],
+        ["green", "--mode", "halfplane", "--radius", "6", "--source",
+         "0,3"]) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["harnack", "--surface", "lshape", "--ns", "8,16,32,64"],
+    ["green", "--mode", "ball", "--radius", "128"]], ids=["harnack", "green"])
+def test_large_systems_take_the_sparse_path(argv):
+    # harnack's n = 64 lshape mesh (12,288 unknowns) and the radius-128
+    # ball's wedge (about 6,500) are past spectral.DENSE_CUTOFF
+    assert "scipy.sparse.linalg" in _scipy_modules_after(argv)
+
+
+@pytest.mark.parametrize("argv, dense", [
+    (["harnack", "--surface", "lshape", "--ns", "8,16,32,64"], False),
+    (["eigvec", "--surface", "square", "--ns", "8,16,32"], True),
+    (["converge", "--surface", "square", "--ns", "8,16,48"], False),
+    (["converge", "--surface", "square", "--ns", "8,16,32"], True)])
+def test_one_solver_path_per_command(monkeypatch, capsys, argv, dense):
+    # every mesh of a command goes to the path its largest mesh needs
+    from tilelap import spectral
+
+    solve = spectral.lowest_eigenpairs
+    paths = []
+
+    def recording(mat, *args, **kwargs):
+        paths.append(isinstance(mat, np.ndarray))
+        return solve(mat, *args, **kwargs)
+
+    monkeypatch.setattr(spectral, "lowest_eigenpairs", recording)
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert paths == [dense] * len(argv[-1].split(","))

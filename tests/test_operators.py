@@ -98,6 +98,24 @@ def test_self_loop_assembly():
     assert lap[0, 0] == pytest.approx(4 - 2 * np.cos(a) - 2 * np.cos(b))
 
 
+@pytest.mark.parametrize("rank", [1, 2])
+def test_matrix_free_and_dense_laplacians_match_sparse(named_surface, rank):
+    # seeded random unitary transports (flatness plays no part in the
+    # assembly); n = 1 meshes have self-loops
+    name, surf = named_surface
+    rng = np.random.default_rng(rank)
+    bundle = FlatUnitaryBundle(surf, rank, {
+        seam.index: random_unitary(rng, rank) for seam in surf.seams})
+    for n in (1, 2, 5):
+        disc = Discretization(surf, bundle, n)
+        lap = operators.laplacian(disc)
+        f = _random_section(rng, disc, rank)
+        assert np.abs(operators.apply_laplacian(disc, f)
+                      - lap @ f).max() <= 1e-13
+        assert np.abs(operators.dense_laplacian(disc)
+                      - lap.toarray()).max() <= 1e-14
+
+
 def test_rank2_laplacian_unitary_conjugation():
     # conjugating every transport by a fixed unitary conjugates the blocks
     surf = catalog.torus()

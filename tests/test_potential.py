@@ -38,9 +38,11 @@ def test_green_ball_translation_covariance():
 
 @pytest.mark.parametrize("radius,center", [
     (0, (0, 0)), (1, (0, 0)), (math.sqrt(18.5), (0, 0)), (4.301, (0, 0)),
-    (16, (0, 0)), (4.301, (3, -5)), (16, (3, -5))])
+    (16, (0, 0)), (4.301, (3, -5)), (16, (3, -5)), (40, (0, 0))])
 def test_green_ball_wedge_fold_matches_full_solve(radius, center):
-    # the wedge solve, unfolded, equals a direct solve over the whole ball
+    # the wedge solve, unfolded, equals a direct solve over the whole ball;
+    # at radius 40 the wedge (663 points) is solved densely and the ball
+    # (5,025 points) by sparse LU
     green = potential.green_ball(radius, center=center)
     direct = potential._solve_green(green.points, potential.ball_laplacian_row,
                                     [center])

@@ -47,20 +47,58 @@ def _twisted_rank2_torus(n, seed):
 def test_dense_and_sparse_paths_agree():
     discs = [make_disc(name, 6) for name in SURFACE_NAMES]
     for disc in discs + [_twisted_rank2_torus(6, seed=11)]:
-        lap = operators.laplacian(disc)
-        dense_vals, _, _ = spectral.lowest_eigenpairs(lap, 8,
-                                                      dense_cutoff=10000)
-        sparse_vals, _, res = spectral.lowest_eigenpairs(lap, 8)
+        dense_vals, _, _ = spectral.lowest_eigenpairs(
+            operators.dense_laplacian(disc), 8)
+        sparse_vals, _, res = spectral.lowest_eigenpairs(
+            operators.laplacian(disc), 8)
         assert np.allclose(sparse_vals, dense_vals, rtol=0, atol=1e-10)
         assert res.max() <= 1e-8
 
 
-@pytest.mark.parametrize("cutoff", [0, 10000])
-def test_lone_zero_mode_passes_residual_gate(cutoff):
+def _rank2_torus_spectrum(n, seed):
+    # the rank-2 bundle splits along the columns of V into two rank-1
+    # twisted tori, with holonomies (a[j], b[j])
+    rng = np.random.default_rng(seed)
+    a, b = rng.uniform(0, 2 * np.pi, size=(2, 2))
+    return np.sort(np.concatenate([
+        spectral.discrete_torus_spectrum(n, a[j], b[j]) for j in range(2)]))
+
+
+@pytest.mark.parametrize("case, n, small", [
+    ("real", 32, True), ("real", 33, False),
+    ("rank2", 16, True), ("rank2", 17, False)])
+def test_paths_match_closed_forms_at_the_cutoff(case, n, small):
+    # a real square mesh has n^2 unknowns and a complex rank-2 torus mesh
+    # 2 n^2 counting double; n straddles spectral.DENSE_CUTOFF either way
+    if case == "real":
+        disc, is_complex = make_disc("square", n), False
+        oracle = spectral.discrete_rectangle_spectrum(n, n)
+    else:
+        disc, is_complex = _twisted_rank2_torus(n, seed=11), True
+        oracle = _rank2_torus_spectrum(n, seed=11)
+    dim = disc.n_vertices * disc.bundle.rank
+    assert spectral.is_small(dim, is_complex) == small
+    k = 10
+    dense_vals, dense_vecs, _ = spectral.lowest_eigenpairs(
+        operators.dense_laplacian(disc), k)
+    sparse_vals, sparse_vecs, _ = spectral.lowest_eigenpairs(
+        operators.laplacian(disc), k, seed=3)
+    for vals in (dense_vals, sparse_vals):
+        assert np.abs(vals - oracle[:k]).max() <= 1e-10 * oracle[k - 1]
+    # whole clusters only: the last group may continue past index k - 1
+    for group in spectral.eigenvalue_groups(oracle[:k + 1])[:-1]:
+        dense_proj = dense_vecs[:, group] @ dense_vecs[:, group].conj().T
+        sparse_proj = sparse_vecs[:, group] @ sparse_vecs[:, group].conj().T
+        assert np.abs(dense_proj - sparse_proj).max() <= 1e-10
+
+
+@pytest.mark.parametrize("dense", [False, True], ids=["sparse", "dense"])
+def test_lone_zero_mode_passes_residual_gate(dense):
     # the only value returned is round-off around 0; the gate must judge
     # its residual against the matrix scale, not against that round-off
     lap = operators.laplacian(make_disc("square", 8))
-    vals, vecs, res = spectral.lowest_eigenpairs(lap, 1, dense_cutoff=cutoff)
+    vals, vecs, res = spectral.lowest_eigenpairs(
+        lap.toarray() if dense else lap, 1)
     assert abs(vals[0]) < 1e-12
     assert np.allclose(abs(vecs[:, 0]), 1 / 8)
     assert res[0] < 1e-12
@@ -170,10 +208,10 @@ def test_richardson_order_matches_scipy_bounded_minimiser():
 
 
 def test_eigenpairs_deterministic_with_seed():
-    disc = make_disc("lshape", 12)  # 432 vertices; force the sparse path
+    disc = make_disc("lshape", 12)  # a sparse matrix takes the sparse path
     lap = operators.laplacian(disc)
-    v1 = spectral.lowest_eigenpairs(lap, 3, seed=7, dense_cutoff=1)[0]
-    v2 = spectral.lowest_eigenpairs(lap, 3, seed=7, dense_cutoff=1)[0]
+    v1 = spectral.lowest_eigenpairs(lap, 3, seed=7)[0]
+    v2 = spectral.lowest_eigenpairs(lap, 3, seed=7)[0]
     assert np.array_equal(v1, v2)
 
 
