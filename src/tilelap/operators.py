@@ -13,10 +13,20 @@ Self-loops (which occur for subdivision 1) contribute both orientations.
 import numpy as np
 
 
+class DenseMatrix(np.ndarray):
+    """A numpy array that also reports ``nnz``, its number of nonzero
+    entries, as a sparse matrix does: dense and sparse Laplacians answer
+    the same size query."""
+
+    @property
+    def nnz(self):
+        return int(np.count_nonzero(self))
+
+
 def _block_matrix(rows, cols, blocks, shape, dense=False):
     """Matrix from block rows, block columns and a (m, r, r) stack of
     blocks; blocks at the same position add up.  Sparse CSR, or with
-    ``dense`` a numpy array, assembled without scipy."""
+    ``dense`` a `DenseMatrix`, assembled without scipy."""
     rank = blocks.shape[-1]
     idx = np.arange(rank)
     rr = np.broadcast_to(rows[:, None, None] * rank + idx[:, None],
@@ -26,7 +36,7 @@ def _block_matrix(rows, cols, blocks, shape, dense=False):
     if dense:
         mat = np.zeros(size, dtype=blocks.dtype)
         np.add.at(mat, (rr, cc), blocks)
-        return mat
+        return mat.view(DenseMatrix)
     import scipy.sparse as sp
 
     return sp.coo_matrix((blocks.ravel(), (rr.ravel(), cc.ravel())),
@@ -49,20 +59,14 @@ def laplacian_blocks(n_vertices, tails, heads, transports):
             np.concatenate([diag, -transports, -adjoints]))
 
 
-def laplacian(disc):
-    """Sparse Hermitian bundle Laplacian, (n_vertices * rank) square, real
-    when the bundle's transports are."""
+def laplacian(disc, dense=False):
+    """Hermitian bundle Laplacian, (n_vertices * rank) square, real when
+    the bundle's transports are: sparse CSR, or with ``dense`` (systems
+    that ``spectral.is_small`` sends to the dense solver) a `DenseMatrix`
+    built without scipy."""
     return _block_matrix(*laplacian_blocks(disc.n_vertices, disc.tails,
                                            disc.heads, disc.transports),
-                         (disc.n_vertices, disc.n_vertices))
-
-
-def dense_laplacian(disc):
-    """The same Laplacian as a numpy array, for systems that
-    ``spectral.is_small`` sends to the dense solver."""
-    return _block_matrix(*laplacian_blocks(disc.n_vertices, disc.tails,
-                                           disc.heads, disc.transports),
-                         (disc.n_vertices, disc.n_vertices), dense=True)
+                         (disc.n_vertices, disc.n_vertices), dense=dense)
 
 
 def gradient(disc):

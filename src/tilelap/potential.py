@@ -12,6 +12,7 @@ import math
 
 import numpy as np
 
+from .operators import _block_matrix
 from .spectral import is_small
 
 EULER_MASCHERONI = 0.5772156649015329
@@ -77,7 +78,6 @@ def _solve_green(points, laplacian_row, sources):
     size = len(points)
     dense = is_small(size)
     if not dense:  # before the arrays below: the heap then peaks lower
-        import scipy.sparse as sp
         from scipy.sparse.linalg import spsolve
     locate = _locator(points)
     deg, nbrs = laplacian_row(points)
@@ -85,16 +85,15 @@ def _solve_green(points, laplacian_row, sources):
     inside = cols >= 0
     rows = np.broadcast_to(np.arange(size)[:, None], cols.shape)[inside]
     diag = np.arange(size)
-    entries = np.concatenate([deg.astype(float), -np.ones(len(rows))])
-    rows = np.concatenate([diag, rows])
-    cols = np.concatenate([diag, cols[inside]])
+    mat = _block_matrix(np.concatenate([diag, rows]),
+                        np.concatenate([diag, cols[inside]]),
+                        np.concatenate([deg.astype(float),
+                                        -np.ones(len(rows))])[:, None, None],
+                        (size, size), dense=dense)
     rhs = np.zeros(size)
     rhs[locate(sources)] = 1.0
     if dense:
-        mat = np.zeros((size, size))
-        np.add.at(mat, (rows, cols), entries)
         return np.linalg.solve(mat, rhs)
-    mat = sp.csc_matrix((entries, (rows, cols)), shape=(size, size))
     # the matrix is symmetric: minimum degree on A^T + A fills less than
     # the default column ordering
     return spsolve(mat, rhs, permc_spec="MMD_AT_PLUS_A")

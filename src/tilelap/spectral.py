@@ -7,6 +7,8 @@ deterministically, provides closed-form reference spectra for flat tori
 and rectangles, and fits empirical convergence orders.
 """
 
+import contextlib
+import functools
 import math
 
 import numpy as np
@@ -15,9 +17,9 @@ import numpy as np
 SHIFT = -1e-2
 # the largest system a command solves densely, in unknowns, a complex one
 # counting double: dense eigh (numpy.linalg.solve for the Green functions)
-# without importing scipy.  Dense eigh takes 0.19 s at real dimension 1024
-# and 0.12 s at complex 512 on 2 OpenBLAS cores, and grows as dim^3, while
-# importing scipy costs 0.3-0.4 s per process
+# without importing scipy.  Dense eigh on one OpenBLAS thread takes 0.21 s
+# at real dimension 1024 and 0.19 s at complex 512, and grows as dim^3,
+# while importing scipy costs 0.3-0.4 s per process
 DENSE_CUTOFF = 1024
 # the residual gate accepts RESIDUAL_TOL times max |lambda|, a scale no
 # smaller than ZERO_SCALE |A|_1, so that a lone zero mode (returned as
@@ -34,11 +36,53 @@ def is_small(dim, is_complex=False):
     return dim * (2 if is_complex else 1) <= DENSE_CUTOFF
 
 
+@functools.cache
+def _blas_thread_control():
+    """The (get, set) thread-count functions of the OpenBLAS bundled with
+    numpy, or None when numpy uses another BLAS."""
+    import ctypes
+    import glob
+    import os
+
+    for path in glob.glob(os.path.join(os.path.dirname(np.__file__),
+                                       os.pardir, "numpy.libs",
+                                       "*openblas*")):
+        lib = ctypes.CDLL(path)
+        for name in ("scipy_openblas_%s_num_threads64_",
+                     "scipy_openblas_%s_num_threads",
+                     "openblas_%s_num_threads64_", "openblas_%s_num_threads"):
+            get = getattr(lib, name % "get", None)
+            put = getattr(lib, name % "set", None)
+            if get is not None and put is not None:
+                return get, put
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block on one BLAS thread.  A dense eigh of these sizes makes
+    thousands of short BLAS calls; on two threads, when another BLAS
+    process spins on the same cores, a 0.1 s solve at dimension 768 took
+    7 s, and on one it took 0.6-0.8 s."""
+    control = _blas_thread_control()
+    if control is None:
+        yield
+        return
+    get, put = control
+    threads = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(threads)
+
+
 def lowest_eigenpairs(mat, k, seed=0):
     """The k smallest eigenpairs of a Hermitian matrix.
 
-    A dense numpy array goes straight to ``numpy.linalg.eigh``, without
-    importing scipy; callers pass one when :func:`is_small` says so.  A
+    A dense numpy array goes straight to ``numpy.linalg.eigh`` on one BLAS
+    thread, without importing scipy; callers pass one when
+    :func:`is_small` says so.  A
     sparse matrix is factored once as A - SHIFT I (sparse LU, MMD ordering
     on A^T + A), and shift-invert Lanczos runs on that factor from a
     deterministic seeded start vector, in real arithmetic when A is real;
@@ -53,8 +97,9 @@ def lowest_eigenpairs(mat, k, seed=0):
     if k >= dim:
         raise ValueError("need k < matrix dimension")
     if isinstance(mat, np.ndarray) or k >= dim - 1:
-        vals, vecs = np.linalg.eigh(
-            mat if isinstance(mat, np.ndarray) else mat.toarray())
+        with _one_blas_thread():
+            vals, vecs = np.linalg.eigh(np.asarray(mat) if isinstance(
+                mat, np.ndarray) else mat.toarray())
         # a copy, so that the full dim x dim basis is freed
         vals, vecs = vals[:k], vecs[:, :k].copy()
     else:
@@ -83,12 +128,12 @@ def lowest_eigenpairs(mat, k, seed=0):
 def rescaled_spectrum(disc, k, seed=0, dense=False):
     """First k eigenvalues of n^2 * Delta_n, plus the eigenvectors: from
     the dense Laplacian when ``dense`` is set, else from the sparse one."""
-    from .operators import dense_laplacian, laplacian
+    from .operators import laplacian
 
     # no local name for the matrix: the solver frees it once it has its
     # own CSC copy
-    vals, vecs, _ = lowest_eigenpairs(
-        dense_laplacian(disc) if dense else laplacian(disc), k, seed=seed)
+    vals, vecs, _ = lowest_eigenpairs(laplacian(disc, dense=dense), k,
+                                      seed=seed)
     return disc.n ** 2 * vals, vecs
 
 

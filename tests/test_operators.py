@@ -112,8 +112,9 @@ def test_matrix_free_and_dense_laplacians_match_sparse(named_surface, rank):
         f = _random_section(rng, disc, rank)
         assert np.abs(operators.apply_laplacian(disc, f)
                       - lap @ f).max() <= 1e-13
-        assert np.abs(operators.dense_laplacian(disc)
-                      - lap.toarray()).max() <= 1e-14
+        dense = operators.laplacian(disc, dense=True)
+        assert np.abs(dense - lap.toarray()).max() <= 1e-14
+        assert dense.nnz == lap.count_nonzero()
 
 
 def test_rank2_laplacian_unitary_conjugation():

@@ -48,11 +48,22 @@ def test_dense_and_sparse_paths_agree():
     discs = [make_disc(name, 6) for name in SURFACE_NAMES]
     for disc in discs + [_twisted_rank2_torus(6, seed=11)]:
         dense_vals, _, _ = spectral.lowest_eigenpairs(
-            operators.dense_laplacian(disc), 8)
+            operators.laplacian(disc, dense=True), 8)
         sparse_vals, _, res = spectral.lowest_eigenpairs(
             operators.laplacian(disc), 8)
         assert np.allclose(sparse_vals, dense_vals, rtol=0, atol=1e-10)
         assert res.max() <= 1e-8
+
+
+def test_dense_eigh_runs_on_one_blas_thread():
+    control = spectral._blas_thread_control()
+    if control is None:
+        pytest.skip("numpy does not use its bundled OpenBLAS")
+    get, _ = control
+    before, inside = get(), []
+    with spectral._one_blas_thread():
+        inside.append(get())
+    assert inside == [1] and get() == before
 
 
 def _rank2_torus_spectrum(n, seed):
@@ -80,7 +91,7 @@ def test_paths_match_closed_forms_at_the_cutoff(case, n, small):
     assert spectral.is_small(dim, is_complex) == small
     k = 10
     dense_vals, dense_vecs, _ = spectral.lowest_eigenpairs(
-        operators.dense_laplacian(disc), k)
+        operators.laplacian(disc, dense=True), k)
     sparse_vals, sparse_vecs, _ = spectral.lowest_eigenpairs(
         operators.laplacian(disc), k, seed=3)
     for vals in (dense_vals, sparse_vals):
