@@ -1,0 +1,101 @@
+"""Byte-for-byte comparison of CLI output between two source trees.
+
+Runs every command of the benchmark's workload lists (perfbench's
+`sweep`, `diagnostics` at seed 1 and `twisted` at seeds 1, 2 and 5), plus
+`converge --jobs 2` and a few rejected inputs, once under each tree, each
+in a fresh `python -B` process with the tree first on PYTHONPATH.  The
+exit code, stdout and stderr of the two runs must be equal byte for byte.
+
+    python bench/same_output.py --src PARENT/src --src CHANGE/src
+
+Prints one line per command and a summary; exits 1 when any command
+differs.  The twisted bundles are drawn once per seed into a temporary
+directory shared by both trees, so their file paths match too.
+"""
+
+import argparse
+import os
+import subprocess
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+
+import workloads  # noqa: E402
+
+DIAGNOSTICS_SEED = 1
+TWISTED_SEEDS = (1, 2, 5)
+
+# edge cases of the eigen commands that the workloads do not reach
+EXTRA = {
+    "converge-rectangle2x1-jobs2": [
+        "converge", "--surface", "rectangle2x1", "--ns",
+        workloads.SWEEP_NS, "--reference", "rectangle:2,1", "--jobs", "2"],
+    "eigvec-square-group2": ["eigvec", "--surface", "square",
+                             "--ns", "8,16", "--group", "2"],
+    "spectrum-k-too-large": ["spectrum", "--surface", "square", "--n", "2",
+                             "--k", "4"],
+    "eigvec-ns-too-small": ["eigvec", "--surface", "square", "--ns", "1,2"],
+    "harnack-index-too-large": ["harnack", "--surface", "torus",
+                                "--ns", "1,2", "--index", "1"],
+}
+
+CHILD = ("import sys; from tilelap import cli; "
+         "sys.exit(cli.main(sys.argv[1:]))")
+
+
+def commands(directory):
+    """(name, argv) of every command compared; twisted inputs go to
+    ``directory``."""
+    cmds = [(c["name"], c["argv"]) for c in workloads.sweep_commands()]
+    cmds += [(c["name"] + "-seed%d" % DIAGNOSTICS_SEED, c["argv"])
+             for c in workloads.diagnostics_commands(DIAGNOSTICS_SEED)]
+    for seed in TWISTED_SEEDS:
+        sub = os.path.join(directory, "twisted-seed%d" % seed)
+        os.mkdir(sub)
+        inputs = workloads.twisted_inputs(seed, sub)
+        cmds += [(c["name"] + "-seed%d" % seed, c["argv"])
+                 for c in workloads.twisted_commands(inputs)]
+    return cmds + list(EXTRA.items())
+
+
+def run(src, argv):
+    """(exit code, stdout bytes, stderr bytes) of one command."""
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-B", "-c", CHILD] + argv,
+                          env=env, capture_output=True)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--src", action="append", required=True,
+                        metavar="DIR", help="directory holding the tilelap "
+                        "package; give it twice")
+    args = parser.parse_args(argv)
+    if len(args.src) != 2:
+        parser.error("--src must be given exactly twice")
+    trees = [os.path.abspath(s) for s in args.src]
+    for tree in trees:
+        if not os.path.isfile(os.path.join(tree, "tilelap", "cli.py")):
+            parser.error("%s holds no tilelap package" % tree)
+    differ = []
+    with tempfile.TemporaryDirectory() as directory:
+        cmds = commands(directory)
+        for name, cmd in cmds:
+            a, b = (run(tree, cmd) for tree in trees)
+            parts = [part for part, x, y in zip(("exit", "stdout", "stderr"),
+                                                a, b) if x != y]
+            if parts:
+                differ.append(name)
+            print("%-40s exit %d  %s" % (name, a[0], "differs in " +
+                                          ", ".join(parts) if parts
+                                          else "identical"))
+    print("%d of %d commands byte-identical" % (len(cmds) - len(differ),
+                                                len(cmds)))
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

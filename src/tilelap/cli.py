@@ -10,8 +10,10 @@ Exit codes: 0 success, 1 invalid input, 2 numerical tolerance failure,
 
 import argparse
 import csv
+import functools
 import io
 import json
+import operator
 import sys
 
 import numpy as np
@@ -110,8 +112,16 @@ def _source(text):
     return a, b
 
 
-def _solver_path(bundle, ns, k, flag):
-    """Whether an eigen command over the meshes ``ns`` solves densely.
+def _eigen_solve(surface, bundle, k, seed, dense, n):
+    disc = Discretization(surface, bundle, n)
+    return (disc, *spectral.rescaled_spectrum(disc, k, seed=seed,
+                                              dense=dense))
+
+
+def _eigen_sweep(surface, bundle, ns, k, seed, flag, jobs=1):
+    """(disc, rescaled values, eigenvectors) of the k lowest eigenpairs on
+    each mesh of ``ns``, in order: lazily, or from ``jobs`` worker
+    processes when ``jobs`` > 1.
 
     Rejects first a coarsest mesh with no more than k unknowns, naming the
     flag at fault: the eigensolver needs k < dim, and meshes only grow
@@ -119,13 +129,20 @@ def _solver_path(bundle, ns, k, flag):
     only) when ``spectral.is_small`` holds for it, else sparse for every
     mesh, so that no command pays both dense solves and the scipy import.
     """
-    dims = [bundle.surface.n_squares * n * n * bundle.rank for n in ns]
+    dims = [surface.n_squares * n * n * bundle.rank for n in ns]
     if k >= dims[0]:
         raise SurfaceFormatError("%s: the n = %d mesh has dimension %d, "
                                  "too small for %d eigenpairs"
                                  % (flag, ns[0], dims[0], k))
-    return spectral.is_small(dims[-1],
-                             any(t.imag.any() for t in bundle.transports))
+    dense = spectral.is_small(dims[-1],
+                              any(t.imag.any() for t in bundle.transports))
+    solve = functools.partial(_eigen_solve, surface, bundle, k, seed, dense)
+    if jobs > 1:
+        from multiprocessing import Pool
+
+        with Pool(jobs) as pool:
+            return pool.map(solve, ns)
+    return map(solve, ns)
 
 
 def _rectangle(surface, command):
@@ -170,20 +187,11 @@ def cmd_validate(args):
 
 def cmd_spectrum(args):
     surface, bundle = _load(args.surface)
-    dense = _solver_path(bundle, [args.n], args.k, "--k")
-    disc = Discretization(surface, bundle, args.n)
-    vals, _ = spectral.rescaled_spectrum(disc, args.k, seed=args.seed,
-                                         dense=dense)
+    (_, vals, _), = _eigen_sweep(surface, bundle, [args.n], args.k,
+                                 args.seed, "--k")
     rows = [{"i": i, "rescaled": v, "raw": v / args.n ** 2}
             for i, v in enumerate(vals)]
     _emit(rows, ["i", "rescaled", "raw"], args, {"k": args.k})
-
-
-def _converge_one(params):
-    surface, bundle, n, k, seed, dense = params
-    disc = Discretization(surface, bundle, n)
-    vals, _ = spectral.rescaled_spectrum(disc, k, seed=seed, dense=dense)
-    return n, vals
 
 
 def _parse_reference(text, k):
@@ -205,16 +213,11 @@ def cmd_converge(args):
     reference = (_parse_reference(args.reference, args.k)
                  if args.reference else None)
     surface, bundle = _load(args.surface)
-    dense = _solver_path(bundle, ns, args.k, "--k")
-    jobs = [(surface, bundle, n, args.k, args.seed, dense) for n in ns]
-    if args.jobs > 1:
-        from multiprocessing import Pool
-
-        with Pool(args.jobs) as pool:
-            results = pool.map(_converge_one, jobs)
-    else:
-        results = [_converge_one(j) for j in jobs]
-    computed = dict(results)
+    sweep = _eigen_sweep(surface, bundle, ns, args.k, args.seed, "--k",
+                         args.jobs)
+    # only the values: each mesh and its eigenvectors are freed before the
+    # next mesh is solved
+    computed = dict(zip(ns, map(operator.itemgetter(1), sweep)))
     summary = {}
     if reference is not None:
         rows = spectral.convergence_table(ns, computed, reference)
@@ -247,18 +250,16 @@ def cmd_eigvec(args):
                                  "eigenvalue groups among the first --k %d "
                                  "modes" % (len(groups), args.k))
     group = groups[args.group]
-    dense = _solver_path(bundle, args.ns, max(group) + 1, "--ns")
+    sweep = _eigen_sweep(surface, bundle, args.ns, max(group) + 1,
+                         args.seed, "--ns")
     funcs = [spectral.rectangle_eigenfunction(surface.layout, a, b,
                                               modes[i][1], modes[i][2])
              for i in group]
     rows = []
     prev = None
-    for n in args.ns:
-        disc = Discretization(surface, bundle, n)
-        _, vecs = spectral.rescaled_spectrum(disc, max(group) + 1,
-                                             seed=args.seed, dense=dense)
+    for disc, _, vecs in sweep:
         err = interp.subspace_error(disc, vecs[:, group], funcs)
-        rows.append({"n": n, "group": args.group, "size": len(group),
+        rows.append({"n": disc.n, "group": args.group, "size": len(group),
                      "error": err, "decreasing":
                      None if prev is None else err < prev})
         prev = err
@@ -268,13 +269,13 @@ def cmd_eigvec(args):
 
 def cmd_interp_check(args):
     surface, bundle = _load(args.surface)
-    dense = _solver_path(bundle, args.ns, 2, "--ns")
+    sweep = _eigen_sweep(surface, bundle, args.ns, 2, args.seed, "--ns")
     rng = np.random.default_rng(args.seed)
     rows = []
     worst = 0.0
     scale = 1.0
-    for n in args.ns:
-        disc = Discretization(surface, bundle, n)
+    for disc, _, vecs in sweep:
+        n = disc.n
         size = disc.n_vertices * bundle.rank
         for trial in range(args.trials):
             f = interp.average(disc, rng.standard_normal(size)
@@ -292,8 +293,6 @@ def cmd_interp_check(args):
                          "pairing_ratio": None})
         # the L^2 pairing comparison needs smooth data, so it is probed on
         # the first nonzero Laplacian eigenvector rather than random noise
-        _, vecs = spectral.rescaled_spectrum(disc, 2, seed=args.seed,
-                                             dense=dense)
         rows.append({"n": n, "trial": -1, "graph": None, "field": None,
                      "error": None,
                      "pairing_ratio": interp.pairing_ratio(disc,
@@ -335,14 +334,11 @@ def cmd_consistency(args):
 
 def cmd_harnack(args):
     surface, bundle = _load(args.surface)
-    dense = _solver_path(bundle, args.ns, args.index + 1, "--index")
     rows = []
-    for n in args.ns:
-        disc = Discretization(surface, bundle, n)
-        _, vecs = spectral.rescaled_spectrum(disc, args.index + 1,
-                                             seed=args.seed, dense=dense)
+    for disc, _, vecs in _eigen_sweep(surface, bundle, args.ns,
+                                      args.index + 1, args.seed, "--index"):
         diag = potential.harnack_diagnostics(disc, vecs[:, args.index])
-        rows.append({"n": n, **diag})
+        rows.append({"n": disc.n, **diag})
     _emit(rows, ["n", "max_edge_gap", "sup_over_sqrt_log", "interior_sup",
                  "sup"], args, {})
 

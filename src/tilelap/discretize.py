@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .surface import CORNERS, SIDES, facing
+from .surface import CORNERS, SIDES, VertexCycle, facing
 
 
 @dataclass
@@ -28,30 +28,20 @@ class Edge:
 
 
 @dataclass
-class LatticePoint:
-    """One identified lattice point of the subdivided complex.
+class LatticePoint(VertexCycle):
+    """One corner class of the subdivided complex: a vertex cycle of the
+    surface, with its corners laid on the mesh.
 
-    ``cells`` lists the incident cell vertices in counter-clockwise order
-    (with repetitions for cells wrapping around a low-angle cone; on the
-    boundary from the free clockwise side to the other), ``transports``
-    the parallel transports from each listed cell's frame into the frame of
-    ``cells[0]``.  ``quarters`` counts incident cell corners, so the total
-    angle at the point is quarters * pi / 2.
+    ``members`` lists the distinct (square, a, b) lattice coordinates of
+    the corners, ``cells`` the cell vertex at each corner (repeated for
+    cells wrapping around a low-angle cone) and ``transports`` the parallel
+    transports from each listed cell's frame into the frame of
+    ``cells[0]``.
     """
 
-    members: list  # distinct (square, a, b) lattice coordinates
+    members: list
     cells: list
     transports: list
-    interior: bool
-    quarters: int
-
-    @property
-    def angle(self):
-        return self.quarters * (np.pi / 2)
-
-    @property
-    def singular(self):
-        return self.quarters != (4 if self.interior else 2)
 
     def distinct_cells(self):
         seen = []
@@ -111,7 +101,6 @@ class Discretization:
         """
         n, rank = self.n, self.bundle.rank
         n_squares = self.surface.n_squares
-        self._eye = np.eye(rank, dtype=complex)
         k = np.arange(n)
         # cell of a square next to segment k of each side, N E S W
         side_cells = np.stack([(n - 1) * n + k, k * n + n - 1, k, k * n])
@@ -168,7 +157,7 @@ class Discretization:
 
     # ---- lattice points ------------------------------------------------
 
-    @property
+    @cached_property
     def corner_points(self):
         """Corner table: one :class:`LatticePoint` per class of square
         corners (``surface.vertex_cycles()``), the only lattice points that
@@ -177,55 +166,37 @@ class Discretization:
         Classes are ordered by their first incidence in (square, row,
         column, SW/SE/NE/NW) scan order; an interior class lists its cells
         counter-clockwise from that incidence, a boundary class from one
-        free side to the other.  Transports compose the seam unitaries
-        along the cycle.
+        free side to the other.  The transport of the k-th cell is the
+        inverse monodromy of the cycle's first k steps.
         """
-        return self._corner_table[0]
-
-    @property
-    def corner_slots(self):
-        """Map (square, corner) -> (corner point, position in its cells)."""
-        return self._corner_table[1]
-
-    @cached_property
-    def _corner_table(self):
         n = self.n
         cell_of = {"SW": (0, 0), "SE": (n - 1, 0), "NE": (n - 1, n - 1),
                    "NW": (0, n - 1)}
         point_of = {"SW": (0, 0), "SE": (n, 0), "NE": (n, n), "NW": (0, n)}
-
-        def crossing(idx, role):  # cell across -> current cell frame
-            return self.bundle.seam_unitary(idx, -role)
-
         points = []
         for cycle in self.surface.vertex_cycles():
             ring, links = cycle.corners, cycle.seam_steps
-            m = len(ring)
             keys = [(q, cell_of[c][1], cell_of[c][0], CORNERS.index(c))
                     for q, c in ring]
-            start = keys.index(min(keys))
             if cycle.interior:
+                start = keys.index(min(keys))
                 ring = ring[start:] + ring[:start]
                 links = links[start:] + links[:start]
-                start = 0
-            # transports into the start cell's frame, walked both ways
-            trans = [None] * m
-            trans[start] = self._eye
-            for k in range(start + 1, m):
-                trans[k] = trans[k - 1] @ crossing(*links[k - 1])
-            for k in range(start - 1, -1, -1):
-                idx, role = links[k]
-                trans[k] = trans[k + 1] @ crossing(idx, -role)
-            base_inv = trans[0].conj().T
             points.append((min(keys), LatticePoint(
+                ring, links, cycle.interior,
                 [(q,) + point_of[c] for q, c in ring],
                 [self.vertex_index(q, *cell_of[c]) for q, c in ring],
-                [base_inv @ t for t in trans], cycle.interior, m),
-                ring))
+                [self.bundle.monodromy(links[:k]).conj().T
+                 for k in range(len(ring))])))
         points.sort(key=lambda entry: entry[0])
-        slots = {corner: (point, k) for _, point, ring in points
-                 for k, corner in enumerate(ring)}
-        return [point for _, point, _ in points], slots
+        return [point for _, point in points]
+
+    @cached_property
+    def corner_slots(self):
+        """Map (square, corner) -> (corner point, position in its corners
+        and cells)."""
+        return {corner: (point, k) for point in self.corner_points
+                for k, corner in enumerate(point.corners)}
 
     def singular_points(self):
         """Cone points and boundary corners at this subdivision level.
@@ -235,18 +206,7 @@ class Discretization:
         """
         return [p for p in self.corner_points if p.singular]
 
-    def cone_points(self):
-        return [p for p in self.singular_points() if p.interior]
-
     # ---- metric helpers ------------------------------------------------
-
-    def singular_chart_positions(self):
-        """Chart positions {square: [(x, y), ...]} of all singular points."""
-        out = {}
-        for p in self.singular_points():
-            for (q, a, b) in p.members:
-                out.setdefault(q, []).append((a / self.n, b / self.n))
-        return out
 
     def distance_to_singular(self):
         """Per-vertex chart distance to the nearest singular point.
@@ -258,7 +218,11 @@ class Discretization:
         n = self.n
         out = np.full((self.surface.n_squares, n, n), np.inf)  # [q, j, i]
         centres = (np.arange(n) + 0.5) / n
-        for q, pts in self.singular_chart_positions().items():
+        charts = {}  # square -> chart positions of its singular points
+        for p in self.singular_points():
+            for (q, a, b) in p.members:
+                charts.setdefault(q, []).append((a / n, b / n))
+        for q, pts in charts.items():
             px, py = np.array(pts).T
             out[q] = np.hypot(centres[None, :, None] - px,
                               centres[:, None, None] - py).min(axis=-1)

@@ -50,9 +50,6 @@ class GreenFunction:
         self.source = tuple(source)
         self._locate = _locator(self.points)
 
-    def __contains__(self, p):
-        return bool(self._locate(p) >= 0)
-
     def __call__(self, p):
         """Value at a lattice point (0 outside the domain)."""
         k = int(self._locate(p))
@@ -297,9 +294,9 @@ def graph_distances(disc, sources):
 def convex_barrier(disc, cluster_cells):
     """Squared graph distance to a singular cluster, with its Laplacian.
 
-    Returns (h, lap_h, dist) as lists of Python integers: h(Q) =
-    dist(Q, cluster)^2 and lap_h(Q) = deg(Q) h(Q) - sum of h over
-    neighbours, both computed in exact int64 arithmetic.
+    Returns (h, lap_h, dist) as int64 arrays: h(Q) = dist(Q, cluster)^2
+    and lap_h(Q) = deg(Q) h(Q) - sum of h over neighbours, both computed
+    in exact integer arithmetic.
     """
     dist = graph_distances(disc, cluster_cells)
     if dist.min() < 0:
@@ -308,7 +305,7 @@ def convex_barrier(disc, cluster_cells):
     lap = disc.degrees * h
     np.subtract.at(lap, disc.tails, h[disc.heads])
     np.subtract.at(lap, disc.heads, h[disc.tails])
-    return h.tolist(), lap.tolist(), dist.tolist()
+    return h, lap, dist
 
 
 def barrier_report(disc, point):
@@ -318,7 +315,7 @@ def barrier_report(disc, point):
     Returns a dict with the number of checked vertices and violations.
     """
     cells, _ = point.distinct_cells()
-    _, lap, dist = (np.array(x) for x in convex_barrier(disc, cells))
+    _, lap, dist = convex_barrier(disc, cells)
     checked = (disc.degrees == 4) & (dist <= disc.n - 1)
     bad = np.flatnonzero(checked & (lap > -1))
     worst = None

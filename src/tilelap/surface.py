@@ -205,15 +205,6 @@ class SquareTiledSurface:
             cycles.append(VertexCycle(ring, steps, interior=nxt is not None))
         return cycles
 
-    def cone_points(self):
-        """Interior vertex classes whose angle differs from 2*pi."""
-        return [c for c in self.vertex_cycles() if c.interior and c.singular]
-
-    def boundary_corners(self):
-        """Boundary vertex classes whose angle differs from pi/2 * 2."""
-        return [c for c in self.vertex_cycles()
-                if not c.interior and c.singular]
-
     def euler_characteristic(self):
         """V - E + F of the glued square complex."""
         v = len(self.vertex_cycles())

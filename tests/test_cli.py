@@ -402,7 +402,11 @@ def test_large_systems_take_the_sparse_path(argv):
     (["harnack", "--surface", "lshape", "--ns", "8,16,32,64"], False),
     (["eigvec", "--surface", "square", "--ns", "8,16,32"], True),
     (["converge", "--surface", "square", "--ns", "8,16,48"], False),
-    (["converge", "--surface", "square", "--ns", "8,16,32"], True)])
+    (["converge", "--surface", "square", "--ns", "8,16,32"], True),
+    # 1,024 and 1,089 unknowns: either side of spectral.DENSE_CUTOFF
+    (["spectrum", "--surface", "torus", "--n", "32"], True),
+    (["spectrum", "--surface", "torus", "--n", "33"], False),
+    (["interp-check", "--surface", "genus2", "--ns", "4,8,16"], True)])
 def test_one_solver_path_per_command(monkeypatch, capsys, argv, dense):
     # every mesh of a command goes to the path its largest mesh needs
     from tilelap import spectral

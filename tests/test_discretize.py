@@ -87,8 +87,8 @@ def test_singular_points_match_surface_census(named_surface):
     # the corner table's singular classes are the surface's cone points
     # and boundary corners at every level, n = 1 included
     name, surf = named_surface
-    expected = sorted((c.interior, c.quarters) for c in
-                      surf.cone_points() + surf.boundary_corners())
+    expected = sorted((c.interior, c.quarters)
+                      for c in surf.vertex_cycles() if c.singular)
     for n in (1, 2, 3, 4):
         disc = Discretization(surf, FlatUnitaryBundle.trivial(surf), n)
         found = sorted((p.interior, p.quarters)
@@ -166,7 +166,7 @@ def test_lshape_reflex_cluster():
 
 def test_genus2_cluster():
     disc = make_disc("genus2", 4)
-    cones = disc.cone_points()
+    cones = [p for p in disc.singular_points() if p.interior]
     assert len(cones) == 1
     assert cones[0].quarters == 12
 

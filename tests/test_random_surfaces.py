@@ -5,7 +5,8 @@ import pytest
 
 from tilelap.bundle import FlatUnitaryBundle
 from tilelap.discretize import Discretization
-from tilelap.surface import OPPOSITE, SIDE_ENDS, SIDES, SquareTiledSurface
+from tilelap.surface import (CCW_EXIT, OPPOSITE, SIDE_ENDS, SIDES,
+                             SquareTiledSurface)
 
 from conftest import random_unitary
 
@@ -134,3 +135,30 @@ def test_halo_is_an_involution(block):
                     side_cell(n, *seam.first, kk) for kk in k]
                 assert second[seam.index].tolist() == [
                     side_cell(n, *seam.second, kk) for kk in k2]
+
+
+@pytest.mark.parametrize("block", range(4))
+def test_corner_table_matches_halo(block):
+    # each counter-clockwise step of a corner point crosses the side its
+    # corner leaves by: the halo's cell at that corner is the next cell,
+    # and the halo's transport the relative transport of the two cells;
+    # the bundles need not be flat for either
+    for seed in SEEDS[block::4]:
+        rng = np.random.default_rng(seed)
+        surface = random_surface(rng)
+        rank = int(rng.integers(1, 3))
+        bundle = FlatUnitaryBundle(surface, rank, {
+            seam.index: random_unitary(rng, rank) for seam in surface.seams})
+        for n in (1, 2, 3):
+            disc = Discretization(surface, bundle, n)
+            for point in disc.corner_points:
+                for k in range(point.quarters - 1):
+                    q, corner = point.corners[k]
+                    side = CCW_EXIT[corner]
+                    at = (q, SIDES.index(side),
+                          (n - 1) * SIDE_ENDS[side].index(corner))
+                    assert disc.halo_vertex[at] == point.cells[k + 1], seed
+                    assert np.allclose(
+                        disc.halo_transport[at],
+                        point.transports[k].conj().T
+                        @ point.transports[k + 1], atol=1e-14), seed

@@ -67,15 +67,15 @@ def test_lshape_census():
     assert surf.euler_characteristic() == 1
     reflex = [c for c in cycles if not c.interior and c.quarters == 3]
     assert len(reflex) == 1
-    assert len(surf.cone_points()) == 0
-    assert len(surf.boundary_corners()) >= 1
+    assert not [c for c in cycles if c.interior and c.singular]
+    assert [c for c in cycles if not c.interior and c.singular]
 
 
 def test_pillowcase_census():
     surf = catalog.pillowcase()
     assert surf.is_closed
     assert surf.euler_characteristic() == 2
-    cones = surf.cone_points()
+    cones = [c for c in surf.vertex_cycles() if c.interior and c.singular]
     assert len(cones) == 4
     assert all(c.quarters == 2 for c in cones)
     assert np.allclose([c.angle for c in cones], np.pi)
@@ -85,7 +85,7 @@ def test_genus_two_census():
     surf = catalog.genus_two()
     assert surf.is_closed
     assert surf.euler_characteristic() == -2
-    cones = surf.cone_points()
+    cones = [c for c in surf.vertex_cycles() if c.interior and c.singular]
     assert len(cones) == 1
     assert cones[0].quarters == 12
     assert np.isclose(cones[0].angle, 6 * np.pi)
