@@ -2,6 +2,7 @@
 
 Runs every command of the benchmark's workload lists (perfbench's
 `sweep`, `diagnostics` at seed 1 and `twisted` at seeds 1, 2 and 5), plus
+`interp-check` and `harnack` on each twisted seed's rank-1 and rank-2 tori,
 `converge --jobs 2` and a few rejected inputs, once under each tree, each
 in a fresh `python -B` process with the tree first on PYTHONPATH.  The
 exit code, stdout and stderr of the two runs must be equal byte for byte.
@@ -41,6 +42,10 @@ EXTRA = {
                                 "--ns", "1,2", "--index", "1"],
 }
 
+# non-identity seam transports through the seam halo and linearize
+TWISTED_EXTRA = (["interp-check", "--ns", "4,8,16"],
+                 ["harnack", "--ns", "8,16"])
+
 CHILD = ("import sys; from tilelap import cli; "
          "sys.exit(cli.main(sys.argv[1:]))")
 
@@ -57,6 +62,9 @@ def commands(directory):
         inputs = workloads.twisted_inputs(seed, sub)
         cmds += [(c["name"] + "-seed%d" % seed, c["argv"])
                  for c in workloads.twisted_commands(inputs)]
+        cmds += [("%s-%s-seed%d" % (argv[0], rank, seed),
+                  argv + ["--surface", inputs[rank]])
+                 for rank in ("rank1", "rank2") for argv in TWISTED_EXTRA]
     return cmds + list(EXTRA.items())
 
 

@@ -119,15 +119,15 @@ def _eigen_solve(surface, bundle, k, seed, dense, n):
 
 
 def _eigen_sweep(surface, bundle, ns, k, seed, flag, jobs=1):
-    """(disc, rescaled values, eigenvectors) of the k lowest eigenpairs on
-    each mesh of ``ns``, in order: lazily, or from ``jobs`` worker
-    processes when ``jobs`` > 1.
+    """Yield (disc, rescaled values, eigenvectors) of the k lowest
+    eigenpairs on each mesh of ``ns``, in order, solved on demand or by
+    ``jobs`` worker processes; only results not yet taken are held.
 
-    Rejects first a coarsest mesh with no more than k unknowns, naming the
-    flag at fault: the eigensolver needs k < dim, and meshes only grow
-    along --ns.  The path follows from the largest mesh: dense (numpy
-    only) when ``spectral.is_small`` holds for it, else sparse for every
-    mesh, so that no command pays both dense solves and the scipy import.
+    The first ``next()`` rejects a coarsest mesh with at most k unknowns,
+    naming the flag at fault: the eigensolver needs k < dim, and meshes
+    only grow along --ns.  The path follows from the largest mesh: dense
+    (numpy only) when ``spectral.is_small`` holds for it, else sparse for
+    every mesh, so no command pays both dense solves and the scipy import.
     """
     dims = [surface.n_squares * n * n * bundle.rank for n in ns]
     if k >= dims[0]:
@@ -141,8 +141,9 @@ def _eigen_sweep(surface, bundle, ns, k, seed, flag, jobs=1):
         from multiprocessing import Pool
 
         with Pool(jobs) as pool:
-            return pool.map(solve, ns)
-    return map(solve, ns)
+            yield from pool.imap(solve, ns)
+    else:
+        yield from map(solve, ns)
 
 
 def _rectangle(surface, command):
@@ -215,8 +216,8 @@ def cmd_converge(args):
     surface, bundle = _load(args.surface)
     sweep = _eigen_sweep(surface, bundle, ns, args.k, args.seed, "--k",
                          args.jobs)
-    # only the values: each mesh and its eigenvectors are freed before the
-    # next mesh is solved
+    # only the values: each mesh and its eigenvectors are freed as soon as
+    # they are taken
     computed = dict(zip(ns, map(operator.itemgetter(1), sweep)))
     summary = {}
     if reference is not None:
@@ -348,7 +349,7 @@ def cmd_green(args):
     summary = {}
     if args.mode == "ball":
         green = potential.green_ball(args.radius)
-        resid = green.residual(potential.ball_laplacian_row)
+        resid = green.residual()
         origin = green((0, 0))
         rows.append({"key": "radius", "value": args.radius})
         rows.append({"key": "points", "value": len(green.points)})
@@ -369,7 +370,7 @@ def cmd_green(args):
         summary = {"fitted_constant": c}
     else:  # halfplane
         green = potential.green_halfplane(args.source, args.radius)
-        resid = green.residual(potential.halfplane_laplacian_row)
+        resid = green.residual()
         rows.append({"key": "source", "value": "%d %d" % args.source})
         rows.append({"key": "radius", "value": args.radius})
         rows.append({"key": "points", "value": len(green.points)})

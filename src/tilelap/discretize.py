@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .surface import CORNERS, SIDES, VertexCycle, facing
+from .surface import CORNER_XY, CORNERS, SIDES, VertexCycle, facing
 
 
 @dataclass
@@ -32,14 +32,12 @@ class LatticePoint(VertexCycle):
     """One corner class of the subdivided complex: a vertex cycle of the
     surface, with its corners laid on the mesh.
 
-    ``members`` lists the distinct (square, a, b) lattice coordinates of
-    the corners, ``cells`` the cell vertex at each corner (repeated for
-    cells wrapping around a low-angle cone) and ``transports`` the parallel
-    transports from each listed cell's frame into the frame of
-    ``cells[0]``.
+    ``cells[k]`` is the cell vertex at ``corners[k]`` = (q, c), chart
+    position ``CORNER_XY[c]`` of square q (a cell recurs when it wraps a
+    low-angle cone, or at n = 1), and ``transports[k]`` the parallel
+    transport from its frame into the frame of ``cells[0]``.
     """
 
-    members: list
     cells: list
     transports: list
 
@@ -85,14 +83,15 @@ class Discretization:
     # ---- edges ---------------------------------------------------------
 
     def _build_edges(self):
-        """The seam halo, then the edge arrays ``tails``, ``heads`` and
-        ``transports``.
+        """The side cells and seam halo, then the edge arrays ``tails``,
+        ``heads`` and ``transports``.
 
-        The seam halo describes what each square sees across its sides:
-        ``halo_vertex[q, s, k]`` is the cell across segment k of side
-        ``SIDES[s]`` of square q (-1 on a free side) and
-        ``halo_transport[q, s, k]`` maps that cell's frame into q's frame.
-        Both are read from :meth:`SquareTiledSurface.across`.
+        ``side_vertex[q, s, k]`` is square q's own cell at segment k of side
+        ``SIDES[s]``.  The seam halo describes what each square sees across
+        its sides: ``halo_vertex[q, s, k]`` is the cell across that segment
+        (-1 on a free side) and ``halo_transport[q, s, k]`` maps that cell's
+        frame into q's frame.  Both are read from
+        :meth:`SquareTiledSurface.across`.
 
         Interior edges come first, in (square, row, column, east-then-north)
         order, then the n edges of each seam, read off the halo of its first
@@ -101,9 +100,9 @@ class Discretization:
         """
         n, rank = self.n, self.bundle.rank
         n_squares = self.surface.n_squares
-        k = np.arange(n)
-        # cell of a square next to segment k of each side, N E S W
-        side_cells = np.stack([(n - 1) * n + k, k * n + n - 1, k, k * n])
+        v = np.arange(self.n_vertices).reshape(-1, n, n)  # [square, j, i]
+        self.side_vertex = np.stack([v[:, -1], v[:, :, -1], v[:, 0],
+                                     v[:, :, 0]], axis=1)
         shape = (n_squares, len(SIDES), n)
         self.halo_vertex = np.full(shape, -1)
         halo = np.zeros(shape + (rank, rank), complex)
@@ -113,13 +112,12 @@ class Discretization:
                 if hit is None:
                     continue
                 q2, side2, index, role, flip = hit
-                self.halo_vertex[q, s] = q2 * n * n + facing(
-                    side_cells[SIDES.index(side2)], flip)
+                self.halo_vertex[q, s] = facing(
+                    self.side_vertex[q2, SIDES.index(side2)], flip)
                 halo[q, s] = self.bundle.seam_unitary(index, -role)
         self.halo_transport = halo if halo.imag.any() else halo.real.copy()
 
-        v = np.arange(self.n_vertices).reshape(-1, n, n)  # [square, j, i]
-        jj, ii = np.meshgrid(k, k, indexing="ij")
+        jj, ii = np.indices((n, n))
         keep = np.broadcast_to(np.stack([ii + 1 < n, jj + 1 < n], axis=-1),
                                v.shape + (2,))
         # each seam's first side: square and side index
@@ -127,8 +125,7 @@ class Discretization:
                            (seam.first for seam in self.surface.seams)],
                           dtype=int).reshape(-1, 2).T
         self.tails = np.concatenate([np.stack([v, v], axis=-1)[keep],
-                                     (fq[:, None] * n * n
-                                      + side_cells[fs]).ravel()])
+                                     self.side_vertex[fq, fs].ravel()])
         self.heads = np.concatenate([np.stack([v + 1, v + n], axis=-1)[keep],
                                      self.halo_vertex[fq, fs].ravel()])
         self._n_interior_edges = int(np.count_nonzero(keep))
@@ -170,22 +167,22 @@ class Discretization:
         inverse monodromy of the cycle's first k steps.
         """
         n = self.n
-        cell_of = {"SW": (0, 0), "SE": (n - 1, 0), "NE": (n - 1, n - 1),
-                   "NW": (0, n - 1)}
-        point_of = {"SW": (0, 0), "SE": (n, 0), "NE": (n, n), "NW": (0, n)}
+
+        def cell(q, c):
+            x, y = CORNER_XY[c]
+            return self.vertex_index(q, (n - 1) * x, (n - 1) * y)
+
         points = []
         for cycle in self.surface.vertex_cycles():
             ring, links = cycle.corners, cycle.seam_steps
-            keys = [(q, cell_of[c][1], cell_of[c][0], CORNERS.index(c))
-                    for q, c in ring]
+            # vertex order is (square, row, column) order
+            keys = [(cell(q, c), CORNERS.index(c)) for q, c in ring]
             if cycle.interior:
                 start = keys.index(min(keys))
                 ring = ring[start:] + ring[:start]
                 links = links[start:] + links[:start]
             points.append((min(keys), LatticePoint(
-                ring, links, cycle.interior,
-                [(q,) + point_of[c] for q, c in ring],
-                [self.vertex_index(q, *cell_of[c]) for q, c in ring],
+                ring, links, cycle.interior, [cell(q, c) for q, c in ring],
                 [self.bundle.monodromy(links[:k]).conj().T
                  for k in range(len(ring))])))
         points.sort(key=lambda entry: entry[0])
@@ -220,8 +217,8 @@ class Discretization:
         centres = (np.arange(n) + 0.5) / n
         charts = {}  # square -> chart positions of its singular points
         for p in self.singular_points():
-            for (q, a, b) in p.members:
-                charts.setdefault(q, []).append((a / n, b / n))
+            for q, c in p.corners:
+                charts.setdefault(q, []).append(CORNER_XY[c])
         for q, pts in charts.items():
             px, py = np.array(pts).T
             out[q] = np.hypot(centres[None, :, None] - px,

@@ -16,6 +16,8 @@ evaluated here in closed form.
 
 import numpy as np
 
+from .surface import CORNER_XY
+
 # 6-point degree-4 triangle quadrature (barycentric coordinates, weights
 # summing to 1)
 _QW = np.array([0.223381589678011] * 3 + [0.109951743655322] * 3)
@@ -178,48 +180,33 @@ def linearize(disc, f):
     """Extend a section to a :class:`PiecewiseLinearField`.
 
     The section is averaged first, so that the extension is single-valued
-    (constant) around singular points.  Grid values: cell centres are the
-    cell values; a side midpoint averages the two cells sharing the side
-    (the cell itself on a free side); a regular lattice point averages the
-    two cells on its main diagonal (or the two cells of a free side); a
-    singular point takes its averaged cluster value.  Values across a
-    square's sides come from the seam halo, square corners from the corner
-    table.
+    (constant) around singular points.  Each square gets a ring of ghost
+    cells: across a seam the cell on the other side, carried into the
+    square's frame by the halo; across a free side the cell itself.  Cell
+    centres take the cell values, side midpoints average the two cells
+    sharing the side, lattice points the two cells on their main diagonal;
+    with the ring, this gives the values on the square's sides too.  Square
+    corners come from the corner table.
     """
     n, rank = disc.n, disc.bundle.rank
     g = _as_section(disc, average(disc, f))
-    cells = g.reshape(-1, n, n, rank).swapaxes(1, 2)  # [square, i, j]
-    grid = np.empty((len(cells), 2 * n + 1, 2 * n + 1, rank), dtype=complex)
-    grid[:, 1::2, 1::2] = cells
-    grid[:, 1::2, 2:-1:2] = 0.5 * (cells[:, :, :-1] + cells[:, :, 1:])
-    grid[:, 2:-1:2, 1::2] = 0.5 * (cells[:, :-1] + cells[:, 1:])
-    grid[:, 2:-1:2, 2:-1:2] = 0.5 * (cells[:, 1:, 1:] + cells[:, :-1, :-1])
-
-    # along each side (N, E, S, W): own cells, cells across, in q's frame
-    own = np.stack([cells[:, :, -1], cells[:, -1], cells[:, :, 0],
-                    cells[:, 0]], axis=1)
     across = np.einsum("qskij,qskj->qski", disc.halo_transport,
                        g[disc.halo_vertex])
-    free = (disc.halo_vertex < 0)[..., None]
-    mid = np.where(free, own, 0.5 * (own + across))
-    # the main diagonal through point m of a side joins the cell across at
-    # segment m to the own cell at m - 1 on N and E sides, and the own cell
-    # at m to the cell across at m - 1 on S and W sides
-    point = np.concatenate([0.5 * (across[:, :2, 1:] + own[:, :2, :-1]),
-                            0.5 * (own[:, 2:, 1:] + across[:, 2:, :-1])],
-                           axis=1)
-    point = np.where(free[:, :, 1:], 0.5 * (own[:, :, 1:] + own[:, :, :-1]),
-                     point)
-    for s, edge in enumerate(((slice(None), -1), (-1, slice(None)),
-                              (slice(None), 0), (0, slice(None)))):
-        line = grid[(slice(None),) + edge]
-        line[:, 1::2] = mid[:, s]
-        line[:, 2:-1:2] = point[:, s]
+    ghosts = np.where((disc.halo_vertex < 0)[..., None],
+                      g[disc.side_vertex], across)  # [square, side, k]
+    cells = g.reshape(-1, n, n, rank).swapaxes(1, 2)  # [square, i, j]
+    ring = np.zeros((len(cells), n + 2, n + 2, rank), dtype=complex)
+    ring[:, 1:-1, 1:-1] = cells
+    (ring[:, 1:-1, -1], ring[:, -1, 1:-1], ring[:, 1:-1, 0],
+     ring[:, 0, 1:-1]) = ghosts.swapaxes(0, 1)  # N E S W
+    grid = np.empty((len(cells), 2 * n + 1, 2 * n + 1, rank), dtype=complex)
+    grid[:, 1::2, 1::2] = cells
+    grid[:, ::2, 1::2] = 0.5 * (ring[:, :-1, 1:-1] + ring[:, 1:, 1:-1])
+    grid[:, 1::2, ::2] = 0.5 * (ring[:, 1:-1, :-1] + ring[:, 1:-1, 1:])
+    grid[:, ::2, ::2] = 0.5 * (ring[:, 1:, 1:] + ring[:, :-1, :-1])
 
-    ends = {"SW": (0, 0), "SE": (2 * n, 0), "NE": (2 * n, 2 * n),
-            "NW": (0, 2 * n)}
     for (q, corner), (lattice, k) in disc.corner_slots.items():
-        a, b = ends[corner]
+        a, b = (2 * n * t for t in CORNER_XY[corner])
         if lattice.singular:  # averaged: constant on the cluster
             grid[q, a, b] = g[lattice.cells[k]]
             continue

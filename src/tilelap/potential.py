@@ -42,12 +42,14 @@ def _locator(points):
 
 class GreenFunction:
     """Solution values of a lattice Dirichlet problem on a finite set,
-    given as an (N, 2) integer array of points."""
+    given as an (N, 2) integer array of points, and the Laplacian it
+    solves, as a row function like :func:`ball_laplacian_row`."""
 
-    def __init__(self, points, values, source):
+    def __init__(self, points, values, source, laplacian_row):
         self.points = np.asarray(points, dtype=np.int64).reshape(-1, 2)
         self.values = np.asarray(values)
         self.source = tuple(source)
+        self.laplacian_row = laplacian_row
         self._locate = _locator(self.points)
 
     def __call__(self, p):
@@ -55,11 +57,9 @@ class GreenFunction:
         k = int(self._locate(p))
         return 0.0 if k < 0 else float(self.values[k])
 
-    def residual(self, laplacian_row):
-        """Max |(Delta G)(p) - delta_source(p)| over the domain, where
-        ``laplacian_row(points)`` gives the degrees and (N, 4, 2) lattice
-        neighbours of an (N, 2) array of points."""
-        deg, nbrs = laplacian_row(self.points)
+    def residual(self):
+        """Max |(Delta G)(p) - delta_source(p)| over the domain."""
+        deg, nbrs = self.laplacian_row(self.points)
         k = self._locate(nbrs)
         around = np.where(k >= 0, self.values[k], 0.0)
         val = deg * self.values - around.sum(axis=1)
@@ -129,7 +129,8 @@ def green_ball(radius, center=(0, 0)):
         wedge, lambda p: (np.full(len(p), 4), _fold(p[:, None, :] + STEPS)),
         [(0, 0)])
     return GreenFunction(offsets + center,
-                         values[_locator(wedge)(_fold(offsets))], center)
+                         values[_locator(wedge)(_fold(offsets))], center,
+                         ball_laplacian_row)
 
 
 def fullplane_constant(radius, seed_green=None):
@@ -199,7 +200,8 @@ def green_halfplane(source, radius):
         raise ValueError("source not inside its quasi-ball")
     points = np.array(points)
     return GreenFunction(points, _solve_green(points, halfplane_laplacian_row,
-                                              [source]), source)
+                                              [source]), source,
+                         halfplane_laplacian_row)
 
 
 def reflected_plane_green(source, radius):
@@ -216,7 +218,8 @@ def reflected_plane_green(source, radius):
                                                      upper[:, 1]])])
     sol = _solve_green(points, ball_laplacian_row,
                        [(a0, b0), (-1 - a0, b0)])
-    return GreenFunction(upper, sol[:len(upper)], source)
+    return GreenFunction(upper, sol[:len(upper)], source,
+                         halfplane_laplacian_row)
 
 
 # ---- corner flow -------------------------------------------------------

@@ -21,7 +21,9 @@ import numpy as np
 
 SIDES = ("N", "E", "S", "W")
 OPPOSITE = {"N": "S", "S": "N", "E": "W", "W": "E"}
-CORNERS = ("SW", "SE", "NE", "NW")
+# chart position of each square corner, in the corners' scan order
+CORNER_XY = {"SW": (0, 0), "SE": (1, 0), "NE": (1, 1), "NW": (0, 1)}
+CORNERS = tuple(CORNER_XY)
 
 # corner sitting at parameter 0 / parameter 1 of each side (absolute
 # coordinate: x for N and S, y for E and W)

@@ -139,7 +139,17 @@ def test_bad_arguments_exit_1(capsys):
             (["converge", "--surface", "square", "--ns", "4,8", "--k", "2",
               "--reference", "torus:1,-1,0,0"], "--reference"),
             (["converge", "--surface", "square", "--ns", "4,8", "--k", "2",
-              "--reference", "rectangle:inf,1"], "--reference")):
+              "--reference", "rectangle:inf,1"], "--reference"),
+            (["converge", "--surface", "square", "--ns", "4,8",
+              "--reference", "rectangle:x,1"], "bad parameters"),
+            (["eigvec", "--surface", "square", "--ns", "8", "--group", "5"],
+             "--group must be < 5"),
+            (["barrier", "--surface", "torus", "--n", "4"],
+             "no singular points"),
+            (["converge", "--surface", "square", "--ns", "0,4"],
+             "must be positive"),
+            (["converge", "--surface", "square", "--ns", "4,x"],
+             "bad mesh list")):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main(argv) == 1, argv
@@ -147,6 +157,22 @@ def test_bad_arguments_exit_1(capsys):
         assert captured.out == ""
         assert message in captured.err
         assert "unpack" not in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["interp-check", "--surface", "square", "--ns", "2,4", "--trials", "2"],
+    ["green", "--mode", "ball", "--radius", "8"],
+    ["green", "--mode", "halfplane", "--radius", "4", "--source", "0,2"],
+    ["flow", "--n", "8"],
+    ["crsf-check", "--count", "20"]])
+def test_zero_tolerance_exits_2(capsys, argv):
+    # round-off alone exceeds a zero tolerance; the table is still written
+    code = main(argv + ["--tol", "0"])
+    captured = capsys.readouterr()
+    assert code == 2
+    header, rows = read_csv(captured.out)
+    assert header and rows
+    assert captured.err.startswith("tolerance failure:")
 
 
 def test_every_numeric_flag_is_bounded(capsys):

@@ -6,6 +6,7 @@ import pytest
 from tilelap import catalog
 from tilelap.bundle import FlatUnitaryBundle
 from tilelap.discretize import Discretization
+from tilelap.surface import CORNER_XY
 
 from conftest import make_disc
 
@@ -106,13 +107,13 @@ def test_corner_cells_turn_counter_clockwise():
             layout = disc.surface.layout
             pos = disc.positions()
             for p in disc.corner_points:
-                q, a, b = p.members[0]
-                px, py = np.add(layout[q], (a / n, b / n))
+                q, corner = p.corners[0]
+                px, py = np.add(layout[q], CORNER_XY[corner])
                 centres = [np.add(layout[int(pos[v, 0])], pos[v, 1:])
                            for v in p.cells]
                 angles = [np.arctan2(y - py, x - px) for x, y in centres]
                 turns = np.mod(np.diff(angles), 2 * np.pi)
-                assert np.allclose(turns, np.pi / 2), (name, n, p.members)
+                assert np.allclose(turns, np.pi / 2), (name, n, p.corners)
 
 
 def test_lattice_point_count_euler(named_surface):

@@ -106,6 +106,8 @@ def test_halo_is_an_involution(block):
             disc = Discretization(surface, bundle, n)
             for q in range(surface.n_squares):
                 for s, side in enumerate(SIDES):
+                    assert disc.side_vertex[q, s].tolist() == [
+                        side_cell(n, q, side, k) for k in range(n)]
                     if (q, side) not in partner:
                         assert (disc.halo_vertex[q, s] == -1).all()
                         continue

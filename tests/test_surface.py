@@ -1,5 +1,7 @@
 """Surface combinatorics: gluing validation, vertex cycles, censuses."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -117,6 +119,27 @@ def test_parse_comments_and_errors():
                 "squares: 1\nwhat: ever\n",
                 "squares: 1\nsquares: 2\n"):
         with pytest.raises(SurfaceFormatError):
+            parse_surface(bad)
+    torus = ("squares: 1\nglue: (0,E) (0,W) translation\n"
+             "glue: (0,N) (0,S) translation\nrank: 1\n")
+    for bad, message in (
+            ("squares: 0\n", "need at least one square"),
+            ("squares: 1\nglue: 0,E (0,W) translation\n",
+             "expected (square,side), got '0,E'"),
+            ("squares: 1\nglue: (0,E,1) (0,W) translation\n",
+             "expected (square,side), got '(0,E,1)'"),
+            ("squares: 1\nglue: (x,E) (0,W) translation\n",
+             "bad square index 'x'"),
+            ("squares: 1\nglue: (0,Q) (0,W) translation\n",
+             "bad side label 'Q'"),
+            ("squares: 1\nno colon\n", "line 2: expected 'key: value'"),
+            ("squares: 1\nrank: x\n", "bad rank 'x'"),
+            ("squares: 1\nrank: 0\n", "rank must be >= 1"),
+            (torus + "transport: 0 1 2\n", "needs seam id plus 1 entries"),
+            (torus + "transport: x 1\n", "bad seam id 'x'"),
+            (torus + "transport: 0 x\n", "bad complex entry 'x'"),
+            (torus + "transport: 5 1\n", "transport for unknown seam 5")):
+        with pytest.raises(SurfaceFormatError, match=re.escape(message)):
             parse_surface(bad)
 
 
