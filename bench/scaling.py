@@ -1,17 +1,19 @@
 """Scaling of the ball Green function solve, one subprocess per case.
 
-For each radius, a fresh interpreter imports tilelap and scipy, times
+For each radius, a fresh interpreter imports tilelap, times
 ``potential.green_ball(radius)`` and the full-ball defining-equation
 residual, and reports its own peak RSS (``ru_maxrss``), so every case's
-memory peak is its own.  Each case runs three times; the file records
-the median seconds and the largest peak RSS over the runs.
+memory peak is its own, and whether the solve loaded any scipy module.
+Each case runs three times per source tree, the trees alternating run by
+run; the file records the median seconds and the largest peak RSS over
+the runs.
 
-    python bench/scaling.py [--radii 64,128,256,512] [--src DIR]
+    python bench/scaling.py [--radii 64,128,256,512] [--src NAME=DIR ...]
                             [--out BENCH_scaling.json]
 
-``--src`` selects the source tree to import tilelap from (default: this
-checkout's ``src``), so two checkouts can be measured with the same
-script.
+``--src`` (repeatable) names the source trees to import tilelap from
+(default: ``change=`` this checkout's ``src``), so a parent checkout and
+a change can be measured side by side.
 """
 
 import argparse
@@ -38,7 +40,6 @@ def run_case(radius):
     """Measure one radius in this process; returns a dict."""
     start = time.perf_counter()
     import numpy as np
-    import scipy.sparse.linalg  # noqa: F401  (imported lazily by the solve)
 
     from tilelap import potential
 
@@ -48,7 +49,7 @@ def run_case(radius):
     green = potential.green_ball(radius)
     solve_s = time.perf_counter() - start
     start = time.perf_counter()
-    residual = green.residual(potential.ball_laplacian_row)
+    residual = green.residual()
     residual_s = time.perf_counter() - start
     a, b = green.points.T
     return {"radius": radius, "ball_points": len(green.points),
@@ -56,7 +57,8 @@ def run_case(radius):
             "import_s": import_s, "solve_s": solve_s,
             "residual_s": residual_s,
             "import_rss_mb": import_rss, "peak_rss_mb": _peak_rss_mb(),
-            "residual": residual}
+            "residual": residual,
+            "scipy": any(m.split(".")[0] == "scipy" for m in sys.modules)}
 
 
 def _spawn(src, radius):
@@ -70,7 +72,8 @@ def _spawn(src, radius):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--radii", default="64,128,256,512")
-    parser.add_argument("--src", default=os.path.join(ROOT, "src"))
+    parser.add_argument("--src", action="append", metavar="NAME=DIR",
+                        help="a source tree to measure (repeatable)")
     parser.add_argument("--out", default=os.path.join(ROOT,
                                                       "BENCH_scaling.json"))
     parser.add_argument("--case", type=float, help=argparse.SUPPRESS)
@@ -78,35 +81,45 @@ def main(argv=None):
     if args.case is not None:
         json.dump(run_case(args.case), sys.stdout)
         return
+    trees = dict(s.split("=", 1) for s in args.src or
+                 ["change=" + os.path.join(ROOT, "src")])
     import numpy
     import scipy
 
-    cases = []
+    results = {name: [] for name in trees}
     for radius in (float(r) for r in args.radii.split(",")):
-        runs = [_spawn(os.path.abspath(args.src), radius)
-                for _ in range(REPEAT)]
-        case = dict(runs[0])
-        for key in ("import_s", "solve_s", "residual_s"):
-            case[key] = statistics.median(r[key] for r in runs)
-        for key in ("import_rss_mb", "peak_rss_mb"):
-            case[key] = max(r[key] for r in runs)
-        case["runs"] = len(runs)
-        cases.append(case)
-        print("radius %g: %d points, %d wedge unknowns, solve %.3f s, "
-              "residual %.3f s, peak RSS %.1f MB, residual %.2e"
-              % (radius, case["ball_points"], case["wedge_unknowns"],
-                 case["solve_s"], case["residual_s"], case["peak_rss_mb"],
-                 case["residual"]), file=sys.stderr)
+        runs = {name: [] for name in trees}
+        for _ in range(REPEAT):
+            for name, src in trees.items():
+                runs[name].append(_spawn(os.path.abspath(src), radius))
+        for name, got in runs.items():
+            case = dict(got[0])
+            for key in ("import_s", "solve_s", "residual_s"):
+                case[key] = statistics.median(r[key] for r in got)
+            for key in ("import_rss_mb", "peak_rss_mb"):
+                case[key] = max(r[key] for r in got)
+            case["scipy"] = any(r["scipy"] for r in got)
+            case["runs"] = len(got)
+            results[name].append(case)
+            print("%s radius %g: %d points, %d wedge unknowns, solve %.3f s, "
+                  "residual %.3f s, peak RSS %.1f MB, residual %.2e, "
+                  "scipy %s"
+                  % (name, radius, case["ball_points"],
+                     case["wedge_unknowns"], case["solve_s"],
+                     case["residual_s"], case["peak_rss_mb"],
+                     case["residual"], case["scipy"]), file=sys.stderr)
     record = {
         "benchmark": "green_ball scaling",
-        "seconds": "median over runs, each in a fresh interpreter; "
-                   "solve_s and residual_s exclude import_s (numpy, "
-                   "scipy.sparse.linalg, tilelap)",
+        "seconds": "median over runs, each in a fresh interpreter, trees "
+                   "alternating; solve_s and residual_s exclude import_s "
+                   "(numpy, tilelap), so solve_s includes any scipy import "
+                   "the solve makes",
         "peak_rss_mb": "largest ru_maxrss over runs, imports included",
+        "scipy": "whether any run loaded a scipy module",
         "machine": {"cpus": os.cpu_count(), "platform": platform.platform(),
                     "python": platform.python_version(),
                     "numpy": numpy.__version__, "scipy": scipy.__version__},
-        "cases": cases,
+        "results": results,
     }
     with open(args.out, "w") as fh:
         json.dump(record, fh, indent=2)

@@ -12,8 +12,7 @@ import math
 
 import numpy as np
 
-from .operators import _block_matrix
-from .spectral import is_small
+from .spectral import _lapacke, _one_blas_thread
 
 EULER_MASCHERONI = 0.5772156649015329
 
@@ -67,33 +66,42 @@ class GreenFunction:
         return float(np.abs(val).max())
 
 
-def _solve_green(points, laplacian_row, sources):
+def _solve_green(points, laplacian_row, sources, weights=1):
     """Solution u on the (N, 2) integer array ``points`` of Delta u = 1 at
-    each of ``sources`` and 0 elsewhere, with u = 0 off ``points``: by
-    numpy's dense solve when ``spectral.is_small(N)``, else by a sparse LU
-    (scipy)."""
-    size = len(points)
-    dense = is_small(size)
-    if not dense:  # before the arrays below: the heap then peaks lower
-        from scipy.sparse.linalg import spsolve
+    each of ``sources`` and 0 elsewhere, with u = 0 off ``points``.
+
+    W Delta, with W = diag(``weights``) (by default the identity), must
+    be symmetric.  W Delta u = W delta is one banded positive definite
+    system, the points ordered by rows so that neighbours lie about a row
+    apart, solved by banded Cholesky: ``dpbsv`` of numpy's OpenBLAS on
+    one BLAS thread, or scipy's ``solveh_banded`` where numpy has none.
+    """
+    order = np.lexsort((points[:, 1], points[:, 0]))
+    weights = np.broadcast_to(weights, len(order)).astype(float)[order]
+    points = points[order]
     locate = _locator(points)
     deg, nbrs = laplacian_row(points)
     cols = locate(nbrs)
-    inside = cols >= 0
-    rows = np.broadcast_to(np.arange(size)[:, None], cols.shape)[inside]
-    diag = np.arange(size)
-    mat = _block_matrix(np.concatenate([diag, rows]),
-                        np.concatenate([diag, cols[inside]]),
-                        np.concatenate([deg.astype(float),
-                                        -np.ones(len(rows))])[:, None, None],
-                        (size, size), dense=dense)
-    rhs = np.zeros(size)
-    rhs[locate(sources)] = 1.0
-    if dense:
-        return np.linalg.solve(mat, rhs)
-    # the matrix is symmetric: minimum degree on A^T + A fills less than
-    # the default column ordering
-    return spsolve(mat, rhs, permc_spec="MMD_AT_PLUS_A")
+    rows, slots = np.nonzero((cols >= 0)
+                             & (cols < np.arange(len(points))[:, None]))
+    cols = cols[rows, slots]
+    width = int((rows - cols).max(initial=0))
+    # lower band storage: entry (i, j), i >= j, at band[j, i - j], which
+    # LAPACK reads column-major as its (width + 1, N) array
+    band = np.zeros((len(points), width + 1))
+    band[:, 0] = weights * deg
+    np.add.at(band, (cols, rows - cols), -weights[rows])
+    rhs = weights * np.isin(np.arange(len(points)), locate(sources))
+    pbsv = _lapacke("dpbsv")
+    with _one_blas_thread():
+        if pbsv is None:  # numpy without its OpenBLAS
+            from scipy.linalg import solveh_banded
+
+            rhs = solveh_banded(band.T, rhs, lower=True)
+        elif pbsv(102, b"L", len(points), width, 1, band.ctypes.data,
+                  width + 1, rhs.ctypes.data, len(points)):
+            raise RuntimeError("LAPACK dpbsv failed")
+    return rhs[np.argsort(order)]
 
 
 def ball_laplacian_row(points):
@@ -125,11 +133,12 @@ def green_ball(radius, center=(0, 0)):
     inside = a * a + b * b <= radius * radius
     offsets = np.column_stack([a[inside], b[inside]])
     wedge = offsets[(0 <= offsets[:, 1]) & (offsets[:, 1] <= offsets[:, 0])]
+    images = _locator(wedge)(_fold(offsets))
+    # orbit sizes (1, 4 or 8) make the folded Laplacian symmetric
     values = _solve_green(
         wedge, lambda p: (np.full(len(p), 4), _fold(p[:, None, :] + STEPS)),
-        [(0, 0)])
-    return GreenFunction(offsets + center,
-                         values[_locator(wedge)(_fold(offsets))], center,
+        [(0, 0)], weights=np.bincount(images))
+    return GreenFunction(offsets + center, values[images], center,
                          ball_laplacian_row)
 
 

@@ -15,11 +15,11 @@ import numpy as np
 
 # shift of the shift-invert factorization, below the (nonnegative) spectrum
 SHIFT = -1e-2
-# the largest system a command solves densely, in unknowns, a complex one
-# counting double: dense eigh (numpy.linalg.solve for the Green functions)
-# without importing scipy.  Dense eigh on one OpenBLAS thread takes 0.21 s
-# at real dimension 1024 and 0.19 s at complex 512, and grows as dim^3,
-# while importing scipy costs 0.3-0.4 s per process
+# the largest eigen system a command solves densely, without scipy, in
+# unknowns, a complex one counting double (kept from the full eigh): the
+# k lowest pairs by ?syevr on one OpenBLAS thread take 0.11 s at real
+# dimension 1024 (k = 8; full eigh 0.26 s) and 0.08 s at complex 512
+# (k = 12; eigh 0.21 s), growing as dim^3; importing scipy costs 0.3-0.4 s
 DENSE_CUTOFF = 1024
 # the residual gate accepts RESIDUAL_TOL times max |lambda|, a scale no
 # smaller than ZERO_SCALE |A|_1, so that a lone zero mode (returned as
@@ -37,30 +37,49 @@ def is_small(dim, is_complex=False):
 
 
 @functools.cache
-def _blas_thread_control():
-    """The (get, set) thread-count functions of the OpenBLAS bundled with
-    numpy, or None when numpy uses another BLAS."""
+def _openblas():
+    """numpy's bundled OpenBLAS, opened with ctypes, or None if it has none."""
     import ctypes
     import glob
     import os
 
-    for path in glob.glob(os.path.join(os.path.dirname(np.__file__),
-                                       os.pardir, "numpy.libs",
-                                       "*openblas*")):
-        lib = ctypes.CDLL(path)
-        for name in ("scipy_openblas_%s_num_threads64_",
-                     "scipy_openblas_%s_num_threads",
-                     "openblas_%s_num_threads64_", "openblas_%s_num_threads"):
-            get = getattr(lib, name % "get", None)
-            put = getattr(lib, name % "set", None)
-            if get is not None and put is not None:
-                return get, put
+    paths = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir,
+                                   "numpy.libs", "*openblas*"))
+    return ctypes.CDLL(paths[0]) if paths else None
+
+
+def _blas_thread_control():
+    """The (get, set) thread-count functions of numpy's OpenBLAS, or None."""
+    for name in ("scipy_openblas_%s_num_threads64_",
+                 "scipy_openblas_%s_num_threads",
+                 "openblas_%s_num_threads64_", "openblas_%s_num_threads"):
+        get, put = (getattr(_openblas(), name % op, None)
+                    for op in ("get", "set"))
+        if get is not None and put is not None:
+            return get, put
     return None
+
+
+def _lapacke(name):
+    """The LAPACKE routine ``name`` (dsyevr, zheevr or dpbsv) of numpy's
+    OpenBLAS, 64-bit integer build, or None when numpy does not bundle it.
+    Its first argument is the matrix layout, 102 for column-major."""
+    import ctypes as c
+
+    func = getattr(_openblas(), "scipy_LAPACKE_%s64_" % name, None)
+    if func is not None:  # the C prototypes, arrays as void pointers
+        i, p, d, ch = c.c_int64, c.c_void_p, c.c_double, c.c_char
+        func.restype = i
+        func.argtypes = [c.c_int, ch] + (
+            [i, i, i, p, i, p, i] if name == "dpbsv"
+            else [ch, ch, i, p, i, d, d, i, i, d, p, p, p, i, p])
+    return func
 
 
 @contextlib.contextmanager
 def _one_blas_thread():
-    """Run the block on one BLAS thread.  A dense eigh of these sizes makes
+    """Run the block on one BLAS thread.  A dense eigensolve of these sizes
+    makes
     thousands of short BLAS calls; on two threads, when another BLAS
     process spins on the same cores, a 0.1 s solve at dimension 768 took
     7 s, and on one it took 0.6-0.8 s."""
@@ -80,16 +99,17 @@ def _one_blas_thread():
 def lowest_eigenpairs(mat, k, seed=0):
     """The k smallest eigenpairs of a Hermitian matrix.
 
-    A dense numpy array goes straight to ``numpy.linalg.eigh`` on one BLAS
-    thread, without importing scipy; callers pass one when
-    :func:`is_small` says so.  A
-    sparse matrix is factored once as A - SHIFT I (sparse LU, MMD ordering
-    on A^T + A), and shift-invert Lanczos runs on that factor from a
-    deterministic seeded start vector, in real arithmetic when A is real;
-    only k >= dim - 1, which Lanczos cannot serve, densifies it.  The
-    dense path returns the true lowest k, while Lanczos can miss a member
-    of a multiple eigenvalue.  Returns (values, vectors, residuals) with
-    values ascending and vectors in columns; raises if any residual
+    A dense numpy array (callers pass one when :func:`is_small` says so)
+    goes to LAPACK ?syevr/?heevr of numpy's OpenBLAS on one BLAS thread
+    for the pairs of index 1..k only, with no N x N eigenbasis and no
+    scipy (numpy's full ``eigh`` where numpy has no OpenBLAS).  A sparse
+    matrix is factored once as A - SHIFT I (sparse LU, MMD ordering on
+    A^T + A), and shift-invert Lanczos runs on that factor from a seeded
+    start vector, in real arithmetic when A is real; only k >= dim - 1,
+    which Lanczos cannot serve, densifies it.  The dense path returns the
+    true lowest k, while Lanczos can miss a member of a multiple
+    eigenvalue.  Returns (values, vectors, residuals) with values
+    ascending and vectors in columns; raises if any residual
     |A v - lambda v| exceeds RESIDUAL_TOL times the largest |lambda|
     returned, or times ZERO_SCALE |A|_1 if that is larger.
     """
@@ -97,10 +117,21 @@ def lowest_eigenpairs(mat, k, seed=0):
     if k >= dim:
         raise ValueError("need k < matrix dimension")
     if isinstance(mat, np.ndarray) or k >= dim - 1:
+        # a column-major copy, which LAPACK overwrites
+        dense = np.array(mat if isinstance(mat, np.ndarray) else
+                         mat.toarray(), np.result_type(mat.dtype, float),
+                         order="F")
+        evr = _lapacke("zheevr" if np.iscomplexobj(dense) else "dsyevr")
+        vals, vecs = np.empty(dim), np.empty((dim, k), dense.dtype, order="F")
+        found, support = np.empty(1, np.int64), np.empty(2 * k, np.int64)
         with _one_blas_thread():
-            vals, vecs = np.linalg.eigh(np.asarray(mat) if isinstance(
-                mat, np.ndarray) else mat.toarray())
-        # a copy, so that the full dim x dim basis is freed
+            if evr is None:  # numpy without its OpenBLAS: the whole spectrum
+                vals, vecs = np.linalg.eigh(dense)
+            elif evr(102, b"V", b"I", b"L", dim, dense.ctypes.data, dim, 0,
+                     0, 1, k, 0, found.ctypes.data, vals.ctypes.data,
+                     vecs.ctypes.data, dim, support.ctypes.data):
+                raise RuntimeError("LAPACK ?syevr/?heevr failed")
+        # a copy, so that a full dim x dim basis is freed
         vals, vecs = vals[:k], vecs[:, :k].copy()
     else:
         import scipy.sparse as sp

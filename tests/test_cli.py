@@ -223,6 +223,22 @@ def test_spectrum_values(capsys):
     assert float(rows[1][1]) == pytest.approx(37.49, abs=0.01)
 
 
+def test_dense_spectrum_keeps_whole_multiplets(capsys):
+    # 256 unknowns take the dense path; the 8-fold value 188.935 fills
+    # i = 13-20, and the subset eigensolver must return every member
+    from tilelap import spectral
+
+    code, out = run(capsys, "spectrum", "--surface", "torus",
+                    "--n", "16", "--k", "21", "--seed", "2")
+    assert code == 0
+    _, rows = read_csv(out)
+    vals = np.array([float(row[1]) for row in rows])
+    oracle = 256 * spectral.discrete_torus_spectrum(16)[:21]
+    assert np.allclose(vals, oracle, rtol=1e-10, atol=1e-9)
+    assert np.allclose(vals[13:21], 188.935007387, rtol=1e-11)
+    assert vals[12] < 188 and len(vals) == 21
+
+
 def test_converge_with_reference(capsys):
     code, out = run(capsys, "converge", "--surface", "square",
                     "--ns", "8,16", "--k", "3",
@@ -412,15 +428,18 @@ def test_numpy_only_commands_leave_scipy_unloaded():
         ["interp-check", "--surface", "genus2", "--ns", "4,8,16"],
         ["consistency", "--surface", "square", "--ns", "16,32"],
         ["green", "--mode", "halfplane", "--radius", "6", "--source",
-         "0,3"]) == []
+         "0,3"],
+        # Green functions of any size are solved by a banded Cholesky
+        ["green", "--mode", "ball", "--radius", "128"],
+        ["green", "--mode", "constant", "--radius", "64"]) == []
 
 
 @pytest.mark.parametrize("argv", [
-    ["harnack", "--surface", "lshape", "--ns", "8,16,32,64"],
-    ["green", "--mode", "ball", "--radius", "128"]], ids=["harnack", "green"])
+    ["harnack", "--surface", "lshape", "--ns", "8,16,32,64"]],
+    ids=["harnack"])
 def test_large_systems_take_the_sparse_path(argv):
-    # harnack's n = 64 lshape mesh (12,288 unknowns) and the radius-128
-    # ball's wedge (about 6,500) are past spectral.DENSE_CUTOFF
+    # harnack's n = 64 lshape mesh (12,288 unknowns) is past
+    # spectral.DENSE_CUTOFF
     assert "scipy.sparse.linalg" in _scipy_modules_after(argv)
 
 

@@ -41,8 +41,7 @@ def test_green_ball_translation_covariance():
     (16, (0, 0)), (4.301, (3, -5)), (16, (3, -5)), (40, (0, 0))])
 def test_green_ball_wedge_fold_matches_full_solve(radius, center):
     # the wedge solve, unfolded, equals a direct solve over the whole ball;
-    # at radius 40 the wedge (663 points) is solved densely and the ball
-    # (5,025 points) by sparse LU
+    # at radius 40 the wedge has 663 points and the ball 5,025
     green = potential.green_ball(radius, center=center)
     direct = potential._solve_green(green.points, potential.ball_laplacian_row,
                                     [center])
@@ -56,6 +55,100 @@ def test_green_ball_wedge_fold_matches_full_solve(radius, center):
         moved = np.column_stack(image) + center
         assert np.array_equal(green.values,
                               green.values[green._locate(moved)])
+
+
+def _spsolve_green(points, sources, halfplane=False):
+    # the oracle: the defining equations assembled point by point from a
+    # dict of the domain, on Z^2 or on N x Z (degree 3 in row 0), solved by
+    # scipy's sparse LU; it shares no code with potential._solve_green
+    import scipy.sparse as sp
+    from scipy.sparse.linalg import spsolve
+
+    index = {p: i for i, p in enumerate(map(tuple, np.asarray(points)
+                                             .tolist()))}
+    rows, cols, vals = [], [], []
+    for (a, b), i in index.items():
+        rows.append(i)
+        cols.append(i)
+        vals.append(3.0 if halfplane and a == 0 else 4.0)
+        for q in ((a + 1, b), (a - 1, b), (a, b + 1), (a, b - 1)):
+            if q in index:
+                rows.append(i)
+                cols.append(index[q])
+                vals.append(-1.0)
+    rhs = np.zeros(len(index))
+    for source in sources:
+        rhs[index[tuple(source)]] = 1.0
+    return spsolve(sp.csc_matrix((vals, (rows, cols)),
+                                 shape=(len(index), len(index))), rhs)
+
+
+@pytest.mark.parametrize("center", [(0, 0), (3, -5)])
+@pytest.mark.parametrize("radius", [1, math.sqrt(18.5), 4.301, 16, 40])
+def test_green_ball_matches_sparse_lu_oracle(radius, center):
+    green = potential.green_ball(radius, center=center)
+    oracle = _spsolve_green(green.points, [center])
+    direct = potential._solve_green(green.points, potential.ball_laplacian_row,
+                                    [center])
+    scale = oracle.max()
+    assert np.abs(green.values - oracle).max() <= 1e-12 * scale
+    assert np.abs(direct - oracle).max() <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("source", [(0, 3), (2, -1), (7, 0)])
+def test_halfplane_greens_match_sparse_lu_oracle(source):
+    gh = potential.green_halfplane(source, 6.5)
+    oracle = _spsolve_green(gh.points, [source], halfplane=True)
+    assert np.abs(gh.values - oracle).max() <= 1e-12 * oracle.max()
+    # the reflected plane problem over the quasi-ball and its mirror image
+    gr = potential.reflected_plane_green(source, 6.5)
+    mirror = np.column_stack([-1 - gr.points[:, 0], gr.points[:, 1]])
+    oracle = _spsolve_green(np.concatenate([gr.points, mirror]),
+                            [source, (-1 - source[0], source[1])])
+    assert np.abs(gr.values - oracle[:len(gr.points)]).max() <= (
+        1e-12 * oracle.max())
+
+
+def test_orbit_weights_make_the_wedge_laplacian_symmetric(monkeypatch):
+    # green_ball weights its wedge by orbit sizes under the dihedral group
+    # of the square: 1 at the origin, 4 on the axis and the diagonal, 8
+    # elsewhere; diag(orbit) A_wedge must equal its transpose exactly
+    calls = []
+    solve = potential._solve_green
+
+    def recording(points, laplacian_row, sources, weights=1):
+        calls.append((points, weights))
+        return solve(points, laplacian_row, sources, weights)
+
+    monkeypatch.setattr(potential, "_solve_green", recording)
+    potential.green_ball(16.5)
+    (wedge, weights), = calls
+    a, b = wedge.T
+    assert np.array_equal(weights, np.where(
+        a == 0, 1, np.where((b == 0) | (a == b), 4, 8)))
+    index = {p: i for i, p in enumerate(map(tuple, wedge.tolist()))}
+    mat = 4 * np.eye(len(wedge))
+    for (x, y), i in index.items():
+        for q in ((x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1)):
+            image = tuple(sorted(map(abs, q), reverse=True))
+            if image in index:
+                mat[i, index[image]] -= 1
+    weighted = weights[:, None] * mat
+    assert not np.array_equal(mat, mat.T)
+    assert np.array_equal(weighted, weighted.T)
+
+
+def test_green_fallback_without_openblas(monkeypatch):
+    # where numpy does not bundle OpenBLAS, scipy's solveh_banded solves
+    # the same band array
+    ball = potential.green_ball(16.5, center=(3, -5))
+    half = potential.green_halfplane((2, -1), 6.5)
+    monkeypatch.setattr(spectral, "_openblas", lambda: None)
+    assert spectral._lapacke("dpbsv") is None
+    for green, again in ((ball, potential.green_ball(16.5, center=(3, -5))),
+                         (half, potential.green_halfplane((2, -1), 6.5))):
+        assert np.abs(green.values - again.values).max() <= (
+            1e-13 * green.values.max())
 
 
 def test_fullplane_log_asymptotics():

@@ -103,6 +103,55 @@ def test_paths_match_closed_forms_at_the_cutoff(case, n, small):
         assert np.abs(dense_proj - sparse_proj).max() <= 1e-10
 
 
+def _assert_lowest_pairs(mat, vals, vecs):
+    # the values, and the projectors onto whole eigenvalue clusters, equal
+    # those of numpy's full eigh within 1e-10
+    k = len(vals)
+    ref_vals, ref_vecs = np.linalg.eigh(np.asarray(mat))
+    assert np.abs(vals - ref_vals[:k]).max() <= 1e-10
+    # whole clusters only: the last group may continue past index k - 1
+    for group in spectral.eigenvalue_groups(ref_vals[:k + 1])[:-1]:
+        proj = vecs[:, group] @ vecs[:, group].conj().T
+        ref_proj = ref_vecs[:, group] @ ref_vecs[:, group].conj().T
+        assert np.abs(proj - ref_proj).max() <= 1e-10
+
+
+@pytest.mark.parametrize("name", SURFACE_NAMES + ["rank2"])
+def test_dense_lowest_k_matches_full_eigh(name):
+    disc = (_twisted_rank2_torus(8, seed=5) if name == "rank2"
+            else make_disc(name, 8))
+    dense = operators.laplacian(disc, dense=True)
+    dim = len(dense)
+    for k in (1, 12, dim - 1):
+        vals, vecs, _ = spectral.lowest_eigenpairs(dense, k)
+        _assert_lowest_pairs(dense, vals, vecs)
+    # a sparse matrix asked for dim - 1 pairs, which Lanczos cannot give,
+    # takes the dense path too
+    vals, vecs, _ = spectral.lowest_eigenpairs(operators.laplacian(disc),
+                                               dim - 1)
+    _assert_lowest_pairs(dense, vals, vecs)
+
+
+def test_dense_fallback_without_openblas(monkeypatch):
+    # where numpy does not bundle OpenBLAS, the dense path takes numpy's
+    # full eigh and keeps the lowest k
+    if spectral._openblas() is None:
+        pytest.skip("numpy does not bundle OpenBLAS")
+    assert all(spectral._lapacke(name) is not None
+               for name in ("dsyevr", "zheevr", "dpbsv"))
+    mats = [operators.laplacian(make_disc("genus2", 8), dense=True),
+            operators.laplacian(_twisted_rank2_torus(8, seed=5), dense=True)]
+    found = [spectral.lowest_eigenpairs(mat, 12)[:2] for mat in mats]
+    monkeypatch.setattr(spectral, "_openblas", lambda: None)
+    assert spectral._lapacke("dsyevr") is None
+    assert spectral._lapacke("zheevr") is None
+    for mat, (vals, vecs) in zip(mats, found):
+        again, again_vecs, _ = spectral.lowest_eigenpairs(mat, 12)
+        assert np.abs(again - vals).max() <= 1e-10
+        _assert_lowest_pairs(mat, vals, vecs)
+        _assert_lowest_pairs(mat, again, again_vecs)
+
+
 @pytest.mark.parametrize("dense", [False, True], ids=["sparse", "dense"])
 def test_lone_zero_mode_passes_residual_gate(dense):
     # the only value returned is round-off around 0; the gate must judge
