@@ -10,11 +10,14 @@ exit code, stdout and stderr of the two runs must be equal byte for byte.
     python bench/same_output.py --src PARENT/src --src CHANGE/src
 
 Prints one line per command and a summary; exits 1 when any command
-differs.  The twisted bundles are drawn once per seed into a temporary
-directory shared by both trees, so their file paths match too.
+differs.  Where stdout differs, it also prints the number of lines that
+differ and the first of them from each tree (- first tree, + second).
+The twisted bundles are drawn once per seed into a temporary directory
+shared by both trees, so their file paths match too.
 """
 
 import argparse
+import itertools
 import os
 import subprocess
 import sys
@@ -100,6 +103,12 @@ def main(argv=None):
             print("%-40s exit %d  %s" % (name, a[0], "differs in " +
                                           ", ".join(parts) if parts
                                           else "identical"))
+            if "stdout" in parts:
+                lines = [(x, y) for x, y in itertools.zip_longest(
+                    *(out.decode().splitlines() for out in (a[1], b[1])),
+                    fillvalue="") if x != y]
+                print("    %d lines differ, first:\n    - %s\n    + %s"
+                      % (len(lines), *lines[0]))
     print("%d of %d commands byte-identical" % (len(cmds) - len(differ),
                                                 len(cmds)))
     return 1 if differ else 0

@@ -251,6 +251,9 @@ def cmd_eigvec(args):
                                  "eigenvalue groups among the first --k %d "
                                  "modes" % (len(groups), args.k))
     group = groups[args.group]
+    while group[-1] == len(modes) - 1:  # the group may go on past --k
+        modes = spectral.rectangle_modes(a, b, len(modes) + 1)
+        group = spectral.eigenvalue_groups([m[0] for m in modes])[args.group]
     sweep = _eigen_sweep(surface, bundle, args.ns, max(group) + 1,
                          args.seed, "--ns")
     funcs = [spectral.rectangle_eigenfunction(surface.layout, a, b,
@@ -461,6 +464,7 @@ def build_parser():
         "jobs": {"type": count, "help": "worker processes for the mesh "
                                         "sweep"},
         "group": {"type": index}, "index": {"type": index},
+        "seed": {"type": index},
         "radius": {"type": amount}, "source": {"type": _source},
         "tol": {"type": amount, "help": "tolerance of the command's check; "
                 "interp-check takes it relative to max(1, largest "
@@ -475,7 +479,6 @@ def build_parser():
         p = sub.add_parser(name, help=help)
         p.set_defaults(func=func)
         p.add_argument("--out", help="output path prefix (.csv/.json)")
-        p.add_argument("--seed", type=index, default=0)
         for flag, default in (dict.fromkeys(required) | defaults).items():
             p.add_argument("--" + flag, required=flag in required,
                            default=default, **flags[flag])
@@ -483,23 +486,23 @@ def build_parser():
     add("validate", cmd_validate, "surface and bundle census", "surface",
         n=2, tol=1e-12)
     add("spectrum", cmd_spectrum, "rescaled Laplacian spectrum", "surface",
-        "n", k=6)
+        "n", k=6, seed=0)
     add("converge", cmd_converge, "eigenvalue convergence table", "surface",
-        "ns", k=6, reference=None, jobs=1)
+        "ns", k=6, reference=None, jobs=1, seed=0)
     add("eigvec", cmd_eigvec, "eigenvector subspace convergence", "surface",
-        "ns", k=8, group=1)
+        "ns", k=8, group=1, seed=0)
     add("interp-check", cmd_interp_check, "exact Dirichlet energy identity",
-        "surface", "ns", trials=20, tol=1e-12)
+        "surface", "ns", trials=20, tol=1e-12, seed=0)
     add("consistency", cmd_consistency,
         "finite-difference consistency residuals", "surface", "ns")
     add("harnack", cmd_harnack, "eigenvector regularity", "surface", "ns",
-        index=1)
+        index=1, seed=0)
     add("green", cmd_green, "lattice Green functions", mode="ball",
         radius=32, source="0,0", tol=1e-10)
     add("flow", cmd_flow, "corner flow divergence and norm", "n", tol=1e-12)
     add("barrier", cmd_barrier, "convex barrier check", "surface", n=16)
     add("crsf-check", cmd_crsf_check, "determinant vs forest-sum identity",
-        count=200, tol=1e-9)
+        count=200, tol=1e-9, seed=0)
     return parser
 
 

@@ -20,14 +20,6 @@ from .surface import CORNER_XY, CORNERS, SIDES, VertexCycle, facing
 
 
 @dataclass
-class Edge:
-    tail: int
-    head: int
-    transport: np.ndarray  # maps head frame -> tail frame
-    crosses_seam: bool
-
-
-@dataclass
 class LatticePoint(VertexCycle):
     """One corner class of the subdivided complex: a vertex cycle of the
     surface, with its corners laid on the mesh.
@@ -128,27 +120,22 @@ class Discretization:
                                      self.side_vertex[fq, fs].ravel()])
         self.heads = np.concatenate([np.stack([v + 1, v + n], axis=-1)[keep],
                                      self.halo_vertex[fq, fs].ravel()])
-        self._n_interior_edges = int(np.count_nonzero(keep))
         self.transports = np.concatenate([
-            np.broadcast_to(np.eye(rank), (self._n_interior_edges, rank,
+            np.broadcast_to(np.eye(rank), (np.count_nonzero(keep), rank,
                                            rank)),
             self.halo_transport[fq, fs].reshape(-1, rank, rank)])
         self.degrees = (np.bincount(self.tails, minlength=self.n_vertices)
                         + np.bincount(self.heads, minlength=self.n_vertices))
 
-    @cached_property
+    @property
     def edges(self):
-        """Edge records, one per entry of the edge arrays."""
-        return [Edge(t, h, u, k >= self._n_interior_edges)
-                for k, (t, h, u) in enumerate(zip(
-                    self.tails.tolist(), self.heads.tolist(),
-                    self.transports))]
+        """(m, 2) array of the edges' (tail, head) vertices."""
+        return np.stack([self.tails, self.heads], axis=1)
 
     def doubled_edge_count(self):
         """Number of vertex pairs joined by more than one edge."""
         loop = self.tails == self.heads
-        pairs = np.sort(np.stack([self.tails, self.heads], axis=1)[~loop],
-                        axis=1)
+        pairs = np.sort(self.edges[~loop], axis=1)
         _, counts = np.unique(pairs, axis=0, return_counts=True)
         return int(np.count_nonzero(counts > 1))
 
@@ -187,13 +174,6 @@ class Discretization:
                  for k in range(len(ring))])))
         points.sort(key=lambda entry: entry[0])
         return [point for _, point in points]
-
-    @cached_property
-    def corner_slots(self):
-        """Map (square, corner) -> (corner point, position in its corners
-        and cells)."""
-        return {corner: (point, k) for point in self.corner_points
-                for k, corner in enumerate(point.corners)}
 
     def singular_points(self):
         """Cone points and boundary corners at this subdivision level.

@@ -123,22 +123,18 @@ class PiecewiseLinearField:
             total += np.einsum("abr,abr,a->", du_y, dv_y.conj(), wy)
         return complex(total)
 
-    def l2_pairing(self, other=None):
-        """Exact integral of self . conj(other) over the surface."""
-        other = self if other is None else other
+    def l2_pairing(self):
+        """Exact integral of self . conj(self) over the surface."""
         m = self.grids[0].shape[0] - 1
         area = 1.0 / (2 * m * m)  # area of one half-step triangle
         total = 0j
-        for gu, gv in zip(self.grids, other.grids):
+        for gu in self.grids:
             for corners in _TRIANGLES:
                 us = [gu[da:da + m, db:db + m] for (da, db) in corners]
-                vs = [gv[da:da + m, db:db + m].conj() for (da, db) in corners]
-                diag = sum(np.einsum("abr,abr->", u, v)
-                           for u, v in zip(us, vs))
+                diag = sum(np.einsum("abr,abr->", u, u.conj()) for u in us)
                 usum = sum(us)
-                vsum = sum(vs)
-                total += (area / 12.0) * (diag
-                                          + np.einsum("abr,abr->", usum, vsum))
+                total += (area / 12.0) * (diag + np.einsum(
+                    "abr,abr->", usum, usum.conj()))
         return complex(total)
 
     def l2_norm(self):
@@ -171,10 +167,6 @@ class PiecewiseLinearField:
                                                        fq.conj())
         return complex(total)
 
-    def scaled(self, factor):
-        return PiecewiseLinearField(self.disc,
-                                    [g * factor for g in self.grids])
-
 
 def linearize(disc, f):
     """Extend a section to a :class:`PiecewiseLinearField`.
@@ -205,21 +197,22 @@ def linearize(disc, f):
     grid[:, 1::2, ::2] = 0.5 * (ring[:, 1:-1, :-1] + ring[:, 1:-1, 1:])
     grid[:, ::2, ::2] = 0.5 * (ring[:, 1:, 1:] + ring[:, :-1, :-1])
 
-    for (q, corner), (lattice, k) in disc.corner_slots.items():
-        a, b = (2 * n * t for t in CORNER_XY[corner])
-        if lattice.singular:  # averaged: constant on the cluster
-            grid[q, a, b] = g[lattice.cells[k]]
-            continue
+    for lattice in disc.corner_points:
         m = lattice.quarters
-        if not lattice.interior:
-            pair = (0, 1)
-        elif corner in ("SW", "NE"):  # the cell itself and its opposite
-            pair = (k, (k + 2) % m)
-        else:
-            pair = ((k - 1) % m, (k + 1) % m)
-        back = lattice.transports[k].conj().T
-        grid[q, a, b] = 0.5 * sum(back @ lattice.transports[p]
-                                  @ g[lattice.cells[p]] for p in pair)
+        for k, (q, corner) in enumerate(lattice.corners):
+            a, b = (2 * n * t for t in CORNER_XY[corner])
+            if lattice.singular:  # averaged: constant on the cluster
+                grid[q, a, b] = g[lattice.cells[k]]
+                continue
+            if not lattice.interior:
+                pair = (0, 1)
+            elif corner in ("SW", "NE"):  # the cell itself and its opposite
+                pair = (k, (k + 2) % m)
+            else:
+                pair = ((k - 1) % m, (k + 1) % m)
+            back = lattice.transports[k].conj().T
+            grid[q, a, b] = 0.5 * sum(back @ lattice.transports[p]
+                                      @ g[lattice.cells[p]] for p in pair)
     return PiecewiseLinearField(disc, list(grid))
 
 
@@ -260,25 +253,19 @@ def subspace_error(disc, eig_vectors, ref_funcs):
     eigenvectors spanning the group; ``ref_funcs`` lists m orthonormal
     continuum eigenfunctions.  Each restricted reference is projected onto
     the discrete span, extended, normalized in L^2, and compared with the
-    references; returns sqrt(tr A + m - 2 ||B||_*) for the Gram matrices
-    A (extensions) and B (extension against reference).
+    references; with unit fields and references the squared distance is
+    2 (m - ||B||_*), B the matrix of fields against references.
     """
     m = len(ref_funcs)
     basis, _ = np.linalg.qr(eig_vectors)
-    fields = []
-    for func in ref_funcs:
+    b_gram = np.empty((m, m), dtype=complex)
+    for i, func in enumerate(ref_funcs):
         r = restrict(disc, func)
-        proj = basis @ (basis.conj().T @ r)
-        field = linearize(disc, proj)
+        field = linearize(disc, basis @ (basis.conj().T @ r))
         norm = field.l2_norm()
         if norm == 0:
             raise ValueError("restricted reference is orthogonal to the "
                              "discrete eigenspace")
-        fields.append(field.scaled(1.0 / norm))
-    a_gram = np.array([[fields[i].l2_pairing(fields[j])
-                        for j in range(m)] for i in range(m)])
-    b_gram = np.array([[fields[i].pair_with(ref_funcs[j])
-                        for j in range(m)] for i in range(m)])
+        b_gram[i] = [field.pair_with(ref) / norm for ref in ref_funcs]
     nuclear = np.linalg.svd(b_gram, compute_uv=False).sum()
-    err2 = a_gram.trace().real + m - 2 * nuclear
-    return float(np.sqrt(max(err2, 0.0)))
+    return float(np.sqrt(max(2 * (m - nuclear), 0.0)))

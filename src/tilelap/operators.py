@@ -108,8 +108,6 @@ def edge_differences(disc, f):
     return np.linalg.norm(_edge_values(disc, f), axis=1)
 
 
-def dirichlet_form(disc, f, g=None):
-    """<grad f, grad g> summed over edges (g defaults to f)."""
-    df = _edge_values(disc, f)
-    dg = df if g is None else _edge_values(disc, g)
-    return complex(np.vdot(dg, df))
+def dirichlet_form(disc, f, g):
+    """<grad f, grad g> summed over edges."""
+    return complex(np.vdot(_edge_values(disc, g), _edge_values(disc, f)))

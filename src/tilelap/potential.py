@@ -142,7 +142,7 @@ def green_ball(radius, center=(0, 0)):
                          ball_laplacian_row)
 
 
-def fullplane_constant(radius, seed_green=None):
+def fullplane_constant(radius):
     """Fit the additive constant of the full-plane expansion.
 
     Differences G(z) - G(0) of the ball Green function cancel the
@@ -160,7 +160,7 @@ def fullplane_constant(radius, seed_green=None):
     if not radius >= 2:
         raise ValueError("radius must be >= 2 for a lattice point z != 0 "
                          "with radius/4 <= |z| <= radius/2, got %r" % radius)
-    green = seed_green if seed_green is not None else green_ball(radius)
+    green = green_ball(radius)
     a, b = green.points.T
     r = np.sqrt(a * a + b * b)
     ring = (radius / 4.0 <= r) & (r <= radius / 2.0)

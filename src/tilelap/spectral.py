@@ -28,6 +28,8 @@ RESIDUAL_TOL = 1e-8
 ZERO_SCALE = 1e-6
 # eigenvalue_groups joins values closer than these
 GROUP_REL_TOL, GROUP_ABS_TOL = 1e-6, 1e-9
+# richardson_extrapolate looks for the convergence order in this interval
+ORDER_BRACKET = (0.5, 8.0)
 
 
 def is_small(dim, is_complex=False):
@@ -275,69 +277,14 @@ def eigenvalue_groups(values):
     return groups
 
 
-def _bounded_minimum(func, lo, hi, xatol):
-    """Minimiser of a scalar function on [lo, hi] by Brent's method
-    (Algorithms for Minimization without Derivatives, 1973, ch. 5):
-    parabolic steps through the three best points where they fall well
-    inside the bracket, golden-section steps otherwise, until both ends of
-    the bracket lie within 2 (sqrt(eps) |x| + xatol / 3) of the best point
-    x.  This is the iteration of scipy's bounded ``minimize_scalar``, step
-    for step."""
-    golden = 0.5 * (3.0 - math.sqrt(5.0))
-    sqrt_eps = math.sqrt(2.2e-16)
-    a, b = lo, hi
-    x = w = v = a + golden * (b - a)
-    fx = fw = fv = func(x)
-    step = last = 0.0
-    while True:
-        mid = 0.5 * (a + b)
-        tol1 = sqrt_eps * abs(x) + xatol / 3.0
-        tol2 = 2.0 * tol1
-        if abs(x - mid) <= tol2 - 0.5 * (b - a):
-            return x
-        parabolic = False
-        if abs(last) > tol1:
-            r = (x - w) * (fx - fv)
-            q = (x - v) * (fx - fw)
-            p = (x - v) * q - (x - w) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            r, last = last, step
-            if abs(p) < abs(0.5 * q * r) and q * (a - x) < p < q * (b - x):
-                parabolic = True
-                step = p / q
-                if x + step - a < tol2 or b - (x + step) < tol2:
-                    step = tol1 if mid >= x else -tol1
-        if not parabolic:
-            last = a - x if x >= mid else b - x
-            step = golden * last
-        u = x + (1.0 if step >= 0 else -1.0) * max(abs(step), tol1)
-        fu = func(u)
-        if fu <= fx:
-            if u >= x:
-                a = x
-            else:
-                b = x
-            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
-        else:
-            if u < x:
-                a = u
-            else:
-                b = u
-            if fu <= fw or w == x:
-                v, fv, w, fw = w, fw, u, fu
-            elif fu <= fv or v == x or v == w:
-                v, fv = u, fu
-
-
-def richardson_extrapolate(ns, values, order_guess=2.0):
+def richardson_extrapolate(ns, values):
     """Fit values(n) ~ limit + c * n^(-p) by least squares.
 
-    Returns (limit, p, residual).  The order p is optimized over
-    [guess / 4, 4 guess] with absolute tolerance 1e-8; limit and c are
-    solved linearly for each trial p.
+    Returns (limit, p, residual).  The order p minimizes the residual over
+    ORDER_BRACKET by golden-section search (Kiefer, Proc. AMS 4, 1953): the
+    bracket keeps the side of the lower of its two interior points, placed
+    at the golden ratio so that one of them is reused, until it is
+    narrower than 1e-8; limit and c are solved linearly for each trial p.
     """
     ns = np.asarray(ns, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -346,11 +293,22 @@ def richardson_extrapolate(ns, values, order_guess=2.0):
 
     def fit(p):
         basis = np.column_stack([np.ones_like(ns), ns ** (-p)])
-        coeffs, res, _, _ = np.linalg.lstsq(basis, values, rcond=None)
-        resid = np.linalg.norm(basis @ coeffs - values)
-        return coeffs, resid
+        coeffs = np.linalg.lstsq(basis, values, rcond=None)[0]
+        return coeffs, np.linalg.norm(basis @ coeffs - values)
 
-    p = float(_bounded_minimum(lambda p: fit(p)[1], order_guess / 4,
-                               order_guess * 4, 1e-8))
+    ratio = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = ORDER_BRACKET
+    c, d = b - ratio * (b - a), a + ratio * (b - a)
+    fc, fd = fit(c)[1], fit(d)[1]
+    while b - a > 1e-8:
+        if fc <= fd:  # the minimum lies in [a, d]
+            b, d, fd = d, c, fc
+            c = b - ratio * (b - a)
+            fc = fit(c)[1]
+        else:  # in [c, b]
+            a, c, fc = c, d, fd
+            d = a + ratio * (b - a)
+            fd = fit(d)[1]
+    p = 0.5 * (a + b)
     coeffs, resid = fit(p)
     return float(coeffs[0]), p, float(resid)

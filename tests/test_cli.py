@@ -97,6 +97,8 @@ def test_bad_arguments_exit_1(capsys):
              "increase"),
             (["harnack", "--surface", "square", "--ns", "8,4"], "increase"),
             (["green", "--radius", "-1"], "--radius"),
+            # green draws no random numbers
+            (["green", "--seed", "1"], "--seed"),
             (["green", "--mode", "constant", "--radius", "-1"], "--radius"),
             (["green", "--mode", "halfplane", "--radius", "-3",
               "--source", "0,3"], "--radius"),
@@ -201,7 +203,7 @@ def test_every_numeric_flag_is_bounded(capsys):
                 assert captured.out == ""
                 assert "argument %s:" % flag in captured.err, (name, flag)
                 checked += 1
-    assert checked >= 35
+    assert checked >= 30
 
 
 def test_jobs_only_on_converge(capsys):
@@ -267,6 +269,18 @@ def test_eigvec_table(capsys):
     col = header.index("error")
     errs = [float(r[col]) for r in rows]
     assert errs == sorted(errs, reverse=True)
+
+
+def test_eigvec_takes_the_group_whole(capsys):
+    # with --k 7 the 5 pi^2 pair (group 4) starts at the last mode; the
+    # command compares the whole pair, as with --k 8
+    (code7, out7), (code8, out8) = (
+        run(capsys, "eigvec", "--surface", "square", "--ns", "8,16", "--k",
+            k, "--group", "4") for k in ("7", "8"))
+    assert code7 == code8 == 0
+    assert out7 == out8
+    header, rows = read_csv(out7)
+    assert {r[header.index("size")] for r in rows} == {"2"}
 
 
 def test_constant_mode_commands(capsys):

@@ -81,8 +81,9 @@ def test_gradient_edge_values():
     f = _random_section(rng, disc)
     grad = operators.gradient(disc) @ f
     diffs = operators.edge_differences(disc, f)
-    for k, e in enumerate(disc.edges):
-        expect = f[e.tail] - e.transport[0, 0] * f[e.head]
+    for k, (t, h, u) in enumerate(zip(disc.tails, disc.heads,
+                                      disc.transports)):
+        expect = f[t] - u[0, 0] * f[h]
         assert grad[k] == pytest.approx(expect)
         assert diffs[k] == pytest.approx(abs(expect))
 
