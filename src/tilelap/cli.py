@@ -112,22 +112,25 @@ def _source(text):
     return a, b
 
 
-def _eigen_solve(surface, bundle, k, seed, dense, n):
+def _eigen_solve(surface, bundle, k, seed, dense, vectors, n):
     disc = Discretization(surface, bundle, n)
-    return (disc, *spectral.rescaled_spectrum(disc, k, seed=seed,
-                                              dense=dense))
+    vals, vecs = spectral.rescaled_spectrum(disc, k, seed=seed, dense=dense)
+    return (disc, vals, vecs) if vectors else (None, vals, None)
 
 
-def _eigen_sweep(surface, bundle, ns, k, seed, flag, jobs=1):
+def _eigen_sweep(surface, bundle, ns, k, seed, flag, jobs=1, vectors=True):
     """Yield (disc, rescaled values, eigenvectors) of the k lowest
     eigenpairs on each mesh of ``ns``, in order, solved on demand or by
     ``jobs`` worker processes; only results not yet taken are held.
+    Without ``vectors`` the mesh and the eigenvectors are dropped where
+    they are solved (None in their place), so workers send back only the
+    values.
 
     The first ``next()`` rejects a coarsest mesh with at most k unknowns,
     naming the flag at fault: the eigensolver needs k < dim, and meshes
     only grow along --ns.  The path follows from the largest mesh: dense
-    (numpy only) when ``spectral.is_small`` holds for it, else sparse for
-    every mesh, so no command pays both dense solves and the scipy import.
+    LAPACK when ``spectral.is_small`` holds for it, else the mesh solver
+    (``spectral.mesh_eigenpairs``) for every mesh.
     """
     dims = [surface.n_squares * n * n * bundle.rank for n in ns]
     if k >= dims[0]:
@@ -136,7 +139,8 @@ def _eigen_sweep(surface, bundle, ns, k, seed, flag, jobs=1):
                                  % (flag, ns[0], dims[0], k))
     dense = spectral.is_small(dims[-1],
                               any(t.imag.any() for t in bundle.transports))
-    solve = functools.partial(_eigen_solve, surface, bundle, k, seed, dense)
+    solve = functools.partial(_eigen_solve, surface, bundle, k, seed, dense,
+                              vectors)
     if jobs > 1:
         from multiprocessing import Pool
 
@@ -215,9 +219,7 @@ def cmd_converge(args):
                  if args.reference else None)
     surface, bundle = _load(args.surface)
     sweep = _eigen_sweep(surface, bundle, ns, args.k, args.seed, "--k",
-                         args.jobs)
-    # only the values: each mesh and its eigenvectors are freed as soon as
-    # they are taken
+                         args.jobs, vectors=False)
     computed = dict(zip(ns, map(operator.itemgetter(1), sweep)))
     summary = {}
     if reference is not None:

@@ -43,7 +43,7 @@ class ConnectionGraph:
         weights = np.array([w for (_, _, w) in self.edges], dtype=complex)
         return _block_matrix(*laplacian_blocks(n, tails, heads,
                                                weights.reshape(-1, 1, 1)),
-                             (n, n), dense=True)
+                             (n, n))
 
     def determinant(self):
         return float(np.linalg.det(self.laplacian()).real)

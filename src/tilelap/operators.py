@@ -5,9 +5,10 @@ For a section f (one C^r value per vertex) the Laplacian is
     (Delta f)(v) = sum over edges (v, v') of  f(v) - U_{v' -> v} f(v'),
 
 the gradient assigns to each edge e = (t, h) the tail-frame value
-(grad f)(e) = f(t) - U_{h -> t} f(h), and the divergence is the exact
-adjoint of the gradient, so Delta = div grad holds as a matrix identity.
-Self-loops (which occur for subdivision 1) contribute both orientations.
+(grad f)(e) = f(t) - U_{h -> t} f(h) (`edge_differences` gives its norms),
+and the divergence is its exact adjoint, so Delta = div grad
+(`apply_laplacian`).  Self-loops (which occur for subdivision 1)
+contribute both orientations.
 """
 
 import numpy as np
@@ -15,32 +16,24 @@ import numpy as np
 
 class DenseMatrix(np.ndarray):
     """A numpy array that also reports ``nnz``, its number of nonzero
-    entries, as a sparse matrix does: dense and sparse Laplacians answer
-    the same size query."""
+    entries, under the name a sparse matrix uses for it."""
 
     @property
     def nnz(self):
         return int(np.count_nonzero(self))
 
 
-def _block_matrix(rows, cols, blocks, shape, dense=False):
-    """Matrix from block rows, block columns and a (m, r, r) stack of
-    blocks; blocks at the same position add up.  Sparse CSR, or with
-    ``dense`` a `DenseMatrix`, assembled without scipy."""
+def _block_matrix(rows, cols, blocks, shape):
+    """Dense `DenseMatrix` from block rows, block columns and a (m, r, r)
+    stack of blocks; blocks at the same position add up."""
     rank = blocks.shape[-1]
     idx = np.arange(rank)
     rr = np.broadcast_to(rows[:, None, None] * rank + idx[:, None],
                          blocks.shape)
     cc = np.broadcast_to(cols[:, None, None] * rank + idx, blocks.shape)
-    size = (shape[0] * rank, shape[1] * rank)
-    if dense:
-        mat = np.zeros(size, dtype=blocks.dtype)
-        np.add.at(mat, (rr, cc), blocks)
-        return mat.view(DenseMatrix)
-    import scipy.sparse as sp
-
-    return sp.coo_matrix((blocks.ravel(), (rr.ravel(), cc.ravel())),
-                         shape=size).tocsr()
+    mat = np.zeros((shape[0] * rank, shape[1] * rank), dtype=blocks.dtype)
+    np.add.at(mat, (rr, cc), blocks)
+    return mat.view(DenseMatrix)
 
 
 def laplacian_blocks(n_vertices, tails, heads, transports):
@@ -59,29 +52,14 @@ def laplacian_blocks(n_vertices, tails, heads, transports):
             np.concatenate([diag, -transports, -adjoints]))
 
 
-def laplacian(disc, dense=False):
-    """Hermitian bundle Laplacian, (n_vertices * rank) square, real when
-    the bundle's transports are: sparse CSR, or with ``dense`` (systems
-    that ``spectral.is_small`` sends to the dense solver) a `DenseMatrix`
-    built without scipy."""
+def laplacian(disc):
+    """Hermitian bundle Laplacian as a dense `DenseMatrix`, (n_vertices *
+    rank) square, real when the bundle's transports are.  Only systems
+    that ``spectral.is_small`` sends to the dense solver are assembled;
+    larger meshes are solved by `capacitance.SeamCapacitance`."""
     return _block_matrix(*laplacian_blocks(disc.n_vertices, disc.tails,
                                            disc.heads, disc.transports),
-                         (disc.n_vertices, disc.n_vertices), dense=dense)
-
-
-def gradient(disc):
-    """Sparse gradient, mapping sections to edge-indexed (tail-frame) data."""
-    t, h, u = disc.tails, disc.heads, disc.transports
-    k = np.arange(len(t))
-    eye = np.broadcast_to(np.eye(u.shape[-1], dtype=u.dtype), u.shape)
-    return _block_matrix(np.concatenate([k, k]), np.concatenate([t, h]),
-                         np.concatenate([eye, -u]),
-                         (len(t), disc.n_vertices))
-
-
-def divergence(disc):
-    """Adjoint of the gradient (so that laplacian == divergence @ gradient)."""
-    return gradient(disc).conj().T.tocsr()
+                         (disc.n_vertices, disc.n_vertices))
 
 
 def _edge_values(disc, f):

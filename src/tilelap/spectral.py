@@ -13,14 +13,22 @@ import math
 
 import numpy as np
 
-# shift of the shift-invert factorization, below the (nonnegative) spectrum
+# shift of the mesh solver's shift-invert, below the (nonnegative) spectrum
 SHIFT = -1e-2
-# the largest eigen system a command solves densely, without scipy, in
-# unknowns, a complex one counting double (kept from the full eigh): the
-# k lowest pairs by ?syevr on one OpenBLAS thread take 0.11 s at real
-# dimension 1024 (k = 8; full eigh 0.26 s) and 0.08 s at complex 512
-# (k = 12; eigh 0.21 s), growing as dim^3; importing scipy costs 0.3-0.4 s
+# the largest eigen system a command solves densely, in unknowns, a
+# complex one counting double: the k lowest pairs by ?syevr on one
+# OpenBLAS thread take 0.11 s at real dimension 1024 (k = 8) and 0.08 s
+# at complex 512 (k = 12), growing as dim^3
 DENSE_CUTOFF = 1024
+# mesh solver: Lanczos block per bundle rank (at least the torus's largest
+# multiplicity, 8), step limit, and the share of the residual gate that
+# its Ritz pairs must meet
+LANCZOS_BLOCK = 8
+LANCZOS_MAX_STEPS = 1000
+# the Ritz residual of the shift-inverted operator that round-off in its
+# solve still allows, relative to its largest eigenvalue 1 / |SHIFT|
+LANCZOS_FLOOR = 1e-13
+GATE_MARGIN = 1e-3
 # the residual gate accepts RESIDUAL_TOL times max |lambda|, a scale no
 # smaller than ZERO_SCALE |A|_1, so that a lone zero mode (returned as
 # round-off) is judged against the matrix scale
@@ -40,23 +48,30 @@ def is_small(dim, is_complex=False):
 
 @functools.cache
 def _openblas():
-    """numpy's bundled OpenBLAS, opened with ctypes, or None if it has none."""
+    """numpy's bundled OpenBLAS, opened with ctypes, and the prefix and
+    suffix of its symbol names, read from its file name
+    lib<prefix>openblas<suffix>-<hash>.so; None if numpy bundles none."""
     import ctypes
     import glob
     import os
 
     paths = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir,
-                                   "numpy.libs", "*openblas*"))
-    return ctypes.CDLL(paths[0]) if paths else None
+                                   "numpy.libs", "lib*openblas*"))
+    if not paths:
+        return None
+    stem = os.path.basename(paths[0])[3:].split("-")[0]
+    prefix, _, suffix = stem.partition("openblas")
+    return ctypes.CDLL(paths[0]), prefix, suffix
 
 
 def _blas_thread_control():
     """The (get, set) thread-count functions of numpy's OpenBLAS, or None."""
-    for name in ("scipy_openblas_%s_num_threads64_",
-                 "scipy_openblas_%s_num_threads",
-                 "openblas_%s_num_threads64_", "openblas_%s_num_threads"):
-        get, put = (getattr(_openblas(), name % op, None)
-                    for op in ("get", "set"))
+    if _openblas() is None:
+        return None
+    lib, prefix, suffix = _openblas()
+    for name in (prefix + "openblas_%s_num_threads" + suffix,
+                 prefix + "openblas_%s_num_threads"):
+        get, put = (getattr(lib, name % op, None) for op in ("get", "set"))
         if get is not None and put is not None:
             return get, put
     return None
@@ -68,7 +83,10 @@ def _lapacke(name):
     Its first argument is the matrix layout, 102 for column-major."""
     import ctypes as c
 
-    func = getattr(_openblas(), "scipy_LAPACKE_%s64_" % name, None)
+    if _openblas() is None or _openblas()[2] != "64_":
+        return None
+    lib, prefix, suffix = _openblas()
+    func = getattr(lib, "%sLAPACKE_%s%s" % (prefix, name, suffix), None)
     if func is not None:  # the C prototypes, arrays as void pointers
         i, p, d, ch = c.c_int64, c.c_void_p, c.c_double, c.c_char
         func.restype = i
@@ -98,75 +116,248 @@ def _one_blas_thread():
         put(threads)
 
 
-def lowest_eigenpairs(mat, k, seed=0):
-    """The k smallest eigenpairs of a Hermitian matrix.
-
-    A dense numpy array (callers pass one when :func:`is_small` says so)
-    goes to LAPACK ?syevr/?heevr of numpy's OpenBLAS on one BLAS thread
-    for the pairs of index 1..k only, with no N x N eigenbasis and no
-    scipy (numpy's full ``eigh`` where numpy has no OpenBLAS).  A sparse
-    matrix is factored once as A - SHIFT I (sparse LU, MMD ordering on
-    A^T + A), and shift-invert Lanczos runs on that factor from a seeded
-    start vector, in real arithmetic when A is real; only k >= dim - 1,
-    which Lanczos cannot serve, densifies it.  The dense path returns the
-    true lowest k, while Lanczos can miss a member of a multiple
-    eigenvalue.  Returns (values, vectors, residuals) with values
-    ascending and vectors in columns; raises if any residual
-    |A v - lambda v| exceeds RESIDUAL_TOL times the largest |lambda|
-    returned, or times ZERO_SCALE |A|_1 if that is larger.
-    """
-    dim = mat.shape[0]
-    if k >= dim:
-        raise ValueError("need k < matrix dimension")
-    if isinstance(mat, np.ndarray) or k >= dim - 1:
-        # a column-major copy, which LAPACK overwrites
-        dense = np.array(mat if isinstance(mat, np.ndarray) else
-                         mat.toarray(), np.result_type(mat.dtype, float),
-                         order="F")
-        evr = _lapacke("zheevr" if np.iscomplexobj(dense) else "dsyevr")
-        vals, vecs = np.empty(dim), np.empty((dim, k), dense.dtype, order="F")
-        found, support = np.empty(1, np.int64), np.empty(2 * k, np.int64)
-        with _one_blas_thread():
-            if evr is None:  # numpy without its OpenBLAS: the whole spectrum
-                vals, vecs = np.linalg.eigh(dense)
-            elif evr(102, b"V", b"I", b"L", dim, dense.ctypes.data, dim, 0,
-                     0, 1, k, 0, found.ctypes.data, vals.ctypes.data,
-                     vecs.ctypes.data, dim, support.ctypes.data):
-                raise RuntimeError("LAPACK ?syevr/?heevr failed")
-        # a copy, so that a full dim x dim basis is freed
-        vals, vecs = vals[:k], vecs[:, :k].copy()
-    else:
-        import scipy.sparse as sp
-        import scipy.sparse.linalg as spla
-
-        mat = sp.csc_matrix(mat)
-        lu = spla.splu(mat - SHIFT * sp.identity(dim, format="csc"),
-                       permc_spec="MMD_AT_PLUS_A")
-        op_inv = spla.LinearOperator((dim, dim), matvec=lu.solve,
-                                     dtype=mat.dtype)
-        v0 = np.random.default_rng(seed).standard_normal(dim)
-        vals, vecs = spla.eigsh(mat, k=k, sigma=SHIFT, which="LM", v0=v0,
-                                OPinv=op_inv)
-        order = np.argsort(vals)
-        vals, vecs = vals[order], vecs[:, order]
-    residuals = np.linalg.norm(mat @ vecs - vecs * vals, axis=0)
-    scale = max(np.max(np.abs(vals)), ZERO_SCALE * abs(mat).sum(axis=0).max())
+def _check_residuals(vals, residuals, norm1):
+    """Raise if a residual |A v - lambda v| exceeds RESIDUAL_TOL times the
+    largest |lambda|, or times ZERO_SCALE |A|_1 if that is larger."""
+    scale = max(np.max(np.abs(vals)), ZERO_SCALE * norm1)
     if residuals.max() > RESIDUAL_TOL * scale:
         raise RuntimeError(
             "eigenpair residual %.3e exceeds %.1e relative to scale %.3e"
             % (residuals.max(), RESIDUAL_TOL, scale))
+
+
+def lowest_eigenpairs(mat, k, seed=0):
+    """The k smallest eigenpairs of a dense Hermitian matrix.
+
+    LAPACK ?syevr/?heevr of numpy's OpenBLAS computes the pairs of index
+    1..k only, on one BLAS thread, with no N x N eigenbasis (numpy's full
+    ``eigh`` where numpy has no OpenBLAS); it returns the true lowest k,
+    multiple eigenvalues included.  ``seed`` is unused: the path has no
+    start vector.  Returns (values, vectors, residuals) with values
+    ascending and vectors in columns; raises if a residual fails the gate
+    of :func:`_check_residuals`.
+    """
+    dim = mat.shape[0]
+    if k >= dim:
+        raise ValueError("need k < matrix dimension")
+    # a column-major copy, which LAPACK overwrites
+    dense = np.array(mat, np.result_type(mat.dtype, float), order="F")
+    evr = _lapacke("zheevr" if np.iscomplexobj(dense) else "dsyevr")
+    vals, vecs = np.empty(dim), np.empty((dim, k), dense.dtype, order="F")
+    found, support = np.empty(1, np.int64), np.empty(2 * k, np.int64)
+    with _one_blas_thread():
+        if evr is None:  # numpy without its OpenBLAS: the whole spectrum
+            vals, vecs = np.linalg.eigh(dense)
+        elif evr(102, b"V", b"I", b"L", dim, dense.ctypes.data, dim, 0,
+                 0, 1, k, 0, found.ctypes.data, vals.ctypes.data,
+                 vecs.ctypes.data, dim, support.ctypes.data):
+            raise RuntimeError("LAPACK ?syevr/?heevr failed")
+    # a copy, so that a full dim x dim basis is freed
+    vals, vecs = vals[:k], vecs[:, :k].copy()
+    residuals = np.linalg.norm(mat @ vecs - vecs * vals, axis=0)
+    _check_residuals(vals, residuals, np.abs(mat).sum(axis=0).max())
+    return vals, vecs, residuals
+
+
+def _conj(a):
+    return a.conj() if np.iscomplexobj(a) else a
+
+
+def _project_off(w, rows):
+    """Take from each row of ``w``, in place, its components along the
+    orthonormal ``rows``; returns the coefficients <rows_i, w_a>, (len(rows),
+    len(w)).  Only ``w`` is conjugated, never the basis."""
+    coef = _conj(_conj(w) @ rows.T)
+    w -= coef @ rows
+    return coef.T
+
+
+def _orthonormalize(w, against, floor, rng):
+    """Orthonormal rows q spanning the rows of ``w`` (already orthogonal to
+    each array of rows in ``against``), the coupling B = Q* W of the
+    column form W = Q B, and the number of random rows in q.  Two
+    Cholesky QR passes (Fukaya, Nakatsukasa, Yanagisawa & Yamamoto, 2014)
+    when the Gram matrix is well conditioned.  Otherwise rows are taken
+    one by one, projected twice: a row below ``floor`` spans nothing new
+    (an invariant subspace was found) and gives way to a random vector,
+    as long as the space has room."""
+    q = w
+    for _ in range(2):
+        try:
+            chol = np.linalg.cholesky(_conj(q) @ q.T)
+        except np.linalg.LinAlgError:
+            break
+        diag = chol.diagonal().real
+        if diag.min() <= 1e-7 * diag.max() or diag.max() <= floor:
+            break
+        q = _conj(np.linalg.inv(chol)) @ q
+    else:
+        return q, _conj(q) @ w.T, 0
+    found = np.empty((0, w.shape[1]), w.dtype)
+    for x in w:
+        found = _grow(found, x, against, floor)
+    spanned = len(found)
+    for _ in range(len(w) - spanned):
+        x = rng.standard_normal(w.shape[1])
+        if np.iscomplexobj(w):
+            x = x + 1j * rng.standard_normal(w.shape[1])
+        grown = _grow(found, x, against, 1e-8 * np.linalg.norm(x))
+        if len(grown) == len(found):  # the space is spanned
+            break
+        found = grown
+    return found, _conj(found) @ w.T, len(found) - spanned
+
+
+def _grow(found, x, against, small):
+    """``found`` and one more orthonormal row: x projected twice off
+    ``against`` and ``found``, if more than ``small`` of it is left."""
+    x = x[None].astype(found.dtype)
+    for _ in range(2):
+        for rows in against + [found]:
+            _project_off(x, rows)
+    norm = np.linalg.norm(x)
+    return np.concatenate([found, x / norm]) if norm > small else found
+
+
+def _block_lanczos(solver, k, block, gate, rng):
+    """The k lowest eigenpairs of A off its kernel, by block Lanczos on
+    the shift-inverted operator T = (A - SHIFT I)^-1 of ``solver`` (a
+    `capacitance.SeamCapacitance`), with full reorthogonalization and
+    thick restart (Wu & Simon, SIAM J. Matrix Anal. Appl. 22, 2000).
+
+    The basis is one preallocated column-major array of k + 6 blocks,
+    read as rows; its projection is kept whole, upper triangle by
+    columns, from the reorthogonalization coefficients.  Each step
+    applies T to the newest block and projects the image off the rows it
+    is coupled to, then off the whole basis (classical Gram-Schmidt as
+    BLAS-3 products) and off the kernel; :func:`_orthonormalize` makes
+    the next block of the rest.  When that block would not fit, the
+    k + 2 blocks of leading Ritz vectors become the basis.
+
+    A Ritz pair (theta, y) has T-residual Q B s, for the next block Q,
+    the coupling B and the newest block s of y's coefficients, so its
+    residual |A y - lambda y| is |(A - SHIFT I) Q B s| / theta.  The run
+    stops when every wanted residual is within ``gate(values)``, or when
+    the basis spans the whole space.  Returns (values ascending, (k, dim)
+    Ritz vectors in cosine coordinates).
+    """
+    dim, kernel = solver.dim, solver.kernel.T
+    room = dim - len(kernel)
+    block = min(block, room)
+    cap = min(room, k + 6 * block)
+    basis = np.empty((dim, cap), solver.dtype, order="F")
+    rows = basis.T
+    proj = np.zeros((cap, cap), solver.dtype)
+    # |T| is at most 1 / |SHIFT|: directions below this are round-off
+    floor = 1e-14 / -SHIFT
+    start = rng.standard_normal((block, dim)).astype(solver.dtype)
+    if np.iscomplexobj(start):
+        start += 1j * rng.standard_normal((block, dim))
+    _project_off(start, kernel)
+    q, _, _ = _orthonormalize(start, [kernel], floor, rng)
+    # the image of block lo:hi is coupled to rows near:hi only
+    near, lo, hi = 0, 0, len(q)
+    rows[:hi] = q
+    for _ in range(LANCZOS_MAX_STEPS):
+        w = solver.apply(rows[lo:hi])
+        proj[near:hi, lo:hi] += _project_off(w, rows[near:hi])
+        proj[:hi, lo:hi] += _project_off(w, rows[:hi])
+        _project_off(w, kernel)
+        q, coupling, fresh = _orthonormalize(w, [rows[:hi], kernel], floor,
+                                             rng)
+        if hi >= k:  # else too few Ritz pairs yet, and room in the basis
+            theta, vecs = np.linalg.eigh(proj[:hi, :hi], UPLO="U")
+            theta, vecs = theta[::-1], vecs[:, ::-1]
+            coef = coupling @ vecs[lo:hi, :k]
+            resid = np.linalg.norm(coef, axis=0)
+            target = gate(SHIFT + 1 / theta[:k]) * theta[:k]
+            # fresh rows: an invariant subspace was found, go on through
+            # them; |A - SHIFT I| >= |SHIFT| off the kernel, a lower bound
+            if not fresh and (
+                    not len(q) or resid.max() <= LANCZOS_FLOOR / -SHIFT
+                    or (-SHIFT * resid <= target).all() and (np.linalg.norm(
+                        coef.T @ solver.shifted(q), axis=1) <= target).all()):
+                return _refine(solver, vecs[:, :k].T @ rows[:hi], rng)
+            if hi + len(q) > cap:  # thick restart
+                keep = k + 2 * block
+                rows[:keep] = vecs[:, :keep].T @ rows[:hi]
+                proj[:] = 0
+                proj[:keep, :keep] = np.diag(theta[:keep])
+                lo = hi = keep
+        rows[hi:hi + len(q)] = q
+        near, lo, hi = 0 if lo == hi else lo, hi, hi + len(q)
+    raise RuntimeError("block Lanczos did not converge in %d steps"
+                       % LANCZOS_MAX_STEPS)
+
+
+def _refine(solver, ritz, rng):
+    """Eigenpairs of A from Ritz vectors (rows) of its shift-inverse: one
+    step of block inverse iteration, its solve refined once by the
+    residual (A - SHIFT I) y - x, then Rayleigh-Ritz with A itself.
+    Takes the Ritz vectors from the round-off of the shift-inverted
+    solve down to that of A.  Returns (values ascending, rows)."""
+    image = solver.apply(ritz)
+    image += solver.apply(ritz - solver.shifted(image))
+    _project_off(image, solver.kernel.T)
+    q, _, _ = _orthonormalize(image, [solver.kernel.T], 0.0, rng)
+    vals, vecs = np.linalg.eigh(_conj(q) @ solver.shifted(q).T)
+    return SHIFT + vals, vecs.T @ q
+
+
+def mesh_eigenpairs(disc, k, seed=0):
+    """The k smallest eigenpairs of a discretization's Laplacian A, with
+    no matrix: the exact kernel, then shift-invert block Lanczos.
+
+    A flat section is constant on each square, so the kernel of A is the
+    null space of the small square-graph Laplacian; its vectors come with
+    eigenvalue exactly 0.0.  On their complement, :func:`_block_lanczos`
+    (block LANCZOS_BLOCK times the rank, seeded start) runs on
+    (A - SHIFT I)^-1, applied by `capacitance.SeamCapacitance` in cosine
+    coordinates, until its residuals pass GATE_MARGIN times the gate of
+    :func:`_check_residuals`; only the k vectors return to vertex order.
+    k >= dim - 1, which the Lanczos basis cannot serve, goes to the dense
+    Laplacian.  Returns (values, vectors, residuals) as
+    :func:`lowest_eigenpairs` does, with the same gate, the residuals
+    taken by `operators.apply_laplacian`.
+    """
+    from .capacitance import SeamCapacitance
+    from .operators import apply_laplacian, laplacian
+
+    dim = disc.n_vertices * disc.bundle.rank
+    if k >= dim:
+        raise ValueError("need k < matrix dimension")
+    if k >= dim - 1:
+        return lowest_eigenpairs(laplacian(disc), k)
+    solver = SeamCapacitance(disc, SHIFT)
+    # |A|_1 <= 2 max degree: a degree block plus unitary blocks
+    norm1 = 2 * disc.degrees.max() * disc.bundle.rank
+    vecs = solver.kernel[:, :k].T
+    vals = np.zeros(k)
+    if k > len(vecs):
+        with _one_blas_thread():
+            vals[len(vecs):], ritz = _block_lanczos(
+                solver, k - len(vecs), LANCZOS_BLOCK * disc.bundle.rank,
+                lambda lam: GATE_MARGIN * RESIDUAL_TOL * max(
+                    lam.max(), ZERO_SCALE * norm1),
+                np.random.default_rng(seed))
+        vecs = np.concatenate([vecs, ritz])
+    vecs = solver.to_vertices(vecs)
+    residuals = np.array([np.linalg.norm(apply_laplacian(disc, v) - lam * v)
+                          for lam, v in zip(vals, vecs.T)])
+    _check_residuals(vals, residuals, norm1)
     return vals, vecs, residuals
 
 
 def rescaled_spectrum(disc, k, seed=0, dense=False):
     """First k eigenvalues of n^2 * Delta_n, plus the eigenvectors: from
-    the dense Laplacian when ``dense`` is set, else from the sparse one."""
+    the dense Laplacian when ``dense`` is set, else by
+    :func:`mesh_eigenpairs`."""
     from .operators import laplacian
 
-    # no local name for the matrix: the solver frees it once it has its
-    # own CSC copy
-    vals, vecs, _ = lowest_eigenpairs(laplacian(disc, dense=dense), k,
-                                      seed=seed)
+    if dense:
+        vals, vecs, _ = lowest_eigenpairs(laplacian(disc), k)
+    else:
+        vals, vecs, _ = mesh_eigenpairs(disc, k, seed=seed)
     return disc.n ** 2 * vals, vecs
 
 
@@ -206,6 +397,23 @@ def discrete_torus_spectrum(n, alpha=0.0, beta=0.0):
     lam_x = 2 - 2 * np.cos(2 * np.pi * (p + alpha / (2 * np.pi)) / n)
     lam_y = 2 - 2 * np.cos(2 * np.pi * (p + beta / (2 * np.pi)) / n)
     return np.sort((lam_x[:, None] + lam_y[None, :]).ravel())
+
+
+def discrete_pillowcase_spectrum(n):
+    """All 2 n^2 eigenvalues of the Laplacian on the pillowcase's n x n
+    mesh, closed form.  Cell centres never sit on a cone point, so the
+    mesh is the quotient of the 2n x 2n cell-centred torus grid by
+    z -> -z, and its spectrum is the even part of the torus grid's:
+    4 - 2 cos(pi p / n) - 2 cos(pi q / n) once for each pair {(p, q),
+    (-p, -q)} mod 2n with (p, q) != (-p, -q), plus (0, 0) and (n, n) (the
+    even modes of the fixed pairs (0, n) and (n, 0) vanish on cell
+    centres)."""
+    m = 2 * n
+    p, q = np.divmod(np.arange(m * m), m)
+    pair, mirror = p * m + q, (-p % m) * m + (-q % m)
+    keep = (pair < mirror) | (pair == 0) | (pair == n * m + n)
+    return np.sort(4 - 2 * np.cos(np.pi * p[keep] / n)
+                   - 2 * np.cos(np.pi * q[keep] / n))
 
 
 def discrete_rectangle_spectrum(nx, ny):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from tilelap import catalog
+from tilelap import catalog, operators
 from tilelap.bundle import FlatUnitaryBundle
 from tilelap.discretize import Discretization
 
@@ -27,3 +27,56 @@ def random_unitary(rng, r):
     mat = rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r))
     q, _ = np.linalg.qr(mat)
     return q
+
+
+def random_flat_bundle(surface, rank, rng, trivial=0):
+    """A random flat unitary bundle: a gauge g_q per square times
+    commuting holonomies, U_s = g_second V diag(e^{i theta_s}) V* g_first*
+    for each seam s.  Each component's angles theta sum to zero around
+    every interior vertex cycle (a random vector of that null space), so
+    every cone monodromy is trivial; the first ``trivial`` components take
+    gauge angles phi_second - phi_first instead, whose holonomy is
+    trivial too."""
+    seams = surface.seams
+    cycles = [c for c in surface.vertex_cycles() if c.interior]
+    incidence = np.zeros((len(cycles), len(seams)))
+    for row, cycle in zip(incidence, cycles):
+        for index, direction in cycle.seam_steps:
+            row[index] += direction
+    null = np.eye(len(seams))
+    if len(cycles) and len(seams):
+        _, sv, vt = np.linalg.svd(incidence)
+        null = vt[np.count_nonzero(sv > 1e-10):].T
+    firsts = np.array([s.first[0] for s in seams], dtype=int)
+    seconds = np.array([s.second[0] for s in seams], dtype=int)
+    angles = np.empty((rank, len(seams)))
+    for j in range(rank):
+        if j < trivial:
+            phi = rng.uniform(0, 2 * np.pi, surface.n_squares)
+            angles[j] = phi[seconds] - phi[firsts]
+        else:
+            angles[j] = 3 * null @ rng.standard_normal(null.shape[1])
+    v = random_unitary(rng, rank)
+    gauge = [random_unitary(rng, rank) for _ in range(surface.n_squares)]
+    return FlatUnitaryBundle(surface, rank, {
+        s.index: gauge[s.second[0]] @ v @ np.diag(np.exp(1j * angles[:, i]))
+        @ v.conj().T @ gauge[s.first[0]].conj().T
+        for i, s in enumerate(seams)})
+
+
+def sparse_laplacian(disc):
+    """The mesh Laplacian as a scipy CSR matrix, assembled here from
+    `operators.laplacian_blocks`: an oracle for the library's dense and
+    matrix-free forms, which share no assembly code with it."""
+    import scipy.sparse as sp
+
+    rows, cols, blocks = operators.laplacian_blocks(
+        disc.n_vertices, disc.tails, disc.heads, disc.transports)
+    rank = blocks.shape[-1]
+    idx = np.arange(rank)
+    rr = np.broadcast_to(rows[:, None, None] * rank + idx[:, None],
+                         blocks.shape)
+    cc = np.broadcast_to(cols[:, None, None] * rank + idx, blocks.shape)
+    size = disc.n_vertices * rank
+    return sp.coo_matrix((blocks.ravel(), (rr.ravel(), cc.ravel())),
+                         shape=(size, size)).tocsr()

@@ -102,19 +102,25 @@ def test_04_energy_identity():
 
 
 def test_05_operator_algebra():
-    import scipy.sparse as sp
+    from conftest import sparse_laplacian
 
+    rng = np.random.default_rng(5)
     for name in catalog.BUILTIN:
         surface = catalog.BUILTIN[name]()
         for rank in (1, 2):
             bundle = FlatUnitaryBundle.trivial(surface, rank)
             disc = Discretization(surface, bundle, 3)
             lap = operators.laplacian(disc)
-            grad = operators.gradient(disc)
-            div = operators.divergence(disc)
-            assert sp.linalg.norm(lap - div @ grad, ord=np.inf) <= 1e-13
+            # Delta = div grad: matrix-free, assembled and energy forms
+            f = (rng.standard_normal(len(lap))
+                 + 1j * rng.standard_normal(len(lap)))
+            lap_f = operators.apply_laplacian(disc, f)
+            assert np.abs(lap_f - sparse_laplacian(disc) @ f).max() <= 1e-13
+            assert np.abs(lap_f - lap @ f).max() <= 1e-13
+            assert np.vdot(f, lap_f) == pytest.approx(
+                np.sum(operators.edge_differences(disc, f) ** 2), rel=1e-13)
             assert abs(lap - lap.conj().T).max() <= 1e-13
-            vals = np.linalg.eigvalsh(lap.toarray())
+            vals = np.linalg.eigvalsh(lap)
             assert vals.min() >= -1e-10
             assert vals.max() <= 8 * rank + 1e-10
             if surface.is_closed:

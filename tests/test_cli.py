@@ -241,6 +241,22 @@ def test_dense_spectrum_keeps_whole_multiplets(capsys):
     assert vals[12] < 188 and len(vals) == 21
 
 
+def test_mesh_spectrum_keeps_whole_multiplets(capsys):
+    # 32,768 unknowns take the mesh path; the 4-fold value 49.3396 fills
+    # i = 7-10 and the pair 78.941 i = 11, 12, as the closed form has it
+    from tilelap import spectral
+
+    code, out = run(capsys, "spectrum", "--surface", "pillowcase",
+                    "--n", "128", "--k", "13")
+    assert code == 0
+    _, rows = read_csv(out)
+    vals = np.array([float(row[1]) for row in rows])
+    oracle = 128 ** 2 * spectral.discrete_pillowcase_spectrum(128)[:13]
+    assert np.allclose(vals, oracle, rtol=1e-10, atol=1e-9)
+    assert [row[1][:7] for row in rows[7:13]] == ["49.3396"] * 4 + [
+        "78.9409"] * 2
+
+
 def test_converge_with_reference(capsys):
     code, out = run(capsys, "converge", "--surface", "square",
                     "--ns", "8,16", "--k", "3",
@@ -409,52 +425,97 @@ def test_invalid_input_exits_1(capsys):
     assert "--n" in capsys.readouterr().err
 
 
-def _scipy_modules_after(*argvs):
-    """scipy modules loaded after running the commands in a fresh
-    interpreter."""
+def _in_fresh_interpreter(argvs, setup="", report=""):
+    """Run the commands in a fresh interpreter, after ``setup``, and
+    return what the ``report`` expression prints, followed by the loaded
+    scipy modules."""
     script = textwrap.dedent("""
         import contextlib, io, sys
-        from tilelap import cli
+        from tilelap import cli, spectral
+        %s
         for argv in %r:
             with contextlib.redirect_stdout(io.StringIO()):
                 assert cli.main(argv) == 0, argv
+        print(%s)
         print(" ".join(m for m in sys.modules if m.split(".")[0] == "scipy"))
-    """ % (argvs,))
+    """) % (setup, argvs, report or '""')
     src = os.path.dirname(os.path.dirname(os.path.abspath(tilelap.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-c", script], env=env,
-                          capture_output=True, text=True, timeout=120)
+                          capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    return proc.stdout.split()
+    return proc.stdout.split("\n")[:2]
 
 
-def test_numpy_only_commands_leave_scipy_unloaded():
-    # scipy is imported only where a sparse matrix is built or solved, so
-    # commands that solve nothing, or whose largest system is small enough
-    # for the dense path, must not load it
-    assert _scipy_modules_after(
+def _rank2_torus_file(tmp_path):
+    # commuting holonomies V diag(e^{i a}) V*, V diag(e^{i b}) V*: flat
+    rng = np.random.default_rng(7)
+    v = np.linalg.qr(rng.standard_normal((2, 2))
+                     + 1j * rng.standard_normal((2, 2)))[0]
+    lines = [catalog.torus().to_text().rstrip("\n"), "rank: 2"]
+    for seam, angles in enumerate(rng.uniform(0, 2 * np.pi, (2, 2))):
+        mat = v @ np.diag(np.exp(1j * angles)) @ v.conj().T
+        lines.append("transport: %d %s" % (seam, " ".join(
+            "%.17g%+.17gi" % (z.real, z.imag) for z in mat.ravel())))
+    path = tmp_path / "torus-rank2.surf"
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+def test_numpy_only_commands_leave_scipy_unloaded(tmp_path):
+    # no command loads scipy: small systems are solved densely, larger
+    # ones by the mesh solver, Green functions by a banded Cholesky; the
+    # eigen commands run here at sizes past spectral.DENSE_CUTOFF too
+    _, modules = _in_fresh_interpreter([
         ["validate", "--surface", "genus2"],
         ["crsf-check", "--count", "20"],
         ["barrier", "--surface", "lshape", "--n", "8"],
         ["flow", "--n", "8"],
         ["spectrum", "--surface", "torus", "--n", "8"],
+        ["spectrum", "--surface", _rank2_torus_file(tmp_path), "--n", "32"],
+        ["converge", "--surface", "genus2", "--ns", "32,48,64"],
         ["eigvec", "--surface", "square", "--ns", "8,16,32"],
+        ["eigvec", "--surface", "square", "--ns", "8,16,48"],
         ["interp-check", "--surface", "genus2", "--ns", "4,8,16"],
+        ["interp-check", "--surface", "genus2", "--ns", "4,8,24",
+         "--trials", "2"],
+        ["harnack", "--surface", "lshape", "--ns", "8,16,32,64"],
         ["consistency", "--surface", "square", "--ns", "16,32"],
         ["green", "--mode", "halfplane", "--radius", "6", "--source",
          "0,3"],
-        # Green functions of any size are solved by a banded Cholesky
         ["green", "--mode", "ball", "--radius", "128"],
-        ["green", "--mode", "constant", "--radius", "64"]) == []
+        ["green", "--mode", "constant", "--radius", "64"]])
+    assert modules == ""
 
 
 @pytest.mark.parametrize("argv", [
     ["harnack", "--surface", "lshape", "--ns", "8,16,32,64"]],
     ids=["harnack"])
-def test_large_systems_take_the_sparse_path(argv):
+def test_large_systems_take_the_mesh_path(argv):
     # harnack's n = 64 lshape mesh (12,288 unknowns) is past
-    # spectral.DENSE_CUTOFF
-    assert "scipy.sparse.linalg" in _scipy_modules_after(argv)
+    # spectral.DENSE_CUTOFF, so every mesh goes to the mesh solver
+    setup = textwrap.dedent("""
+        calls = []
+        solve = spectral.mesh_eigenpairs
+        def counted(disc, *args, **kwargs):
+            calls.append(disc.n)
+            return solve(disc, *args, **kwargs)
+        spectral.mesh_eigenpairs = counted
+    """)
+    calls, modules = _in_fresh_interpreter([argv], setup, "calls")
+    assert calls == "[8, 16, 32, 64]" and modules == ""
+
+
+@pytest.mark.parametrize("surface", ["genus2", "pillowcase", "lshape"])
+def test_zero_mode_order_cell(capsys, surface):
+    # the kernel is returned as exact zeros, so the i = 0 rows print 0 and
+    # the Richardson fit of (0, 0, 0) gives the same order at every run
+    code, out = run(capsys, "converge", "--surface", surface,
+                    "--ns", "32,48,64")
+    assert code == 0
+    _, rows = read_csv(out)
+    assert [row[1:] for row in rows[:3]] == [
+        ["0", "0", "0", "0", "0.500000003869"]] * 3
 
 
 @pytest.mark.parametrize("argv, dense", [
@@ -467,17 +528,19 @@ def test_large_systems_take_the_sparse_path(argv):
     (["spectrum", "--surface", "torus", "--n", "33"], False),
     (["interp-check", "--surface", "genus2", "--ns", "4,8,16"], True)])
 def test_one_solver_path_per_command(monkeypatch, capsys, argv, dense):
-    # every mesh of a command goes to the path its largest mesh needs
+    # every mesh of a command goes to the path its largest mesh needs:
+    # the dense LAPACK solve or the mesh solver
     from tilelap import spectral
 
-    solve = spectral.lowest_eigenpairs
     paths = []
+    for name, is_dense in (("lowest_eigenpairs", True),
+                           ("mesh_eigenpairs", False)):
+        def recording(*args, solve=getattr(spectral, name), tag=is_dense,
+                      **kwargs):
+            paths.append(tag)
+            return solve(*args, **kwargs)
 
-    def recording(mat, *args, **kwargs):
-        paths.append(isinstance(mat, np.ndarray))
-        return solve(mat, *args, **kwargs)
-
-    monkeypatch.setattr(spectral, "lowest_eigenpairs", recording)
+        monkeypatch.setattr(spectral, name, recording)
     assert main(argv) == 0
     capsys.readouterr()
     assert paths == [dense] * len(argv[-1].split(","))

@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-import scipy.sparse.linalg
 
 from tilelap import catalog, operators, spectral
 from tilelap.bundle import FlatUnitaryBundle
@@ -16,18 +15,18 @@ def test_assembled_torus_matches_fourier_oracle():
     for alpha, beta in ((0.0, 0.0), (np.pi, 0.0), (0.8, -1.9)):
         bundle = FlatUnitaryBundle.twisted_torus(surf, alpha, beta)
         disc = Discretization(surf, bundle, 6)
-        vals = np.linalg.eigvalsh(operators.laplacian(disc).toarray())
+        vals = np.linalg.eigvalsh(np.asarray(operators.laplacian(disc)))
         oracle = spectral.discrete_torus_spectrum(6, alpha, beta)
         assert np.allclose(vals, oracle, atol=1e-12)
 
 
 def test_assembled_rectangle_matches_path_oracle():
     disc = make_disc("square", 5)
-    vals = np.linalg.eigvalsh(operators.laplacian(disc).toarray())
+    vals = np.linalg.eigvalsh(np.asarray(operators.laplacian(disc)))
     oracle = spectral.discrete_rectangle_spectrum(5, 5)
     assert np.allclose(vals, oracle, atol=1e-12)
     disc = make_disc("rectangle2x1", 4)
-    vals = np.linalg.eigvalsh(operators.laplacian(disc).toarray())
+    vals = np.linalg.eigvalsh(np.asarray(operators.laplacian(disc)))
     oracle = spectral.discrete_rectangle_spectrum(8, 4)
     assert np.allclose(vals, oracle, atol=1e-12)
 
@@ -45,13 +44,13 @@ def _twisted_rank2_torus(n, seed):
 
 
 def test_dense_and_sparse_paths_agree():
+    # the sparse-sized path is the mesh solver, spectral.mesh_eigenpairs
     discs = [make_disc(name, 6) for name in SURFACE_NAMES]
     for disc in discs + [_twisted_rank2_torus(6, seed=11)]:
         dense_vals, _, _ = spectral.lowest_eigenpairs(
-            operators.laplacian(disc, dense=True), 8)
-        sparse_vals, _, res = spectral.lowest_eigenpairs(
             operators.laplacian(disc), 8)
-        assert np.allclose(sparse_vals, dense_vals, rtol=0, atol=1e-10)
+        mesh_vals, _, res = spectral.mesh_eigenpairs(disc, 8)
+        assert np.allclose(mesh_vals, dense_vals, rtol=0, atol=1e-10)
         assert res.max() <= 1e-8
 
 
@@ -91,9 +90,8 @@ def test_paths_match_closed_forms_at_the_cutoff(case, n, small):
     assert spectral.is_small(dim, is_complex) == small
     k = 10
     dense_vals, dense_vecs, _ = spectral.lowest_eigenpairs(
-        operators.laplacian(disc, dense=True), k)
-    sparse_vals, sparse_vecs, _ = spectral.lowest_eigenpairs(
-        operators.laplacian(disc), k, seed=3)
+        operators.laplacian(disc), k)
+    sparse_vals, sparse_vecs, _ = spectral.mesh_eigenpairs(disc, k, seed=3)
     for vals in (dense_vals, sparse_vals):
         assert np.abs(vals - oracle[:k]).max() <= 1e-10 * oracle[k - 1]
     # whole clusters only: the last group may continue past index k - 1
@@ -120,15 +118,14 @@ def _assert_lowest_pairs(mat, vals, vecs):
 def test_dense_lowest_k_matches_full_eigh(name):
     disc = (_twisted_rank2_torus(8, seed=5) if name == "rank2"
             else make_disc(name, 8))
-    dense = operators.laplacian(disc, dense=True)
+    dense = operators.laplacian(disc)
     dim = len(dense)
     for k in (1, 12, dim - 1):
         vals, vecs, _ = spectral.lowest_eigenpairs(dense, k)
         _assert_lowest_pairs(dense, vals, vecs)
-    # a sparse matrix asked for dim - 1 pairs, which Lanczos cannot give,
+    # the mesh solver asked for dim - 1 pairs, which Lanczos cannot give,
     # takes the dense path too
-    vals, vecs, _ = spectral.lowest_eigenpairs(operators.laplacian(disc),
-                                               dim - 1)
+    vals, vecs, _ = spectral.mesh_eigenpairs(disc, dim - 1)
     _assert_lowest_pairs(dense, vals, vecs)
 
 
@@ -139,8 +136,8 @@ def test_dense_fallback_without_openblas(monkeypatch):
         pytest.skip("numpy does not bundle OpenBLAS")
     assert all(spectral._lapacke(name) is not None
                for name in ("dsyevr", "zheevr", "dpbsv"))
-    mats = [operators.laplacian(make_disc("genus2", 8), dense=True),
-            operators.laplacian(_twisted_rank2_torus(8, seed=5), dense=True)]
+    mats = [operators.laplacian(make_disc("genus2", 8)),
+            operators.laplacian(_twisted_rank2_torus(8, seed=5))]
     found = [spectral.lowest_eigenpairs(mat, 12)[:2] for mat in mats]
     monkeypatch.setattr(spectral, "_openblas", lambda: None)
     assert spectral._lapacke("dsyevr") is None
@@ -154,12 +151,14 @@ def test_dense_fallback_without_openblas(monkeypatch):
 
 @pytest.mark.parametrize("dense", [False, True], ids=["sparse", "dense"])
 def test_lone_zero_mode_passes_residual_gate(dense):
-    # the only value returned is round-off around 0; the gate must judge
-    # its residual against the matrix scale, not against that round-off
-    lap = operators.laplacian(make_disc("square", 8))
-    vals, vecs, res = spectral.lowest_eigenpairs(
-        lap.toarray() if dense else lap, 1)
-    assert abs(vals[0]) < 1e-12
+    # the only value returned is 0 (exactly on the sparse-sized mesh path,
+    # round-off on the dense one); the gate must judge its residual
+    # against the matrix scale, not against that value
+    disc = make_disc("square", 8)
+    vals, vecs, res = (
+        spectral.lowest_eigenpairs(operators.laplacian(disc), 1) if dense
+        else spectral.mesh_eigenpairs(disc, 1))
+    assert abs(vals[0]) < 1e-12 and (dense or vals[0] == 0.0)
     assert np.allclose(abs(vecs[:, 0]), 1 / 8)
     assert res[0] < 1e-12
 
@@ -168,6 +167,33 @@ def test_lowest_eigenpairs_rejects_bad_k():
     disc = make_disc("torus", 2)
     with pytest.raises(ValueError):
         spectral.lowest_eigenpairs(operators.laplacian(disc), 4)
+    with pytest.raises(ValueError):
+        spectral.mesh_eigenpairs(disc, 4)
+
+
+def test_pillowcase_closed_form_matches_dense():
+    for n in range(1, 9):
+        ref = np.linalg.eigvalsh(operators.laplacian(make_disc("pillowcase",
+                                                               n)))
+        oracle = spectral.discrete_pillowcase_spectrum(n)
+        assert len(oracle) == len(ref)
+        assert np.abs(oracle - ref).max() <= 1e-13
+
+
+def test_mesh_solver_returns_whole_multiplets():
+    # a seeded scan through the 4- and 8-fold values of the torus and the
+    # pillowcase: every returned set of k values is the lowest k
+    wrong = []
+    for name, oracle in (("torus", spectral.discrete_torus_spectrum),
+                         ("pillowcase", spectral.discrete_pillowcase_spectrum)):
+        for n in (16, 32):
+            disc, ref = make_disc(name, n), oracle(n)
+            for k in range(4, 26, 3):
+                for seed in range(4):
+                    vals, _, _ = spectral.mesh_eigenpairs(disc, k, seed=seed)
+                    if np.abs(vals - ref[:k]).max() > 1e-10 * ref[k - 1]:
+                        wrong.append((name, n, k, seed))
+    assert wrong == []
 
 
 def test_reference_spectra():
@@ -268,11 +294,10 @@ def test_richardson_order_minimizes_the_residual():
 
 
 def test_eigenpairs_deterministic_with_seed():
-    disc = make_disc("lshape", 12)  # a sparse matrix takes the sparse path
-    lap = operators.laplacian(disc)
-    v1 = spectral.lowest_eigenpairs(lap, 3, seed=7)[0]
-    v2 = spectral.lowest_eigenpairs(lap, 3, seed=7)[0]
-    assert np.array_equal(v1, v2)
+    disc = make_disc("lshape", 12)
+    v1, w1, _ = spectral.mesh_eigenpairs(disc, 3, seed=7)
+    v2, w2, _ = spectral.mesh_eigenpairs(disc, 3, seed=7)
+    assert np.array_equal(v1, v2) and np.array_equal(w1, w2)
 
 
 def test_laplacian_dtype_follows_transports():
@@ -291,13 +316,12 @@ def test_laplacian_dtype_follows_transports():
 
 def test_k_dim_minus_one_takes_dense_path(monkeypatch):
     disc = make_disc("torus", 3)
-    lap = operators.laplacian(disc)
 
     def no_lanczos(*args, **kwargs):
-        raise AssertionError("eigsh cannot serve k >= dim - 1")
+        raise AssertionError("Lanczos cannot serve k >= dim - 1")
 
-    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_lanczos)
-    vals, vecs, _ = spectral.lowest_eigenpairs(lap, 8)
+    monkeypatch.setattr(spectral, "_block_lanczos", no_lanczos)
+    vals, vecs, _ = spectral.mesh_eigenpairs(disc, 8)
     oracle = spectral.discrete_torus_spectrum(3)
     assert np.allclose(vals, oracle[:8], atol=1e-12)
     assert vecs.shape == (9, 8)
@@ -306,17 +330,17 @@ def test_k_dim_minus_one_takes_dense_path(monkeypatch):
 def test_residual_gate_rejects_perturbed_pair(monkeypatch):
     # raw eigenvalues here are at most 0.04, so an absolute 1e-8 gate would
     # let a residual of a few 1e-9 through; the relative gate does not
-    lap = operators.laplacian(make_disc("torus", 32))
-    vals, _, res = spectral.lowest_eigenpairs(lap, 4)
+    disc = make_disc("torus", 32)
+    vals, _, res = spectral.mesh_eigenpairs(disc, 4)
     assert res.max() <= 1e-8 * vals.max()
-    eigsh = scipy.sparse.linalg.eigsh
+    lanczos = spectral._block_lanczos
 
     def perturbed(*args, **kwargs):
-        w, v = eigsh(*args, **kwargs)
-        noise = np.random.default_rng(0).standard_normal(v.shape[0])
-        v[:, -1] += 1e-9 * noise / np.linalg.norm(noise)
+        w, v = lanczos(*args, **kwargs)
+        noise = np.random.default_rng(0).standard_normal(v.shape[1])
+        v[-1] += 1e-9 * noise / np.linalg.norm(noise)
         return w, v
 
-    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", perturbed)
+    monkeypatch.setattr(spectral, "_block_lanczos", perturbed)
     with pytest.raises(RuntimeError, match="residual"):
-        spectral.lowest_eigenpairs(lap, 4)
+        spectral.mesh_eigenpairs(disc, 4)
