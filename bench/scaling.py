@@ -1,15 +1,35 @@
-"""Scaling of the ball Green function solve, one subprocess per case.
+"""Scaling of the large solves, one subprocess per case.
 
-For each radius, a fresh interpreter imports tilelap, times
-``potential.green_ball(radius)`` and the full-ball defining-equation
-residual, and reports its own peak RSS (``ru_maxrss``), so every case's
-memory peak is its own, and whether the solve loaded any scipy module.
-Each case runs three times per source tree, the trees alternating run by
-run; the file records the median seconds and the largest peak RSS over
-the runs.
+Two modes.  ``green`` (the default): for each radius, a fresh interpreter
+imports tilelap, times ``potential.green_ball(radius)`` and the full-ball
+defining-equation residual.  ``eigen``: for each surface and mesh size, a
+fresh interpreter imports tilelap, builds the mesh and times
+``spectral.rescaled_spectrum`` on the path a command of that size takes
+(the k lowest pairs: 6 on genus2, pillowcase and lshape, 12 on a seeded
+rank-2 twisted torus), split into layers by wrapping the library from
+outside:
+
+    assemble_s  sparse Laplacian assembly (SuperLU path only)
+    setup_s     the shift-invert set-up: the capacitance matrix K and its
+                Cholesky factor, or the sparse LU factorization
+    solves      shift-inverted vectors solved; solve_s their time
+    post_s      mesh path only: the return to vertex order and the
+                residual check; the SuperLU path checks residuals inside
+                its eigen call, so there it counts as lanczos_s
+    lanczos_s   the rest of the eigen call: the Lanczos iteration itself
+    size        m, the capacitance matrix's order, or the LU's nonzeros
+    scipy_import_s  importing scipy.sparse.linalg, before the eigen call,
+                on a tree that uses it (its eigen call would import it)
+
+Every case reports its own peak RSS (``ru_maxrss``) and whether any scipy
+module was loaded.  Each case runs three times per source tree, the trees
+alternating run by run; the file records the median seconds and the
+largest peak RSS over the runs.
 
     python bench/scaling.py [--radii 64,128,256,512] [--src NAME=DIR ...]
                             [--out BENCH_scaling.json]
+    python bench/scaling.py --mode eigen [--ns 32,64,128,256]
+                            [--src NAME=DIR ...] [--out BENCH_eigen.json]
 
 ``--src`` (repeatable) names the source trees to import tilelap from
 (default: ``change=`` this checkout's ``src``), so a parent checkout and
@@ -17,6 +37,7 @@ a change can be measured side by side.
 """
 
 import argparse
+import functools
 import json
 import os
 import platform
@@ -27,6 +48,7 @@ import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 REPEAT = 3
+EIGEN_SURFACES = ("genus2", "pillowcase", "lshape", "torus-rank2")
 
 
 def _peak_rss_mb():
@@ -34,6 +56,10 @@ def _peak_rss_mb():
 
     # ru_maxrss is in KiB on Linux
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+
+def _scipy_loaded():
+    return any(m.split(".")[0] == "scipy" for m in sys.modules)
 
 
 def run_case(radius):
@@ -57,71 +83,217 @@ def run_case(radius):
             "import_s": import_s, "solve_s": solve_s,
             "residual_s": residual_s,
             "import_rss_mb": import_rss, "peak_rss_mb": _peak_rss_mb(),
-            "residual": residual,
-            "scipy": any(m.split(".")[0] == "scipy" for m in sys.modules)}
+            "residual": residual, "scipy": _scipy_loaded()}
 
 
-def _spawn(src, radius):
+def _timed(table, key, fn, vectors=None):
+    """``fn`` adding its run time to table[key], and, with ``vectors``,
+    the number of vectors its last argument holds to table["solves"]:
+    rows of a (b, dim) block, or columns of a (dim, b) one."""
+    @functools.wraps(fn)
+    def wrapper(*args, **kwargs):
+        start = time.perf_counter()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            table[key] += time.perf_counter() - start
+            if vectors:
+                shape = args[-1].shape
+                table["solves"] += (1 if len(shape) == 1 else
+                                    shape[0] if vectors == "rows"
+                                    else shape[1])
+    return wrapper
+
+
+def _eigen_input(name):
+    """(surface, bundle, k) of an eigen case."""
+    import numpy as np
+
+    from tilelap import catalog
+    from tilelap.bundle import FlatUnitaryBundle
+
+    if name != "torus-rank2":
+        surface = catalog.BUILTIN[name]()
+        return surface, FlatUnitaryBundle.trivial(surface), 6
+    # commuting holonomies V diag(e^{i a}) V*, V diag(e^{i b}) V*: flat
+    rng = np.random.default_rng(0)
+    v = np.linalg.qr(rng.standard_normal((2, 2))
+                     + 1j * rng.standard_normal((2, 2)))[0]
+    surface = catalog.torus()
+    return surface, FlatUnitaryBundle(surface, 2, {
+        seam: v @ np.diag(np.exp(1j * angles)) @ v.conj().T
+        for seam, angles in enumerate(rng.uniform(0, 2 * np.pi, (2, 2)))}), 12
+
+
+def run_eigen_case(name, n):
+    """Measure one eigen case in this process; returns a dict."""
+    start = time.perf_counter()
+    import numpy as np
+
+    from tilelap import operators, spectral
+    from tilelap.discretize import Discretization
+
+    import_s = time.perf_counter() - start
+    surface, bundle, k = _eigen_input(name)
+    table = dict.fromkeys(("assemble_s", "setup_s", "solve_s", "post_s",
+                           "scipy_import_s"), 0.0)
+    table.update(solves=0, size=0)
+    if hasattr(spectral, "mesh_eigenpairs"):
+        from tilelap import capacitance
+
+        path, cls = "mesh", capacitance.SeamCapacitance
+        init = cls.__init__
+
+        def setup(self, *args):
+            init(self, *args)
+            table["size"] = len(self.tail_slots) * bundle.rank
+
+        cls.__init__ = _timed(table, "setup_s", setup)
+        cls.apply = _timed(table, "solve_s", cls.apply, "rows")
+        cls.to_vertices = _timed(table, "post_s", cls.to_vertices)
+        operators.apply_laplacian = _timed(table, "post_s",
+                                           operators.apply_laplacian)
+    else:
+        path = "sparse"
+        start = time.perf_counter()
+        import scipy.sparse.linalg as spla
+
+        table["scipy_import_s"] = time.perf_counter() - start
+        splu = spla.splu
+
+        class Factor:
+            def __init__(self, *args, **kwargs):
+                self.lu = splu(*args, **kwargs)
+                table["size"] = self.lu.L.nnz + self.lu.U.nnz
+
+            def solve(self, rhs):
+                return self.lu.solve(rhs)
+
+        spla.splu = _timed(table, "setup_s", Factor)
+        Factor.solve = _timed(table, "solve_s", Factor.solve, "columns")
+        operators.laplacian = _timed(table, "assemble_s",
+                                     operators.laplacian)
+    start = time.perf_counter()
+    disc = Discretization(surface, bundle, n)
+    discretize_s = time.perf_counter() - start
+    start = time.perf_counter()
+    vals, _ = spectral.rescaled_spectrum(disc, k)
+    eigen_s = time.perf_counter() - start
+    table["lanczos_s"] = eigen_s - sum(table[key] for key in (
+        "assemble_s", "setup_s", "solve_s", "post_s"))
+    return {"surface": name, "n": n, "k": k, "path": path,
+            "unknowns": disc.n_vertices * bundle.rank,
+            "import_s": import_s, "discretize_s": discretize_s,
+            "eigen_s": eigen_s, **table,
+            "values": [float(v) for v in vals],
+            "peak_rss_mb": _peak_rss_mb(), "scipy": _scipy_loaded()}
+
+
+def _spawn(src, case):
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, os.path.abspath(__file__),
-                          "--case", repr(radius)], env=env, check=True,
+                          "--case", json.dumps(case)], env=env, check=True,
                          capture_output=True, text=True).stdout
     return json.loads(out)
 
 
+def _measure(trees, cases, seconds, maxima, describe):
+    """Run every case REPEAT times per tree, trees alternating; per tree,
+    the list of cases with ``seconds`` keys as medians and ``maxima`` as
+    largest over the runs."""
+    results = {name: [] for name in trees}
+    for case in cases:
+        runs = {name: [] for name in trees}
+        for _ in range(REPEAT):
+            for name, src in trees.items():
+                runs[name].append(_spawn(os.path.abspath(src), case))
+        for name, got in runs.items():
+            row = dict(got[0])
+            for key in seconds:
+                row[key] = statistics.median(r[key] for r in got)
+            for key in maxima:
+                row[key] = max(r[key] for r in got)
+            row["scipy"] = any(r["scipy"] for r in got)
+            row["runs"] = len(got)
+            results[name].append(row)
+            print(name, describe(row), file=sys.stderr)
+    return results
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--mode", choices=("green", "eigen"), default="green")
     parser.add_argument("--radii", default="64,128,256,512")
+    parser.add_argument("--ns", default="32,64,128,256")
     parser.add_argument("--src", action="append", metavar="NAME=DIR",
                         help="a source tree to measure (repeatable)")
-    parser.add_argument("--out", default=os.path.join(ROOT,
-                                                      "BENCH_scaling.json"))
-    parser.add_argument("--case", type=float, help=argparse.SUPPRESS)
+    parser.add_argument("--out")
+    parser.add_argument("--case", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.case is not None:
-        json.dump(run_case(args.case), sys.stdout)
+        case = json.loads(args.case)
+        result = (run_case(case) if not isinstance(case, list)
+                  else run_eigen_case(*case))
+        json.dump(result, sys.stdout)
         return
     trees = dict(s.split("=", 1) for s in args.src or
                  ["change=" + os.path.join(ROOT, "src")])
     import numpy
-    import scipy
 
-    results = {name: [] for name in trees}
-    for radius in (float(r) for r in args.radii.split(",")):
-        runs = {name: [] for name in trees}
-        for _ in range(REPEAT):
-            for name, src in trees.items():
-                runs[name].append(_spawn(os.path.abspath(src), radius))
-        for name, got in runs.items():
-            case = dict(got[0])
-            for key in ("import_s", "solve_s", "residual_s"):
-                case[key] = statistics.median(r[key] for r in got)
-            for key in ("import_rss_mb", "peak_rss_mb"):
-                case[key] = max(r[key] for r in got)
-            case["scipy"] = any(r["scipy"] for r in got)
-            case["runs"] = len(got)
-            results[name].append(case)
-            print("%s radius %g: %d points, %d wedge unknowns, solve %.3f s, "
-                  "residual %.3f s, peak RSS %.1f MB, residual %.2e, "
-                  "scipy %s"
-                  % (name, radius, case["ball_points"],
-                     case["wedge_unknowns"], case["solve_s"],
-                     case["residual_s"], case["peak_rss_mb"],
-                     case["residual"], case["scipy"]), file=sys.stderr)
-    record = {
-        "benchmark": "green_ball scaling",
-        "seconds": "median over runs, each in a fresh interpreter, trees "
-                   "alternating; solve_s and residual_s exclude import_s "
-                   "(numpy, tilelap), so solve_s includes any scipy import "
-                   "the solve makes",
-        "peak_rss_mb": "largest ru_maxrss over runs, imports included",
-        "scipy": "whether any run loaded a scipy module",
-        "machine": {"cpus": os.cpu_count(), "platform": platform.platform(),
-                    "python": platform.python_version(),
-                    "numpy": numpy.__version__, "scipy": scipy.__version__},
-        "results": results,
-    }
-    with open(args.out, "w") as fh:
+    try:
+        import scipy
+    except ImportError:
+        scipy = None
+    machine = {"cpus": os.cpu_count(), "platform": platform.platform(),
+               "python": platform.python_version(),
+               "numpy": numpy.__version__,
+               "scipy": scipy and scipy.__version__}
+    if args.mode == "green":
+        results = _measure(
+            trees, [float(r) for r in args.radii.split(",")],
+            ("import_s", "solve_s", "residual_s"),
+            ("import_rss_mb", "peak_rss_mb"),
+            lambda c: "radius %g: %d points, %d wedge unknowns, solve %.3f "
+            "s, residual %.3f s, peak RSS %.1f MB, residual %.2e, scipy %s"
+            % (c["radius"], c["ball_points"], c["wedge_unknowns"],
+               c["solve_s"], c["residual_s"], c["peak_rss_mb"],
+               c["residual"], c["scipy"]))
+        record = {
+            "benchmark": "green_ball scaling",
+            "seconds": "median over runs, each in a fresh interpreter, "
+                       "trees alternating; solve_s and residual_s exclude "
+                       "import_s (numpy, tilelap), so solve_s includes any "
+                       "scipy import the solve makes",
+            "peak_rss_mb": "largest ru_maxrss over runs, imports included",
+            "scipy": "whether any run loaded a scipy module"}
+    else:
+        results = _measure(
+            trees, [[name, int(n)] for name in EIGEN_SURFACES
+                    for n in args.ns.split(",")],
+            ("import_s", "discretize_s", "eigen_s", "assemble_s", "setup_s",
+             "solve_s", "post_s", "lanczos_s", "scipy_import_s"),
+            ("peak_rss_mb",),
+            lambda c: "%s n = %d (%s): eigen %.3f s = setup %.3f + %d "
+            "solves %.3f + lanczos %.3f + post %.3f; size %d, peak RSS "
+            "%.1f MB, scipy %s"
+            % (c["surface"], c["n"], c["path"], c["eigen_s"], c["setup_s"],
+               c["solves"], c["solve_s"], c["lanczos_s"], c["post_s"],
+               c["size"], c["peak_rss_mb"], c["scipy"]))
+        record = {
+            "benchmark": "mesh eigensolve scaling",
+            "seconds": "median over runs, each in a fresh interpreter, "
+                       "trees alternating; eigen_s is the whole "
+                       "rescaled_spectrum call, split as in "
+                       "bench/scaling.py's docstring",
+            "peak_rss_mb": "largest ru_maxrss over runs, imports included",
+            "scipy": "whether any run loaded a scipy module",
+            "shift": -1e-2}
+    record["machine"] = machine
+    record["results"] = results
+    out = args.out or os.path.join(ROOT, "BENCH_scaling.json"
+                                   if args.mode == "green"
+                                   else "BENCH_eigen.json")
+    with open(out, "w") as fh:
         json.dump(record, fh, indent=2)
         fh.write("\n")
 

@@ -26,7 +26,7 @@ and m = (number of seams) n r.
 import numpy as np
 
 from .operators import _block_matrix, laplacian_blocks
-from .surface import SIDES, facing
+from .surface import facing
 
 # side slots of a square, in the order rows (N at j = n - 1, S at j = 0),
 # then columns (E at i = n - 1, W at i = 0)
@@ -48,9 +48,10 @@ class SeamCapacitance:
     """(A - shift I)^-1 of a discretization's Laplacian in cosine
     coordinates, for a shift below the spectrum, and the exact kernel of A.
 
-    ``apply`` takes and returns (b, dim) blocks of such coordinates;
-    ``from_vertices`` and ``to_vertices`` convert from and to the
-    Laplacian's vertex ordering.  ``kernel`` is a (dim, kernel size)
+    ``apply`` takes and returns (b, dim) blocks of such coordinates, and
+    ``shifted`` applies A - shift I itself; ``to_vertices`` converts them
+    to the Laplacian's vertex ordering (an orthogonal map, so its
+    transpose converts back).  ``kernel`` is a (dim, kernel size)
     orthonormal basis of the kernel of A, supported on the constant mode
     (q, p) = (0, 0) of each square.
     """
@@ -78,19 +79,17 @@ class SeamCapacitance:
         head, as flat indices into (S, 4, n), and the edges' transports.
         The seam edges are the last len(seams) n edges of ``disc``, seam
         by seam, in segment order of the seam's first side."""
-        n = disc.n
+        n, seams = disc.n, disc.surface.seams
         segment = np.arange(n)
-        tails, heads = [], []
-        for seam in disc.surface.seams:
+        tails, heads = np.zeros((2, len(seams), n), dtype=int)
+        for row, seam in enumerate(seams):
             q, side = seam.first
             q2, side2, _, _, flip = disc.surface.across(q, side)
-            tails.append((q * 4 + SLOTS.index(side)) * n + segment)
-            heads.append((q2 * 4 + SLOTS.index(side2)) * n
-                         + facing(segment, flip))
-        count = len(disc.surface.seams) * n
-        self.tail_slots = np.concatenate(tails or [[]]).astype(int)
-        self.head_slots = np.concatenate(heads or [[]]).astype(int)
-        self.transports = disc.transports[len(disc.tails) - count:]
+            tails[row] = (q * 4 + SLOTS.index(side)) * n + segment
+            heads[row] = (q2 * 4 + SLOTS.index(side2)) * n + facing(segment,
+                                                                   flip)
+        self.tail_slots, self.head_slots = tails.ravel(), heads.ravel()
+        self.transports = disc.transports[len(disc.tails) - tails.size:]
 
     def _side_green(self):
         """M^-1 between the side cells of one square, (4 n, 4 n) in slot
@@ -153,18 +152,9 @@ class SeamCapacitance:
 
     # ---- coordinates ---------------------------------------------------
 
-    def from_vertices(self, x):
-        """Cosine coordinates of vertex-ordered columns x, (dim, b) ->
-        (b, dim)."""
-        squares, rank, n, _ = self.shape
-        grid = np.asarray(x).T.reshape(-1, squares, n, n, rank)
-        grid = grid.transpose(0, 1, 4, 2, 3)
-        return (self.phi.T @ grid @ self.phi).reshape(len(grid), self.dim)
-
     def to_vertices(self, z):
         """Vertex-ordered columns, (dim, b), of cosine coordinates z,
         (b, dim)."""
-        squares, rank, n, _ = self.shape
         grid = self.phi @ z.reshape((-1,) + self.shape) @ self.phi.T
         return grid.transpose(0, 1, 3, 4, 2).reshape(len(z), self.dim).T
 

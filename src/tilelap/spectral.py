@@ -3,8 +3,9 @@
 The rescaled spectrum n^2 * Spec(Delta_n) of the discretized Laplacian
 approximates the spectrum of the (Friedrichs/Neumann) Laplacian of the
 continuum surface; this module computes discrete eigenpairs
-deterministically, provides closed-form reference spectra for flat tori
-and rectangles, and fits empirical convergence orders.
+deterministically (dense LAPACK for small systems, the matrix-free mesh
+solver otherwise), provides closed-form reference spectra for flat tori,
+rectangles and the pillowcase, and fits empirical convergence orders.
 """
 
 import contextlib
@@ -20,10 +21,12 @@ SHIFT = -1e-2
 # OpenBLAS thread take 0.11 s at real dimension 1024 (k = 8) and 0.08 s
 # at complex 512 (k = 12), growing as dim^3
 DENSE_CUTOFF = 1024
-# mesh solver: Lanczos block per bundle rank (at least the torus's largest
-# multiplicity, 8), step limit, and the share of the residual gate that
-# its Ritz pairs must meet
+# mesh solver: Lanczos block per bundle rank (the torus's largest
+# multiplicity, 8, which a trivial rank-r bundle repeats r times), step
+# limit, and the share of the residual gate that its Ritz pairs must meet
 LANCZOS_BLOCK = 8
+# the basis holds k + LANCZOS_BASIS blocks; a restart keeps k + LANCZOS_KEEP
+LANCZOS_BASIS, LANCZOS_KEEP = 6, 2
 LANCZOS_MAX_STEPS = 1000
 # the Ritz residual of the shift-inverted operator that round-off in its
 # solve still allows, relative to its largest eigenvalue 1 / |SHIFT|
@@ -126,16 +129,15 @@ def _check_residuals(vals, residuals, norm1):
             % (residuals.max(), RESIDUAL_TOL, scale))
 
 
-def lowest_eigenpairs(mat, k, seed=0):
+def lowest_eigenpairs(mat, k):
     """The k smallest eigenpairs of a dense Hermitian matrix.
 
     LAPACK ?syevr/?heevr of numpy's OpenBLAS computes the pairs of index
     1..k only, on one BLAS thread, with no N x N eigenbasis (numpy's full
     ``eigh`` where numpy has no OpenBLAS); it returns the true lowest k,
-    multiple eigenvalues included.  ``seed`` is unused: the path has no
-    start vector.  Returns (values, vectors, residuals) with values
-    ascending and vectors in columns; raises if a residual fails the gate
-    of :func:`_check_residuals`.
+    multiple eigenvalues included.  Returns (values, vectors, residuals)
+    with values ascending and vectors in columns; raises if a residual
+    fails the gate of :func:`_check_residuals`.
     """
     dim = mat.shape[0]
     if k >= dim:
@@ -178,9 +180,10 @@ def _orthonormalize(w, against, floor, rng):
     column form W = Q B, and the number of random rows in q.  Two
     Cholesky QR passes (Fukaya, Nakatsukasa, Yanagisawa & Yamamoto, 2014)
     when the Gram matrix is well conditioned.  Otherwise rows are taken
-    one by one, projected twice: a row below ``floor`` spans nothing new
-    (an invariant subspace was found) and gives way to a random vector,
-    as long as the space has room."""
+    one by one, projected twice: a row left below ``floor``, or below
+    1e-8 of the largest row, spans nothing reliable (an invariant subspace
+    was found) and gives way to a random vector, as long as the space has
+    room."""
     q = w
     for _ in range(2):
         try:
@@ -194,8 +197,9 @@ def _orthonormalize(w, against, floor, rng):
     else:
         return q, _conj(q) @ w.T, 0
     found = np.empty((0, w.shape[1]), w.dtype)
+    small = max(floor, 1e-8 * np.linalg.norm(w, axis=1).max())
     for x in w:
-        found = _grow(found, x, against, floor)
+        found = _grow(found, x, against, small)
     spanned = len(found)
     for _ in range(len(w) - spanned):
         x = rng.standard_normal(w.shape[1])
@@ -225,26 +229,27 @@ def _block_lanczos(solver, k, block, gate, rng):
     `capacitance.SeamCapacitance`), with full reorthogonalization and
     thick restart (Wu & Simon, SIAM J. Matrix Anal. Appl. 22, 2000).
 
-    The basis is one preallocated column-major array of k + 6 blocks,
-    read as rows; its projection is kept whole, upper triangle by
+    The basis is one preallocated column-major array of k + LANCZOS_BASIS
+    blocks, read as rows; its projection is kept whole, upper triangle by
     columns, from the reorthogonalization coefficients.  Each step
     applies T to the newest block and projects the image off the rows it
     is coupled to, then off the whole basis (classical Gram-Schmidt as
     BLAS-3 products) and off the kernel; :func:`_orthonormalize` makes
     the next block of the rest.  When that block would not fit, the
-    k + 2 blocks of leading Ritz vectors become the basis.
+    k + LANCZOS_KEEP blocks of leading Ritz vectors become the basis.
 
     A Ritz pair (theta, y) has T-residual Q B s, for the next block Q,
     the coupling B and the newest block s of y's coefficients, so its
     residual |A y - lambda y| is |(A - SHIFT I) Q B s| / theta.  The run
-    stops when every wanted residual is within ``gate(values)``, or when
-    the basis spans the whole space.  Returns (values ascending, (k, dim)
-    Ritz vectors in cosine coordinates).
+    stops when every wanted pair's residual is within ``gate(values)``,
+    or its T-residual is down to round-off (LANCZOS_FLOOR), or the basis
+    spans the whole space; :func:`_refine` then finishes the pairs.
+    Returns (values ascending, (k, dim) vectors in cosine coordinates).
     """
     dim, kernel = solver.dim, solver.kernel.T
     room = dim - len(kernel)
     block = min(block, room)
-    cap = min(room, k + 6 * block)
+    cap = min(room, k + LANCZOS_BASIS * block)
     basis = np.empty((dim, cap), solver.dtype, order="F")
     rows = basis.T
     proj = np.zeros((cap, cap), solver.dtype)
@@ -279,7 +284,7 @@ def _block_lanczos(solver, k, block, gate, rng):
                         coef.T @ solver.shifted(q), axis=1) <= target).all()):
                 return _refine(solver, vecs[:, :k].T @ rows[:hi], rng)
             if hi + len(q) > cap:  # thick restart
-                keep = k + 2 * block
+                keep = k + LANCZOS_KEEP * block
                 rows[:keep] = vecs[:, :keep].T @ rows[:hi]
                 proj[:] = 0
                 proj[:keep, :keep] = np.diag(theta[:keep])
@@ -328,20 +333,21 @@ def mesh_eigenpairs(disc, k, seed=0):
         raise ValueError("need k < matrix dimension")
     if k >= dim - 1:
         return lowest_eigenpairs(laplacian(disc), k)
-    solver = SeamCapacitance(disc, SHIFT)
-    # |A|_1 <= 2 max degree: a degree block plus unitary blocks
-    norm1 = 2 * disc.degrees.max() * disc.bundle.rank
-    vecs = solver.kernel[:, :k].T
-    vals = np.zeros(k)
-    if k > len(vecs):
-        with _one_blas_thread():
+    # |A|_1 <= deg (1 + sqrt r): a degree block, and unitary blocks whose
+    # columns have 1-norm at most sqrt r
+    norm1 = disc.degrees.max() * (1 + np.sqrt(disc.bundle.rank))
+    with _one_blas_thread():
+        solver = SeamCapacitance(disc, SHIFT)
+        vecs = solver.kernel[:, :k].T
+        vals = np.zeros(k)
+        if k > len(vecs):
             vals[len(vecs):], ritz = _block_lanczos(
                 solver, k - len(vecs), LANCZOS_BLOCK * disc.bundle.rank,
                 lambda lam: GATE_MARGIN * RESIDUAL_TOL * max(
                     lam.max(), ZERO_SCALE * norm1),
                 np.random.default_rng(seed))
-        vecs = np.concatenate([vecs, ritz])
-    vecs = solver.to_vertices(vecs)
+            vecs = np.concatenate([vecs, ritz])
+        vecs = solver.to_vertices(vecs)
     residuals = np.array([np.linalg.norm(apply_laplacian(disc, v) - lam * v)
                           for lam, v in zip(vals, vecs.T)])
     _check_residuals(vals, residuals, norm1)
