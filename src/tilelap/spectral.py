@@ -184,8 +184,8 @@ def _orthonormalize(w, against, floor, rng):
     1e-8 of the largest row, spans nothing reliable (an invariant subspace
     was found) and gives way to a random vector, as long as the space has
     room."""
-    q = w
-    for _ in range(2):
+    q, lower = w, np.eye(len(w))
+    for _ in range(2):  # W = Q R with R = (L1 L2)*, L the Cholesky factors
         try:
             chol = np.linalg.cholesky(_conj(q) @ q.T)
         except np.linalg.LinAlgError:
@@ -194,8 +194,9 @@ def _orthonormalize(w, against, floor, rng):
         if diag.min() <= 1e-7 * diag.max() or diag.max() <= floor:
             break
         q = _conj(np.linalg.inv(chol)) @ q
+        lower = lower @ chol
     else:
-        return q, _conj(q) @ w.T, 0
+        return q, _conj(lower).T, 0
     found = np.empty((0, w.shape[1]), w.dtype)
     small = max(floor, 1e-8 * np.linalg.norm(w, axis=1).max())
     for x in w:
