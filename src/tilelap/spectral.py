@@ -21,9 +21,9 @@ SHIFT = -1e-2
 # OpenBLAS thread take 0.11 s at real dimension 1024 (k = 8) and 0.08 s
 # at complex 512 (k = 12), growing as dim^3
 DENSE_CUTOFF = 1024
-# mesh solver: Lanczos block per bundle rank (the torus's largest
-# multiplicity, 8, which a trivial rank-r bundle repeats r times), step
-# limit, and the share of the residual gate that its Ritz pairs must meet
+# mesh solver: Lanczos block (the torus's largest multiplicity; doubled
+# while a returned group fills it), step limit, and the share of the
+# residual gate that its Ritz pairs must meet
 LANCZOS_BLOCK = 8
 # the basis holds k + LANCZOS_BASIS blocks; a restart keeps k + LANCZOS_KEEP
 LANCZOS_BASIS, LANCZOS_KEEP = 6, 2
@@ -317,7 +317,8 @@ def mesh_eigenpairs(disc, k, seed=0):
     A flat section is constant on each square, so the kernel of A is the
     null space of the small square-graph Laplacian; its vectors come with
     eigenvalue exactly 0.0.  On their complement, :func:`_block_lanczos`
-    (block LANCZOS_BLOCK times the rank, seeded start) runs on
+    (block LANCZOS_BLOCK, seeded start; run again with the block doubled
+    while a group of equal values fills the block) runs on
     (A - SHIFT I)^-1, applied by `capacitance.SeamCapacitance` in cosine
     coordinates, until its residuals pass GATE_MARGIN times the gate of
     :func:`_check_residuals`; only the k vectors return to vertex order.
@@ -341,13 +342,18 @@ def mesh_eigenpairs(disc, k, seed=0):
         solver = SeamCapacitance(disc, SHIFT)
         vecs = solver.kernel[:, :k].T
         vals = np.zeros(k)
-        if k > len(vecs):
+        block = LANCZOS_BLOCK
+        while k > len(vecs):
             vals[len(vecs):], ritz = _block_lanczos(
-                solver, k - len(vecs), LANCZOS_BLOCK * disc.bundle.rank,
+                solver, k - len(vecs), block,
                 lambda lam: GATE_MARGIN * RESIDUAL_TOL * max(
                     lam.max(), ZERO_SCALE * norm1),
                 np.random.default_rng(seed))
-            vecs = np.concatenate([vecs, ritz])
+            # the Krylov space of a block holds at most that many members
+            # of a multiple eigenvalue: a group as large may have more
+            if max(map(len, eigenvalue_groups(vals[len(vecs):]))) < block:
+                vecs = np.concatenate([vecs, ritz])
+            block *= 2
         vecs = solver.to_vertices(vecs)
     residuals = np.array([np.linalg.norm(apply_laplacian(disc, v) - lam * v)
                           for lam, v in zip(vals, vecs.T)])
