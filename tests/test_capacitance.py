@@ -142,8 +142,8 @@ def test_eigenvalues_match_dense_eigvalsh():
 @pytest.mark.parametrize("seed", range(4))
 def test_block_lanczos_respects_multiplicity(seed):
     # the rank-2 trivial torus repeats every torus eigenvalue twice, so
-    # 4- and 8-fold values become 8- and 16-fold: the block grows with
-    # the rank and keeps each multiplet whole
+    # 4- and 8-fold values become 8- and 16-fold, past the block of 8:
+    # the block doubles while a returned group fills it
     torus = catalog.torus()
     disc = Discretization(torus, FlatUnitaryBundle.trivial(torus, 2), 24)
     oracle = np.repeat(spectral.discrete_torus_spectrum(24), 2)
