@@ -18,6 +18,7 @@ outside:
                 its eigen call, so there it counts as lanczos_s
     lanczos_s   the rest of the eigen call: the Lanczos iteration itself
     size        m, the capacitance matrix's order, or the LU's nonzeros
+    shift       the shift sigma of the shift-invert
     scipy_import_s  importing scipy.sparse.linalg, before the eigen call,
                 on a tree that uses it (its eigen call would import it)
 
@@ -144,9 +145,10 @@ def run_eigen_case(name, n):
         path, cls = "mesh", capacitance.SeamCapacitance
         init = cls.__init__
 
-        def setup(self, *args):
-            init(self, *args)
+        def setup(self, disc, shift):
+            init(self, disc, shift)
             table["size"] = len(self.tail_slots) * bundle.rank
+            table["shift"] = shift
 
         cls.__init__ = _timed(table, "setup_s", setup)
         cls.apply = _timed(table, "solve_s", cls.apply, "rows")
@@ -155,6 +157,7 @@ def run_eigen_case(name, n):
                                            operators.apply_laplacian)
     else:
         path = "sparse"
+        table["shift"] = spectral.SHIFT
         start = time.perf_counter()
         import scipy.sparse.linalg as spla
 
@@ -287,7 +290,10 @@ def main(argv=None):
                        "bench/scaling.py's docstring",
             "peak_rss_mb": "largest ru_maxrss over runs, imports included",
             "scipy": "whether any run loaded a scipy module",
-            "shift": -1e-2}
+            "shift": "sigma = spectral.SHIFT / n^2, SHIFT = -1 in units "
+                     "of the rescaled spectrum (a tree whose SHIFT is the "
+                     "fixed sigma -0.01 uses that); each case records its "
+                     "own sigma as shift"}
     record["machine"] = machine
     record["results"] = results
     out = args.out or os.path.join(ROOT, "BENCH_scaling.json"

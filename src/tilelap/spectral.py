@@ -14,22 +14,25 @@ import math
 
 import numpy as np
 
-# shift of the mesh solver's shift-invert, below the (nonnegative) spectrum
-SHIFT = -1e-2
+# shift of the mesh solver's shift-invert, below the (nonnegative)
+# spectrum, in units of the rescaled spectrum n^2 Spec(Delta_n): the solver
+# of an n-mesh uses sigma = SHIFT / n^2, at the scale of the wanted values
+SHIFT = -1.0
 # the largest eigen system a command solves densely, in unknowns, a
 # complex one counting double: the k lowest pairs by ?syevr on one
 # OpenBLAS thread take 0.11 s at real dimension 1024 (k = 8) and 0.08 s
 # at complex 512 (k = 12), growing as dim^3
 DENSE_CUTOFF = 1024
-# mesh solver: Lanczos block (the torus's largest multiplicity; doubled
-# while a returned group fills it), step limit, and the share of the
-# residual gate that its Ritz pairs must meet
+# mesh solver: Lanczos block (the torus's largest multiplicity; no larger
+# than the count wanted; doubled while a returned group fills a smaller
+# block), step limit, and the share of the residual gate that its Ritz
+# pairs must meet
 LANCZOS_BLOCK = 8
 # the basis holds k + LANCZOS_BASIS blocks; a restart keeps k + LANCZOS_KEEP
 LANCZOS_BASIS, LANCZOS_KEEP = 6, 2
 LANCZOS_MAX_STEPS = 1000
 # the Ritz residual of the shift-inverted operator that round-off in its
-# solve still allows, relative to its largest eigenvalue 1 / |SHIFT|
+# solve still allows, relative to its largest eigenvalue 1 / |sigma|
 LANCZOS_FLOOR = 1e-13
 GATE_MARGIN = 1e-3
 # the residual gate accepts RESIDUAL_TOL times max |lambda|, a scale no
@@ -81,9 +84,10 @@ def _blas_thread_control():
 
 
 def _lapacke(name):
-    """The LAPACKE routine ``name`` (dsyevr, zheevr or dpbsv) of numpy's
-    OpenBLAS, 64-bit integer build, or None when numpy does not bundle it.
-    Its first argument is the matrix layout, 102 for column-major."""
+    """The LAPACKE routine ``name`` (dsyevr, zheevr, dpbsv, dtrtri or
+    ztrtri) of numpy's OpenBLAS, 64-bit integer build, or None when numpy
+    does not bundle it.  Its first argument is the matrix layout, 102 for
+    column-major."""
     import ctypes as c
 
     if _openblas() is None or _openblas()[2] != "64_":
@@ -95,6 +99,7 @@ def _lapacke(name):
         func.restype = i
         func.argtypes = [c.c_int, ch] + (
             [i, i, i, p, i, p, i] if name == "dpbsv"
+            else [ch, i, p, i] if name.endswith("trtri")
             else [ch, ch, i, p, i, d, d, i, i, d, p, p, p, i, p])
     return func
 
@@ -226,9 +231,12 @@ def _grow(found, x, against, small):
 
 def _block_lanczos(solver, k, block, gate, rng):
     """The k lowest eigenpairs of A off its kernel, by block Lanczos on
-    the shift-inverted operator T = (A - SHIFT I)^-1 of ``solver`` (a
-    `capacitance.SeamCapacitance`), with full reorthogonalization and
-    thick restart (Wu & Simon, SIAM J. Matrix Anal. Appl. 22, 2000).
+    the shift-inverted operator T = (A - sigma I)^-1 of ``solver`` (a
+    `capacitance.SeamCapacitance`, sigma its ``shift``), with full
+    reorthogonalization and thick restart (Wu & Simon, SIAM J. Matrix
+    Anal. Appl. 22, 2000).  The block is no larger than k: a block of b
+    vectors finds at most b members of one eigenvalue, so one of k cannot
+    miss a member that is wanted.
 
     The basis is one preallocated column-major array of k + LANCZOS_BASIS
     blocks, read as rows; its projection is kept whole, upper triangle by
@@ -241,21 +249,21 @@ def _block_lanczos(solver, k, block, gate, rng):
 
     A Ritz pair (theta, y) has T-residual Q B s, for the next block Q,
     the coupling B and the newest block s of y's coefficients, so its
-    residual |A y - lambda y| is |(A - SHIFT I) Q B s| / theta.  The run
+    residual |A y - lambda y| is |(A - sigma I) Q B s| / theta.  The run
     stops when every wanted pair's residual is within ``gate(values)``,
     or its T-residual is down to round-off (LANCZOS_FLOOR), or the basis
     spans the whole space; :func:`_refine` then finishes the pairs.
     Returns (values ascending, (k, dim) vectors in cosine coordinates).
     """
-    dim, kernel = solver.dim, solver.kernel.T
+    dim, kernel, shift = solver.dim, solver.kernel.T, solver.shift
     room = dim - len(kernel)
-    block = min(block, room)
+    block = min(block, room, k)
     cap = min(room, k + LANCZOS_BASIS * block)
     basis = np.empty((dim, cap), solver.dtype, order="F")
     rows = basis.T
     proj = np.zeros((cap, cap), solver.dtype)
-    # |T| is at most 1 / |SHIFT|: directions below this are round-off
-    floor = 1e-14 / -SHIFT
+    # |T| is at most 1 / |sigma|: directions below this are round-off
+    floor = 1e-14 / -shift
     start = rng.standard_normal((block, dim)).astype(solver.dtype)
     if np.iscomplexobj(start):
         start += 1j * rng.standard_normal((block, dim))
@@ -271,17 +279,18 @@ def _block_lanczos(solver, k, block, gate, rng):
         _project_off(w, kernel)
         q, coupling, fresh = _orthonormalize(w, [rows[:hi], kernel], floor,
                                              rng)
+        del w  # freed before the gate's products and the next solve
         if hi >= k:  # else too few Ritz pairs yet, and room in the basis
             theta, vecs = np.linalg.eigh(proj[:hi, :hi], UPLO="U")
             theta, vecs = theta[::-1], vecs[:, ::-1]
             coef = coupling @ vecs[lo:hi, :k]
             resid = np.linalg.norm(coef, axis=0)
-            target = gate(SHIFT + 1 / theta[:k]) * theta[:k]
+            target = gate(shift + 1 / theta[:k]) * theta[:k]
             # fresh rows: an invariant subspace was found, go on through
-            # them; |A - SHIFT I| >= |SHIFT| off the kernel, a lower bound
+            # them; |A - sigma I| >= |sigma| off the kernel, a lower bound
             if not fresh and (
-                    not len(q) or resid.max() <= LANCZOS_FLOOR / -SHIFT
-                    or (-SHIFT * resid <= target).all() and (np.linalg.norm(
+                    not len(q) or resid.max() <= LANCZOS_FLOOR / -shift
+                    or (-shift * resid <= target).all() and (np.linalg.norm(
                         coef.T @ solver.shifted(q), axis=1) <= target).all()):
                 return _refine(solver, vecs[:, :k].T @ rows[:hi], rng)
             if hi + len(q) > cap:  # thick restart
@@ -299,7 +308,7 @@ def _block_lanczos(solver, k, block, gate, rng):
 def _refine(solver, ritz, rng):
     """Eigenpairs of A from Ritz vectors (rows) of its shift-inverse: one
     step of block inverse iteration, its solve refined once by the
-    residual (A - SHIFT I) y - x, then Rayleigh-Ritz with A itself.
+    residual (A - sigma I) y - x, then Rayleigh-Ritz with A itself.
     Takes the Ritz vectors from the round-off of the shift-inverted
     solve down to that of A.  Returns (values ascending, rows)."""
     image = solver.apply(ritz)
@@ -307,7 +316,7 @@ def _refine(solver, ritz, rng):
     _project_off(image, solver.kernel.T)
     q, _, _ = _orthonormalize(image, [solver.kernel.T], 0.0, rng)
     vals, vecs = np.linalg.eigh(_conj(q) @ solver.shifted(q).T)
-    return SHIFT + vals, vecs.T @ q
+    return solver.shift + vals, vecs.T @ q
 
 
 def mesh_eigenpairs(disc, k, seed=0):
@@ -318,10 +327,11 @@ def mesh_eigenpairs(disc, k, seed=0):
     null space of the small square-graph Laplacian; its vectors come with
     eigenvalue exactly 0.0.  On their complement, :func:`_block_lanczos`
     (block LANCZOS_BLOCK, seeded start; run again with the block doubled
-    while a group of equal values fills the block) runs on
-    (A - SHIFT I)^-1, applied by `capacitance.SeamCapacitance` in cosine
-    coordinates, until its residuals pass GATE_MARGIN times the gate of
-    :func:`_check_residuals`; only the k vectors return to vertex order.
+    while a group of equal values fills a block smaller than the count
+    wanted) runs on (A - sigma I)^-1, sigma = SHIFT / n^2, applied by
+    `capacitance.SeamCapacitance` in cosine coordinates, until its
+    residuals pass GATE_MARGIN times the gate of :func:`_check_residuals`;
+    only the k vectors return to vertex order.
     k >= dim - 1, which the Lanczos basis cannot serve, goes to the dense
     Laplacian.  Returns (values, vectors, residuals) as
     :func:`lowest_eigenpairs` does, with the same gate, the residuals
@@ -339,19 +349,22 @@ def mesh_eigenpairs(disc, k, seed=0):
     # columns have 1-norm at most sqrt r
     norm1 = disc.degrees.max() * (1 + np.sqrt(disc.bundle.rank))
     with _one_blas_thread():
-        solver = SeamCapacitance(disc, SHIFT)
+        solver = SeamCapacitance(disc, SHIFT / disc.n ** 2)
         vecs = solver.kernel[:, :k].T
         vals = np.zeros(k)
         block = LANCZOS_BLOCK
         while k > len(vecs):
+            wanted = k - len(vecs)
             vals[len(vecs):], ritz = _block_lanczos(
-                solver, k - len(vecs), block,
+                solver, wanted, block,
                 lambda lam: GATE_MARGIN * RESIDUAL_TOL * max(
                     lam.max(), ZERO_SCALE * norm1),
                 np.random.default_rng(seed))
             # the Krylov space of a block holds at most that many members
-            # of a multiple eigenvalue: a group as large may have more
-            if max(map(len, eigenvalue_groups(vals[len(vecs):]))) < block:
+            # of a multiple eigenvalue: a group as large may have more,
+            # unless the block holds as many vectors as values are wanted
+            if block >= wanted or max(
+                    map(len, eigenvalue_groups(vals[len(vecs):]))) < block:
                 vecs = np.concatenate([vecs, ritz])
             block *= 2
         vecs = solver.to_vertices(vecs)

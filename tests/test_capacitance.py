@@ -9,10 +9,8 @@ from tilelap.bundle import FlatUnitaryBundle
 from tilelap.capacitance import SeamCapacitance, dct_basis
 from tilelap.discretize import Discretization
 
-from conftest import SURFACE_NAMES, random_flat_bundle
+from conftest import SURFACE_NAMES, make_disc, random_flat_bundle
 from test_random_surfaces import random_surface
-
-SHIFT = spectral.SHIFT
 
 
 def _surfaces(count):
@@ -68,9 +66,10 @@ def test_dct_basis_diagonalizes_the_path():
 
 
 def test_solve_matches_dense_solve():
-    # (A - SHIFT I)^-1 x against numpy's dense solve, to 1e-12 relative,
-    # real and complex, rank 1 and 2; a seam transport used where its
-    # adjoint belongs misses by O(1) on the complex bundles
+    # (A - sigma I)^-1 x against numpy's dense solve, to 1e-12 relative,
+    # real and complex, rank 1 and 2, at the mesh solver's sigma = SHIFT /
+    # n^2 and at -0.01; a seam transport used where its adjoint belongs
+    # misses by O(1) on the complex bundles
     rng = np.random.default_rng(1)
     worst = 0.0
     for surface in _surfaces(25):
@@ -79,23 +78,48 @@ def test_solve_matches_dense_solve():
             for n in (2, 3, 5):
                 disc = Discretization(surface, bundle, n)
                 lap = np.asarray(operators.laplacian(disc))
-                x = rng.standard_normal((len(lap), 3)).astype(lap.dtype)
-                if np.iscomplexobj(x):
-                    x += 1j * rng.standard_normal(x.shape)
-                want = np.linalg.solve(lap - SHIFT * np.eye(len(lap)), x)
-                solver = SeamCapacitance(disc, SHIFT)
-                # the cosine transform is orthogonal: its transpose
-                # takes vertex values to cosine coordinates
-                to_vertices = solver.to_vertices(np.eye(len(lap)))
-                assert np.abs(to_vertices.T @ to_vertices
-                              - np.eye(len(lap))).max() <= 1e-13
-                got = to_vertices @ solver.apply((to_vertices.T @ x).T).T
-                worst = max(worst, np.linalg.norm(got - want)
-                            / np.linalg.norm(want))
-                # and the shifted operator itself, A - SHIFT I
-                back = to_vertices @ solver.shifted((to_vertices.T @ want).T).T
-                assert np.abs(back - x).max() <= 1e-10 * np.abs(x).max()
+                for shift in (spectral.SHIFT / n ** 2, -1e-2):
+                    x = rng.standard_normal((len(lap), 3)).astype(lap.dtype)
+                    if np.iscomplexobj(x):
+                        x += 1j * rng.standard_normal(x.shape)
+                    want = np.linalg.solve(lap - shift * np.eye(len(lap)), x)
+                    solver = SeamCapacitance(disc, shift)
+                    # the cosine transform is orthogonal: its transpose
+                    # takes vertex values to cosine coordinates
+                    to_vertices = solver.to_vertices(np.eye(len(lap)))
+                    assert np.abs(to_vertices.T @ to_vertices
+                                  - np.eye(len(lap))).max() <= 1e-13
+                    got = to_vertices @ solver.apply((to_vertices.T @ x).T).T
+                    worst = max(worst, np.linalg.norm(got - want)
+                                / np.linalg.norm(want))
+                    # and the shifted operator itself, A - sigma I
+                    back = to_vertices @ solver.shifted(
+                        (to_vertices.T @ want).T).T
+                    assert np.abs(back - x).max() <= 1e-10 * np.abs(x).max()
     assert worst <= 1e-12
+
+
+@pytest.mark.parametrize("name", ["genus2", "pillowcase", "lshape", "torus"])
+def test_solve_residual_on_large_meshes(name):
+    # |(A - sigma I) y - x| <= 1e-12 |x| for y the solve of x, at the
+    # mesh solver's sigma = SHIFT / n^2, A applied as div grad on the
+    # edge arrays; the torus carries a complex rank-2 bundle
+    rng = np.random.default_rng(4)
+    surface = catalog.BUILTIN[name]()
+    bundle = (random_flat_bundle(surface, 2, rng) if name == "torus"
+              else FlatUnitaryBundle.trivial(surface))
+    for n in (32, 64):
+        disc = Discretization(surface, bundle, n)
+        shift = spectral.SHIFT / n ** 2
+        solver = SeamCapacitance(disc, shift)
+        assert np.iscomplexobj(disc.transports) == (name == "torus")
+        x = rng.standard_normal((2, solver.dim)).astype(solver.dtype)
+        if np.iscomplexobj(x):
+            x += 1j * rng.standard_normal(x.shape)
+        ys, xs = solver.to_vertices(solver.apply(x)), solver.to_vertices(x)
+        for y, want in zip(ys.T, xs.T):
+            got = operators.apply_laplacian(disc, y) - shift * y
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 def test_kernel_is_the_holonomy_fixed_sections():
@@ -108,7 +132,8 @@ def test_kernel_is_the_holonomy_fixed_sections():
             for trivial in range(rank + 1):
                 bundle = random_flat_bundle(surface, rank, rng, trivial)
                 disc = Discretization(surface, bundle, 3)
-                size = SeamCapacitance(disc, SHIFT).kernel.shape[1]
+                solver = SeamCapacitance(disc, spectral.SHIFT / disc.n ** 2)
+                size = solver.kernel.shape[1]
                 assert size == holonomy_fixed_dimension(surface, bundle)
                 vals = np.linalg.eigvalsh(operators.laplacian(disc))
                 assert size == np.count_nonzero(vals < 1e-9)
@@ -148,3 +173,27 @@ def test_block_lanczos_respects_multiplicity(seed):
     oracle = np.repeat(spectral.discrete_torus_spectrum(24), 2)
     vals, _, _ = spectral.mesh_eigenpairs(disc, 26, seed=seed)
     assert np.abs(vals - oracle[:26]).max() <= 1e-10 * oracle[25]
+
+
+def test_block_is_cut_to_the_count_wanted(monkeypatch):
+    # trivial torus, n = 32, k = 5: past the kernel the 4 wanted values
+    # are one 4-fold value, so one block Lanczos run with a block of 4
+    # finds them all; a block of 3 would hold only 3 of its members
+    runs, rows = [], []
+    lanczos, apply = spectral._block_lanczos, SeamCapacitance.apply
+
+    def recorded(solver, k, *args):
+        runs.append(k)
+        return lanczos(solver, k, *args)
+
+    def counted(self, z):
+        rows.append(len(z))
+        return apply(self, z)
+
+    monkeypatch.setattr(spectral, "_block_lanczos", recorded)
+    monkeypatch.setattr(SeamCapacitance, "apply", counted)
+    vals, _, _ = spectral.mesh_eigenpairs(make_disc("torus", 32), 5)
+    oracle = spectral.discrete_torus_spectrum(32)[:5]
+    assert runs == [4]
+    assert rows[0] == 4 and max(rows) == 4
+    assert np.abs(vals - oracle).max() <= 1e-10 * oracle[-1]
