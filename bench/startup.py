@@ -4,7 +4,8 @@ Each run spawns a fresh interpreter that imports ``tilelap.cli``, runs one
 command through ``cli.main`` and reports its peak RSS (``ru_maxrss``) and
 whether any scipy module was loaded; the parent times the run from spawn
 to exit.  The commands are the `diagnostics` workload's small-mesh ones,
-whose systems fit the dense path, plus its two sparse ones as controls.
+whose meshes `spectral.mesh_eigenpairs` sends to LAPACK or to block
+Lanczos one by one, plus its two largest ones as controls.
 Each command runs REPEAT times per source tree, the trees alternating run
 by run; the file records the median wall seconds and the largest peak RSS.
 
@@ -39,7 +40,8 @@ CASES = {
                            "--ns", "16,32"],
     "green-halfplane": ["green", "--mode", "halfplane", "--radius", "6",
                         "--source", "0,3"],
-    # controls: their largest systems take the sparse path
+    # controls: a sweep up to 12,288 unknowns, all of it by block Lanczos,
+    # and a Green ball of radius 128
     "harnack-lshape": ["harnack", "--surface", "lshape",
                        "--ns", "8,16,32,64"],
     "green-ball": ["green", "--mode", "ball", "--radius", "128"],

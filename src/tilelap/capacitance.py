@@ -61,6 +61,22 @@ def _lower_inverse(lower):
     return inv
 
 
+def square_kernel(disc):
+    """Orthonormal kernel, (squares * rank, size), of the Laplacian of the
+    square graph that the seams' transports make.  A section in the
+    kernel of the mesh Laplacian is flat, so constant on each square, and
+    these are its constants times n, one row per square and component."""
+    squares = disc.surface.n_squares
+    count = len(disc.surface.seams)
+    edges = slice(len(disc.tails) - count * disc.n, None, disc.n)
+    lap = _block_matrix(*laplacian_blocks(
+        squares, disc.tails[edges] // disc.n ** 2,
+        disc.heads[edges] // disc.n ** 2, disc.transports[edges]),
+        (squares, squares))
+    vals, vecs = np.linalg.eigh(np.asarray(lap))
+    return vecs[:, vals <= KERNEL_TOL * max(1.0, vals[-1])]
+
+
 class SeamCapacitance:
     """(A - shift I)^-1 of a discretization's Laplacian in cosine
     coordinates, for a shift below the spectrum, and the exact kernel of A.
@@ -84,7 +100,12 @@ class SeamCapacitance:
         self.inv_m = 1.0 / (lam[:, None] + lam - shift)
         # rows of Phi at the two ends, cells n - 1 and 0
         self.ends = self.phi[[n - 1, 0]]
-        self.kernel = self._kernel(disc)
+        # a flat section with constant c_q on square q has cosine
+        # coordinate (0, 0) n c_q there
+        null = square_kernel(disc)
+        kernel = np.zeros(self.shape + null.shape[1:], null.dtype)
+        kernel[:, :, 0, 0] = null.reshape(squares, rank, -1)
+        self.kernel = kernel.reshape(self.dim, -1)
         self._seam_edges(disc)
         # K^-1 = L^-* L^-1 from the Cholesky factor L of K: an explicit
         # inverse of K would cost its condition number in accuracy
@@ -148,25 +169,6 @@ class SeamCapacitance:
         cap = cap.reshape(count * rank, count * rank)
         cap[np.diag_indices_from(cap)] += 1
         return cap
-
-    def _kernel(self, disc):
-        """Orthonormal kernel of A in cosine coordinates.  A section in the
-        kernel is flat, so constant on each square, and its constants c_q
-        solve the Laplacian of the square graph that the seams' transports
-        make; its cosine coordinate (0, 0) on square q is n c_q."""
-        squares, rank = self.shape[:2]
-        count = len(disc.surface.seams)
-        first = len(disc.tails) - count * disc.n
-        edges = slice(first, None, disc.n)
-        lap = _block_matrix(*laplacian_blocks(
-            squares, disc.tails[edges] // disc.n ** 2,
-            disc.heads[edges] // disc.n ** 2, disc.transports[edges]),
-            (squares, squares))
-        vals, vecs = np.linalg.eigh(np.asarray(lap))
-        null = vecs[:, vals <= KERNEL_TOL * max(1.0, vals[-1])]
-        kernel = np.zeros(self.shape + (null.shape[1],), null.dtype)
-        kernel[:, :, 0, 0] = null.reshape(squares, rank, -1)
-        return kernel.reshape(self.dim, -1)
 
     # ---- coordinates ---------------------------------------------------
 

@@ -112,9 +112,9 @@ def _source(text):
     return a, b
 
 
-def _eigen_solve(surface, bundle, k, seed, dense, vectors, n):
+def _eigen_solve(surface, bundle, k, seed, vectors, n):
     disc = Discretization(surface, bundle, n)
-    vals, vecs = spectral.rescaled_spectrum(disc, k, seed=seed, dense=dense)
+    vals, vecs = spectral.rescaled_spectrum(disc, k, seed=seed)
     return (disc, vals, vecs) if vectors else (None, vals, None)
 
 
@@ -128,19 +128,15 @@ def _eigen_sweep(surface, bundle, ns, k, seed, flag, jobs=1, vectors=True):
 
     The first ``next()`` rejects a coarsest mesh with at most k unknowns,
     naming the flag at fault: the eigensolver needs k < dim, and meshes
-    only grow along --ns.  The path follows from the largest mesh: dense
-    LAPACK when ``spectral.is_small`` holds for it, else the mesh solver
-    (``spectral.mesh_eigenpairs``) for every mesh.
+    only grow along --ns.  Each mesh is solved by
+    ``spectral.mesh_eigenpairs``, which picks LAPACK or Lanczos for it.
     """
-    dims = [surface.n_squares * n * n * bundle.rank for n in ns]
-    if k >= dims[0]:
+    dim = surface.n_squares * ns[0] ** 2 * bundle.rank
+    if k >= dim:
         raise SurfaceFormatError("%s: the n = %d mesh has dimension %d, "
                                  "too small for %d eigenpairs"
-                                 % (flag, ns[0], dims[0], k))
-    dense = spectral.is_small(dims[-1],
-                              any(t.imag.any() for t in bundle.transports))
-    solve = functools.partial(_eigen_solve, surface, bundle, k, seed, dense,
-                              vectors)
+                                 % (flag, ns[0], dim, k))
+    solve = functools.partial(_eigen_solve, surface, bundle, k, seed, vectors)
     if jobs > 1:
         from multiprocessing import Pool
 

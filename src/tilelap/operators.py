@@ -54,9 +54,9 @@ def laplacian_blocks(n_vertices, tails, heads, transports):
 
 def laplacian(disc):
     """Hermitian bundle Laplacian as a dense `DenseMatrix`, (n_vertices *
-    rank) square, real when the bundle's transports are.  Only systems
-    that ``spectral.is_small`` sends to the dense solver are assembled;
-    larger meshes are solved by `capacitance.SeamCapacitance`."""
+    rank) square, real when the bundle's transports are.  It is assembled
+    only for meshes that ``spectral.mesh_eigenpairs`` sends to LAPACK;
+    the others are solved by `capacitance.SeamCapacitance`."""
     return _block_matrix(*laplacian_blocks(disc.n_vertices, disc.tails,
                                            disc.heads, disc.transports),
                          (disc.n_vertices, disc.n_vertices))

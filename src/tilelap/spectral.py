@@ -3,9 +3,10 @@
 The rescaled spectrum n^2 * Spec(Delta_n) of the discretized Laplacian
 approximates the spectrum of the (Friedrichs/Neumann) Laplacian of the
 continuum surface; this module computes discrete eigenpairs
-deterministically (dense LAPACK for small systems, the matrix-free mesh
-solver otherwise), provides closed-form reference spectra for flat tori,
-rectangles and the pillowcase, and fits empirical convergence orders.
+deterministically (:func:`mesh_eigenpairs`, which chooses per mesh
+between LAPACK on the dense Laplacian and matrix-free block Lanczos),
+provides closed-form reference spectra for flat tori, rectangles and the
+pillowcase, and fits empirical convergence orders.
 """
 
 import contextlib
@@ -18,11 +19,6 @@ import numpy as np
 # spectrum, in units of the rescaled spectrum n^2 Spec(Delta_n): the solver
 # of an n-mesh uses sigma = SHIFT / n^2, at the scale of the wanted values
 SHIFT = -1.0
-# the largest eigen system a command solves densely, in unknowns, a
-# complex one counting double: the k lowest pairs by ?syevr on one
-# OpenBLAS thread take 0.11 s at real dimension 1024 (k = 8) and 0.08 s
-# at complex 512 (k = 12), growing as dim^3
-DENSE_CUTOFF = 1024
 # mesh solver: Lanczos block (the torus's largest multiplicity; no larger
 # than the count wanted; doubled while a returned group fills a smaller
 # block), step limit, and the share of the residual gate that its Ritz
@@ -30,6 +26,11 @@ DENSE_CUTOFF = 1024
 LANCZOS_BLOCK = 8
 # the basis holds k + LANCZOS_BASIS blocks; a restart keeps k + LANCZOS_KEEP
 LANCZOS_BASIS, LANCZOS_KEEP = 6, 2
+# block Lanczos solves a mesh while its basis, k + LANCZOS_BASIS blocks of
+# min(LANCZOS_BLOCK, k), stays below this share of the dimension; past it
+# LAPACK ?syevr on the dense Laplacian is faster (which also takes
+# k >= dim - 1, more than the basis can serve)
+LANCZOS_SHARE = 1 / 8
 LANCZOS_MAX_STEPS = 1000
 # the Ritz residual of the shift-inverted operator that round-off in its
 # solve still allows, relative to its largest eigenvalue 1 / |sigma|
@@ -44,12 +45,6 @@ ZERO_SCALE = 1e-6
 GROUP_REL_TOL, GROUP_ABS_TOL = 1e-6, 1e-9
 # richardson_extrapolate looks for the convergence order in this interval
 ORDER_BRACKET = (0.5, 8.0)
-
-
-def is_small(dim, is_complex=False):
-    """Whether a system of ``dim`` unknowns is solved densely: at most
-    DENSE_CUTOFF of them, complex ones counting double."""
-    return dim * (2 if is_complex else 1) <= DENSE_CUTOFF
 
 
 @functools.cache
@@ -320,70 +315,75 @@ def _refine(solver, ritz, rng):
 
 
 def mesh_eigenpairs(disc, k, seed=0):
-    """The k smallest eigenpairs of a discretization's Laplacian A, with
-    no matrix: the exact kernel, then shift-invert block Lanczos.
+    """The k smallest eigenpairs of a discretization's Laplacian A: the
+    exact kernel, then the rest by LAPACK or by block Lanczos, whichever
+    is faster for the mesh.
 
     A flat section is constant on each square, so the kernel of A is the
-    null space of the small square-graph Laplacian; its vectors come with
-    eigenvalue exactly 0.0.  On their complement, :func:`_block_lanczos`
-    (block LANCZOS_BLOCK, seeded start; run again with the block doubled
-    while a group of equal values fills a block smaller than the count
-    wanted) runs on (A - sigma I)^-1, sigma = SHIFT / n^2, applied by
+    null space of the small square-graph Laplacian
+    (`capacitance.square_kernel`); its vectors come with eigenvalue
+    exactly 0.0.  When the Lanczos basis, k + LANCZOS_BASIS
+    min(LANCZOS_BLOCK, k) vectors, would fill LANCZOS_SHARE of the
+    dimension or more, :func:`lowest_eigenpairs` solves the dense
+    Laplacian and its round-off kernel pairs give way to the exact ones.
+    Otherwise, on the kernel's complement, :func:`_block_lanczos` (block
+    LANCZOS_BLOCK, seeded start; run again with the block doubled while a
+    group of equal values fills a block smaller than the count wanted)
+    runs on (A - sigma I)^-1, sigma = SHIFT / n^2, applied by
     `capacitance.SeamCapacitance` in cosine coordinates, until its
     residuals pass GATE_MARGIN times the gate of :func:`_check_residuals`;
-    only the k vectors return to vertex order.
-    k >= dim - 1, which the Lanczos basis cannot serve, goes to the dense
-    Laplacian.  Returns (values, vectors, residuals) as
-    :func:`lowest_eigenpairs` does, with the same gate, the residuals
-    taken by `operators.apply_laplacian`.
+    only the k vectors return to vertex order.  Returns (values, vectors,
+    residuals) as :func:`lowest_eigenpairs` does, with the same gate, the
+    residuals taken by `operators.apply_laplacian`.
     """
-    from .capacitance import SeamCapacitance
+    from .capacitance import SeamCapacitance, square_kernel
     from .operators import apply_laplacian, laplacian
 
     dim = disc.n_vertices * disc.bundle.rank
     if k >= dim:
         raise ValueError("need k < matrix dimension")
-    if k >= dim - 1:
-        return lowest_eigenpairs(laplacian(disc), k)
     # |A|_1 <= deg (1 + sqrt r): a degree block, and unitary blocks whose
     # columns have 1-norm at most sqrt r
     norm1 = disc.degrees.max() * (1 + np.sqrt(disc.bundle.rank))
-    with _one_blas_thread():
-        solver = SeamCapacitance(disc, SHIFT / disc.n ** 2)
-        vecs = solver.kernel[:, :k].T
-        vals = np.zeros(k)
-        block = LANCZOS_BLOCK
-        while k > len(vecs):
-            wanted = k - len(vecs)
-            vals[len(vecs):], ritz = _block_lanczos(
-                solver, wanted, block,
-                lambda lam: GATE_MARGIN * RESIDUAL_TOL * max(
-                    lam.max(), ZERO_SCALE * norm1),
-                np.random.default_rng(seed))
-            # the Krylov space of a block holds at most that many members
-            # of a multiple eigenvalue: a group as large may have more,
-            # unless the block holds as many vectors as values are wanted
-            if block >= wanted or max(
-                    map(len, eigenvalue_groups(vals[len(vecs):]))) < block:
-                vecs = np.concatenate([vecs, ritz])
-            block *= 2
-        vecs = solver.to_vertices(vecs)
+    if k + LANCZOS_BASIS * min(LANCZOS_BLOCK, k) >= LANCZOS_SHARE * dim:
+        vals, vecs, _ = lowest_eigenpairs(laplacian(disc), k)
+        # the constant c_q of square q on each of its n^2 vertices
+        null = square_kernel(disc)[:, :k] / disc.n
+        vals[:null.shape[1]] = 0.0
+        vecs[:, :null.shape[1]] = np.repeat(null.reshape(
+            disc.surface.n_squares, -1), disc.n ** 2, axis=0).reshape(dim, -1)
+    else:
+        with _one_blas_thread():
+            solver = SeamCapacitance(disc, SHIFT / disc.n ** 2)
+            vecs = solver.kernel[:, :k].T
+            vals = np.zeros(k)
+            block = LANCZOS_BLOCK
+            while k > len(vecs):
+                wanted = k - len(vecs)
+                vals[len(vecs):], ritz = _block_lanczos(
+                    solver, wanted, block,
+                    lambda lam: GATE_MARGIN * RESIDUAL_TOL * max(
+                        lam.max(), ZERO_SCALE * norm1),
+                    np.random.default_rng(seed))
+                # the Krylov space of a block holds at most that many
+                # members of a multiple eigenvalue: a group as large may
+                # have more, unless the block holds as many vectors as
+                # values are wanted
+                if block >= wanted or max(map(
+                        len, eigenvalue_groups(vals[len(vecs):]))) < block:
+                    vecs = np.concatenate([vecs, ritz])
+                block *= 2
+            vecs = solver.to_vertices(vecs)
     residuals = np.array([np.linalg.norm(apply_laplacian(disc, v) - lam * v)
                           for lam, v in zip(vals, vecs.T)])
     _check_residuals(vals, residuals, norm1)
     return vals, vecs, residuals
 
 
-def rescaled_spectrum(disc, k, seed=0, dense=False):
-    """First k eigenvalues of n^2 * Delta_n, plus the eigenvectors: from
-    the dense Laplacian when ``dense`` is set, else by
+def rescaled_spectrum(disc, k, seed=0):
+    """First k eigenvalues of n^2 * Delta_n, plus the eigenvectors, by
     :func:`mesh_eigenpairs`."""
-    from .operators import laplacian
-
-    if dense:
-        vals, vecs, _ = lowest_eigenpairs(laplacian(disc), k)
-    else:
-        vals, vecs, _ = mesh_eigenpairs(disc, k, seed=seed)
+    vals, vecs, _ = mesh_eigenpairs(disc, k, seed=seed)
     return disc.n ** 2 * vals, vecs
 
 

@@ -1,9 +1,12 @@
-"""Shared fixtures: example surfaces with trivial bundles."""
+"""Shared fixtures: example surfaces with trivial bundles, and records
+of the route that the mesh eigensolver takes."""
+
+import math
 
 import numpy as np
 import pytest
 
-from tilelap import catalog, operators
+from tilelap import capacitance, catalog, operators, spectral
 from tilelap.bundle import FlatUnitaryBundle
 from tilelap.discretize import Discretization
 
@@ -14,6 +17,42 @@ SURFACE_NAMES = ["torus", "rectangle2x1", "square", "lshape", "pillowcase",
 @pytest.fixture(params=SURFACE_NAMES)
 def named_surface(request):
     return request.param, catalog.BUILTIN[request.param]()
+
+
+def record_routes(monkeypatch):
+    """A list to which each `spectral.mesh_eigenpairs` call appends its
+    route: "lapack" for the dense solve, "lanczos" for the capacitance
+    solver, built whether or not block Lanczos then runs."""
+    routes, lapack = [], spectral.lowest_eigenpairs
+
+    def dense(*args):
+        routes.append("lapack")
+        return lapack(*args)
+
+    class Lanczos(capacitance.SeamCapacitance):
+        def __init__(self, *args):
+            routes.append("lanczos")
+            super().__init__(*args)
+
+    monkeypatch.setattr(spectral, "lowest_eigenpairs", dense)
+    monkeypatch.setattr(capacitance, "SeamCapacitance", Lanczos)
+    return routes
+
+
+@pytest.fixture
+def lanczos_runs(monkeypatch):
+    """Send every mesh solve to block Lanczos, however much of the
+    dimension its basis fills (never k >= dim - 1, which it cannot
+    serve), and list the count wanted of each `_block_lanczos` run."""
+    runs, lanczos = [], spectral._block_lanczos
+
+    def counted(solver, k, *args):
+        runs.append(k)
+        return lanczos(solver, k, *args)
+
+    monkeypatch.setattr(spectral, "LANCZOS_SHARE", math.inf)
+    monkeypatch.setattr(spectral, "_block_lanczos", counted)
+    return runs
 
 
 def make_disc(name, n, bundle=None, rank=1):

@@ -12,6 +12,10 @@ from tilelap.discretize import Discretization
 from conftest import SURFACE_NAMES, make_disc, random_flat_bundle
 from test_random_surfaces import random_surface
 
+# the module's own share of the dimension for the Lanczos basis, read
+# before any fixture changes it
+SHARE = spectral.LANCZOS_SHARE
+
 
 def _surfaces(count):
     """The built-ins, then ``count`` seeded random origamis."""
@@ -122,10 +126,13 @@ def test_solve_residual_on_large_meshes(name):
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
-def test_kernel_is_the_holonomy_fixed_sections():
+def test_kernel_is_the_holonomy_fixed_sections(monkeypatch, lanczos_runs):
     # kernel dimension: over the components, the dimension of the
     # subspace that every holonomy fixes; dense eigvalsh agrees, and the
-    # mesh solver returns the kernel with eigenvalue exactly 0.0
+    # mesh solver returns the kernel with eigenvalue exactly 0.0 on both
+    # routes: by block Lanczos (the fixture's share) and by LAPACK (the
+    # module's share, which takes these small meshes), there also for
+    # k = dim - 1; both give the same kernel vectors
     rng = np.random.default_rng(2)
     for surface in _surfaces(25):
         for rank in (1, 2):
@@ -138,16 +145,25 @@ def test_kernel_is_the_holonomy_fixed_sections():
                 vals = np.linalg.eigvalsh(operators.laplacian(disc))
                 assert size == np.count_nonzero(vals < 1e-9)
                 k = min(size + 2, len(vals) - 2)
-                got, _, _ = spectral.mesh_eigenpairs(disc, k)
-                assert np.all(got[:size] == 0.0)
-                assert np.all(got[size:] > 1e-9)
+                kernels = []
+                for share, want in ((np.inf, k), (SHARE, k),
+                                    (SHARE, len(vals) - 1)):
+                    monkeypatch.setattr(spectral, "LANCZOS_SHARE", share)
+                    runs = len(lanczos_runs)
+                    got, vecs, _ = spectral.mesh_eigenpairs(disc, want)
+                    assert (len(lanczos_runs) > runs) == (share == np.inf)
+                    assert np.all(got[:size] == 0.0)
+                    assert np.all(got[size:] > 1e-9)
+                    kernels.append(vecs[:, :size] @ vecs[:, :size].conj().T)
+                assert np.abs(np.diff(kernels, axis=0)).max() <= 1e-12
 
 
-def test_eigenvalues_match_dense_eigvalsh():
+def test_eigenvalues_match_dense_eigvalsh(lanczos_runs):
     # within 1e-10 of the spectral scale: the k-th eigenvalue, but no less
     # than 1e-4 |A|, so that the dense round-off on a zero mode, a few
     # 1e-15, passes; k runs past the basis cap and up to dim - 2, where
-    # the basis spans the whole space
+    # the basis spans the whole space; block Lanczos runs whenever k is
+    # past the kernel
     rng = np.random.default_rng(3)
     for surface in _surfaces(8):
         for bundle in _bundles(surface, rng):
@@ -156,7 +172,10 @@ def test_eigenvalues_match_dense_eigvalsh():
                 ref = np.linalg.eigvalsh(operators.laplacian(disc))
                 last = len(ref) - 2
                 for k in ({9, min(40, last)} if n > 3 else {1, last}):
+                    runs = len(lanczos_runs)
                     vals, vecs, res = spectral.mesh_eigenpairs(disc, k)
+                    assert (len(lanczos_runs) > runs) == (
+                        k > np.count_nonzero(vals == 0.0))
                     scale = max(ref[k - 1], 1e-4 * ref[-1])
                     assert np.abs(vals - ref[:k]).max() <= 1e-10 * scale
                     gram = vecs.conj().T @ vecs

@@ -17,6 +17,8 @@ import tilelap
 from tilelap import catalog
 from tilelap.cli import build_parser, main
 
+from conftest import record_routes
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -226,7 +228,7 @@ def test_spectrum_values(capsys):
 
 
 def test_dense_spectrum_keeps_whole_multiplets(capsys):
-    # 256 unknowns take the dense path; the 8-fold value 188.935 fills
+    # 256 unknowns take the LAPACK route; the 8-fold value 188.935 fills
     # i = 13-20, and the subset eigensolver must return every member
     from tilelap import spectral
 
@@ -463,9 +465,9 @@ def _rank2_torus_file(tmp_path):
 
 
 def test_numpy_only_commands_leave_scipy_unloaded(tmp_path):
-    # no command loads scipy: small systems are solved densely, larger
-    # ones by the mesh solver, Green functions by a banded Cholesky; the
-    # eigen commands run here at sizes past spectral.DENSE_CUTOFF too
+    # no command loads scipy: eigen systems are solved by LAPACK or by
+    # the mesh solver, Green functions by a banded Cholesky; the eigen
+    # commands run here on meshes that take either route
     _, modules = _in_fresh_interpreter([
         ["validate", "--surface", "genus2"],
         ["crsf-check", "--count", "20"],
@@ -492,8 +494,9 @@ def test_numpy_only_commands_leave_scipy_unloaded(tmp_path):
     ["harnack", "--surface", "lshape", "--ns", "8,16,32,64"]],
     ids=["harnack"])
 def test_large_systems_take_the_mesh_path(argv):
-    # harnack's n = 64 lshape mesh (12,288 unknowns) is past
-    # spectral.DENSE_CUTOFF, so every mesh goes to the mesh solver
+    # every mesh of the sweep, up to the n = 64 lshape mesh (12,288
+    # unknowns), is solved through spectral.mesh_eigenpairs, in a process
+    # that never loads scipy
     setup = textwrap.dedent("""
         calls = []
         solve = spectral.mesh_eigenpairs
@@ -518,29 +521,24 @@ def test_zero_mode_order_cell(capsys, surface):
         ["0", "0", "0", "0", "0.500000003869"]] * 3
 
 
-@pytest.mark.parametrize("argv, dense", [
-    (["harnack", "--surface", "lshape", "--ns", "8,16,32,64"], False),
-    (["eigvec", "--surface", "square", "--ns", "8,16,32"], True),
-    (["converge", "--surface", "square", "--ns", "8,16,48"], False),
-    (["converge", "--surface", "square", "--ns", "8,16,32"], True),
-    # 1,024 and 1,089 unknowns: either side of spectral.DENSE_CUTOFF
-    (["spectrum", "--surface", "torus", "--n", "32"], True),
-    (["spectrum", "--surface", "torus", "--n", "33"], False),
-    (["interp-check", "--surface", "genus2", "--ns", "4,8,16"], True)])
-def test_one_solver_path_per_command(monkeypatch, capsys, argv, dense):
-    # every mesh of a command goes to the path its largest mesh needs:
-    # the dense LAPACK solve or the mesh solver
-    from tilelap import spectral
-
-    paths = []
-    for name, is_dense in (("lowest_eigenpairs", True),
-                           ("mesh_eigenpairs", False)):
-        def recording(*args, solve=getattr(spectral, name), tag=is_dense,
-                      **kwargs):
-            paths.append(tag)
-            return solve(*args, **kwargs)
-
-        monkeypatch.setattr(spectral, name, recording)
+@pytest.mark.parametrize("argv, routes", [
+    (["harnack", "--surface", "lshape", "--ns", "8,16,32,64"], "BBBB"),
+    (["eigvec", "--surface", "square", "--ns", "8,16,32"], "DBB"),
+    (["converge", "--surface", "square", "--ns", "8,16,48"], "DDB"),
+    (["converge", "--surface", "square", "--ns", "8,16,32"], "DDB"),
+    (["spectrum", "--surface", "torus", "--n", "32"], "B"),
+    (["spectrum", "--surface", "torus", "--n", "33"], "B"),
+    (["interp-check", "--surface", "genus2", "--ns", "4,8,16"], "DBB")],
+    ids=["harnack", "eigvec", "converge-48", "converge-32", "spectrum-32",
+         "spectrum-33", "interp-check"])
+def test_solver_route_per_mesh(monkeypatch, capsys, argv, routes):
+    # each mesh takes its own route, D for the dense LAPACK solve and B
+    # for block Lanczos: LAPACK while the Lanczos basis, k + 6 min(8, k)
+    # vectors, would fill 1/8 of the mesh's dimension.  eigvec (k = 3,
+    # basis 21) takes LAPACK up to 168 unknowns, so at n = 8 only;
+    # converge (k = 6, basis 42) up to 336, at n = 8 and 16
+    taken = record_routes(monkeypatch)
     assert main(argv) == 0
     capsys.readouterr()
-    assert paths == [dense] * len(argv[-1].split(","))
+    assert "".join("D" if route == "lapack" else "B"
+                   for route in taken) == routes

@@ -303,9 +303,10 @@ def test_barrier_holds_on_lshape_and_pillowcase():
             assert report["violations"] == 0
 
 
-def test_harnack_normalization_and_gap():
+def test_harnack_normalization_and_gap(lanczos_runs):
     disc = make_disc("torus", 8)
     _, vecs = spectral.rescaled_spectrum(disc, 2, seed=1)
+    assert lanczos_runs == [1]
     diag = potential.harnack_diagnostics(disc, vecs[:, 1])
     # any unit combination of the four degenerate plane waves has sup <= 2
     assert diag["sup"] <= 2.0 * 1.01

@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from tilelap import catalog, operators, spectral
+from tilelap import capacitance, catalog, operators, spectral
 from tilelap.bundle import FlatUnitaryBundle
 from tilelap.discretize import Discretization
 
-from conftest import SURFACE_NAMES, make_disc, random_unitary
+from conftest import SURFACE_NAMES, make_disc, random_unitary, record_routes
 
 
 def test_assembled_torus_matches_fourier_oracle():
@@ -43,13 +43,16 @@ def _twisted_rank2_torus(n, seed):
     return Discretization(surf, bundle, n)
 
 
-def test_dense_and_sparse_paths_agree():
-    # the sparse-sized path is the mesh solver, spectral.mesh_eigenpairs
+def test_dense_and_sparse_paths_agree(lanczos_runs):
+    # the mesh solver sent to block Lanczos on meshes that the LAPACK
+    # route would take
     discs = [make_disc(name, 6) for name in SURFACE_NAMES]
     for disc in discs + [_twisted_rank2_torus(6, seed=11)]:
         dense_vals, _, _ = spectral.lowest_eigenpairs(
             operators.laplacian(disc), 8)
+        runs = len(lanczos_runs)
         mesh_vals, _, res = spectral.mesh_eigenpairs(disc, 8)
+        assert len(lanczos_runs) > runs
         assert np.allclose(mesh_vals, dense_vals, rtol=0, atol=1e-10)
         assert res.max() <= 1e-8
 
@@ -74,31 +77,57 @@ def _rank2_torus_spectrum(n, seed):
         spectral.discrete_torus_spectrum(n, a[j], b[j]) for j in range(2)]))
 
 
-@pytest.mark.parametrize("case, n, small", [
-    ("real", 32, True), ("real", 33, False),
-    ("rank2", 16, True), ("rank2", 17, False)])
-def test_paths_match_closed_forms_at_the_cutoff(case, n, small):
-    # a real square mesh has n^2 unknowns and a complex rank-2 torus mesh
-    # 2 n^2 counting double; n straddles spectral.DENSE_CUTOFF either way
+@pytest.mark.parametrize("case, n, route", [
+    ("real", 21, "lapack"), ("real", 22, "lanczos"),
+    ("rank2", 15, "lapack"), ("rank2", 16, "lanczos")])
+def test_routes_match_closed_forms_at_the_share(monkeypatch, case, n,
+                                                route):
+    # k = 10 makes a Lanczos basis of 10 + 6 * 8 = 58 vectors, and
+    # spectral.LANCZOS_SHARE = 1/8 of the dimension is 55.1 and 60.5 on a
+    # real square mesh (n^2 unknowns) at n = 21 and 22, 56.25 and 64 on a
+    # complex rank-2 torus mesh (2 n^2) at n = 15 and 16; the share set to
+    # 0 or to infinity sends the mesh to the other route
     if case == "real":
-        disc, is_complex = make_disc("square", n), False
+        disc = make_disc("square", n)
         oracle = spectral.discrete_rectangle_spectrum(n, n)
     else:
-        disc, is_complex = _twisted_rank2_torus(n, seed=11), True
+        disc = _twisted_rank2_torus(n, seed=11)
         oracle = _rank2_torus_spectrum(n, seed=11)
-    dim = disc.n_vertices * disc.bundle.rank
-    assert spectral.is_small(dim, is_complex) == small
-    k = 10
-    dense_vals, dense_vecs, _ = spectral.lowest_eigenpairs(
-        operators.laplacian(disc), k)
-    sparse_vals, sparse_vecs, _ = spectral.mesh_eigenpairs(disc, k, seed=3)
-    for vals in (dense_vals, sparse_vals):
+    k, routes, found = 10, record_routes(monkeypatch), []
+    for share in (spectral.LANCZOS_SHARE,
+                  0.0 if route == "lanczos" else np.inf):
+        monkeypatch.setattr(spectral, "LANCZOS_SHARE", share)
+        found.append(spectral.mesh_eigenpairs(disc, k, seed=3)[:2])
+    assert routes == [route, ({"lapack", "lanczos"} - {route}).pop()]
+    for vals, _ in found:
         assert np.abs(vals - oracle[:k]).max() <= 1e-10 * oracle[k - 1]
     # whole clusters only: the last group may continue past index k - 1
+    (_, one), (_, other) = found
     for group in spectral.eigenvalue_groups(oracle[:k + 1])[:-1]:
-        dense_proj = dense_vecs[:, group] @ dense_vecs[:, group].conj().T
-        sparse_proj = sparse_vecs[:, group] @ sparse_vecs[:, group].conj().T
-        assert np.abs(dense_proj - sparse_proj).max() <= 1e-10
+        proj = one[:, group] @ one[:, group].conj().T
+        other_proj = other[:, group] @ other[:, group].conj().T
+        assert np.abs(proj - other_proj).max() <= 1e-10
+
+
+@pytest.mark.parametrize("k, route", [
+    (335, "lanczos"), (336, "lapack"), (400, "lapack")])
+def test_share_rule_on_genus2(monkeypatch, k, route):
+    # genus2 n = 32 has 3,072 unknowns, 1/8 of them 384: a basis of
+    # k + 48 vectors reaches that share at k = 336; the route is read
+    # from its first call, which stops the solve
+    class Taken(Exception):
+        pass
+
+    def taken(name):
+        def stop(*args):
+            raise Taken(name)
+        return stop
+
+    monkeypatch.setattr(spectral, "lowest_eigenpairs", taken("lapack"))
+    monkeypatch.setattr(capacitance, "SeamCapacitance", taken("lanczos"))
+    with pytest.raises(Taken) as stopped:
+        spectral.mesh_eigenpairs(make_disc("genus2", 32), k)
+    assert stopped.value.args == (route,)
 
 
 def _assert_lowest_pairs(mat, vals, vecs):
@@ -124,13 +153,13 @@ def test_dense_lowest_k_matches_full_eigh(name):
         vals, vecs, _ = spectral.lowest_eigenpairs(dense, k)
         _assert_lowest_pairs(dense, vals, vecs)
     # the mesh solver asked for dim - 1 pairs, which Lanczos cannot give,
-    # takes the dense path too
+    # takes the LAPACK route, with the exact kernel
     vals, vecs, _ = spectral.mesh_eigenpairs(disc, dim - 1)
     _assert_lowest_pairs(dense, vals, vecs)
 
 
 def test_dense_fallback_without_openblas(monkeypatch):
-    # where numpy does not bundle OpenBLAS, the dense path takes numpy's
+    # where numpy does not bundle OpenBLAS, the dense solve takes numpy's
     # full eigh and keeps the lowest k
     if spectral._openblas() is None:
         pytest.skip("numpy does not bundle OpenBLAS")
@@ -151,9 +180,9 @@ def test_dense_fallback_without_openblas(monkeypatch):
 
 @pytest.mark.parametrize("dense", [False, True], ids=["sparse", "dense"])
 def test_lone_zero_mode_passes_residual_gate(dense):
-    # the only value returned is 0 (exactly on the sparse-sized mesh path,
-    # round-off on the dense one); the gate must judge its residual
-    # against the matrix scale, not against that value
+    # the only value returned is 0 (exactly from the mesh solver, as
+    # round-off from the dense LAPACK solve); the gate must judge its
+    # residual against the matrix scale, not against that value
     disc = make_disc("square", 8)
     vals, vecs, res = (
         spectral.lowest_eigenpairs(operators.laplacian(disc), 1) if dense
@@ -180,10 +209,11 @@ def test_pillowcase_closed_form_matches_dense():
         assert np.abs(oracle - ref).max() <= 1e-13
 
 
-def test_mesh_solver_returns_whole_multiplets():
+def test_mesh_solver_returns_whole_multiplets(lanczos_runs):
     # a seeded scan through the 4- and 8-fold values of the torus and the
-    # pillowcase: every returned set of k values is the lowest k, also
-    # when the block is cut to the 1, 2 or 4 values wanted past the kernel
+    # pillowcase: every set of k values that block Lanczos returns is the
+    # lowest k, also when the block is cut to the 1, 2 or 4 values wanted
+    # past the kernel
     wrong = []
     for name, oracle in (("torus", spectral.discrete_torus_spectrum),
                          ("pillowcase", spectral.discrete_pillowcase_spectrum)):
@@ -191,7 +221,9 @@ def test_mesh_solver_returns_whole_multiplets():
             disc, ref = make_disc(name, n), oracle(n)
             for k in (2, 3, 5, *range(4, 26, 3)):
                 for seed in range(4):
+                    runs = len(lanczos_runs)
                     vals, _, _ = spectral.mesh_eigenpairs(disc, k, seed=seed)
+                    assert len(lanczos_runs) > runs
                     if np.abs(vals - ref[:k]).max() > 1e-10 * ref[k - 1]:
                         wrong.append((name, n, k, seed))
     assert wrong == []
