@@ -42,8 +42,9 @@ def record_routes(monkeypatch):
 @pytest.fixture
 def lanczos_runs(monkeypatch):
     """Send every mesh solve to block Lanczos, however much of the
-    dimension its basis fills (never k >= dim - 1, which it cannot
-    serve), and list the count wanted of each `_block_lanczos` run."""
+    dimension its basis fills, and list the count wanted of each
+    `_block_lanczos` run.  Tests that use it ask for k < dim - 1 only,
+    since the basis cannot serve more."""
     runs, lanczos = [], spectral._block_lanczos
 
     def counted(solver, k, *args):
