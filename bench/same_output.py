@@ -3,17 +3,20 @@
 Runs every command of the benchmark's workload lists (perfbench's
 `sweep`, `diagnostics` at seed 1 and `twisted` at seeds 1, 2 and 5), plus
 `interp-check` and `harnack` on each twisted seed's rank-1 and rank-2 tori,
-`converge --jobs 2` and a few rejected inputs, once under each tree, each
-in a fresh `python -B` process with the tree first on PYTHONPATH.  The
-exit code, stdout and stderr of the two runs must be equal byte for byte.
+those two and `spectrum` on a pillowcase with a gauge-trivial rank-2
+bundle, `converge --jobs 2` and a few rejected inputs, once under each
+tree, each in a fresh `python -B` process with the tree first on
+PYTHONPATH.  The exit code, stdout and stderr of the two runs must be
+equal byte for byte.
 
     python bench/same_output.py --src PARENT/src --src CHANGE/src
 
 Prints one line per command and a summary; exits 1 when any command
 differs.  Where stdout differs, it also prints the number of lines that
 differ and the first of them from each tree (- first tree, + second).
-The twisted bundles are drawn once per seed into a temporary directory
-shared by both trees, so their file paths match too.
+The twisted and pillowcase bundles are drawn once per seed into a
+temporary directory shared by both trees, so their file paths match too;
+the pillowcase's description is written by this checkout's `tilelap`.
 """
 
 import argparse
@@ -23,10 +26,14 @@ import subprocess
 import sys
 import tempfile
 
+import numpy as np
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+sys.path.insert(0, os.path.join(ROOT, "src"))
 
 import workloads  # noqa: E402
+from tilelap import catalog  # noqa: E402
 
 DIAGNOSTICS_SEED = 1
 TWISTED_SEEDS = (1, 2, 5)
@@ -45,12 +52,35 @@ EXTRA = {
                                 "--ns", "1,2", "--index", "1"],
 }
 
-# non-identity seam transports through the seam halo and linearize
+# non-identity seam transports through the seam table and linearize
 TWISTED_EXTRA = (["interp-check", "--ns", "4,8,16"],
                  ["harnack", "--ns", "8,16"])
 
+# the same across half-turn seams, and through both eigen routes
+# (interp-check at n = 4 takes LAPACK, every larger mesh block Lanczos)
+PILLOWCASE_SEED = 1
+PILLOWCASE_EXTRA = TWISTED_EXTRA + (["spectrum", "--n", "32", "--k", "12"],)
+
 CHILD = ("import sys; from tilelap import cli; "
          "sys.exit(cli.main(sys.argv[1:]))")
+
+
+def pillowcase_gauge(seed, directory):
+    """Write a pillowcase with a gauge-trivial rank-2 bundle, U_s =
+    g_second g_first* for random unitaries g_q of its squares, to
+    ``directory``; returns the file path."""
+    surface = catalog.pillowcase()
+    rng = np.random.default_rng(seed)
+    gauge = [workloads.random_unitary(rng, 2) for _ in range(2)]
+    lines = [surface.to_text(), "rank: 2\n"]
+    for seam in surface.seams:
+        mat = gauge[seam.second[0]] @ gauge[seam.first[0]].conj().T
+        lines.append("transport: %d %s\n" % (seam.index, " ".join(
+            workloads._complex_text(z) for z in mat.ravel())))
+    path = os.path.join(directory, "pillowcase-gauge.txt")
+    with open(path, "w") as fh:
+        fh.write("".join(lines))
+    return path
 
 
 def commands(directory):
@@ -68,6 +98,9 @@ def commands(directory):
         cmds += [("%s-%s-seed%d" % (argv[0], rank, seed),
                   argv + ["--surface", inputs[rank]])
                  for rank in ("rank1", "rank2") for argv in TWISTED_EXTRA]
+    pillowcase = pillowcase_gauge(PILLOWCASE_SEED, directory)
+    cmds += [("%s-pillowcase-gauge" % argv[0],
+              argv + ["--surface", pillowcase]) for argv in PILLOWCASE_EXTRA]
     return cmds + list(EXTRA.items())
 
 

@@ -27,11 +27,13 @@ import numpy as np
 
 from .operators import _block_matrix, laplacian_blocks
 from .spectral import _lapacke
-from .surface import facing
+from .surface import SIDES
 
 # side slots of a square, in the order rows (N at j = n - 1, S at j = 0),
 # then columns (E at i = n - 1, W at i = 0)
 SLOTS = ("N", "S", "E", "W")
+# slot of each side of ``surface.SIDES``
+SIDE_SLOT = [SLOTS.index(side) for side in SIDES]
 # the kernel of the square graph: eigenvalues below this count as zero
 KERNEL_TOL = 1e-10
 
@@ -65,14 +67,13 @@ def square_kernel(disc):
     """Orthonormal kernel, (squares * rank, size), of the Laplacian of the
     square graph that the seams' transports make.  A section in the
     kernel of the mesh Laplacian is flat, so constant on each square, and
-    these are its constants times n, one row per square and component."""
-    squares = disc.surface.n_squares
-    count = len(disc.surface.seams)
-    edges = slice(len(disc.tails) - count * disc.n, None, disc.n)
+    these are its constants times n, one row per square and component.
+    Its edges are the first edge of each seam in the seam table."""
+    squares, first = disc.surface.n_squares, slice(None, None, disc.n)
     lap = _block_matrix(*laplacian_blocks(
-        squares, disc.tails[edges] // disc.n ** 2,
-        disc.heads[edges] // disc.n ** 2, disc.transports[edges]),
-        (squares, squares))
+        squares, disc.seam_tails[first] // (4 * disc.n),
+        disc.seam_heads[first] // (4 * disc.n),
+        disc.seam_transports[first]), (squares, squares))
     vals, vecs = np.linalg.eigh(np.asarray(lap))
     return vecs[:, vals <= KERNEL_TOL * max(1.0, vals[-1])]
 
@@ -106,29 +107,17 @@ class SeamCapacitance:
         kernel = np.zeros(self.shape + null.shape[1:], null.dtype)
         kernel[:, :, 0, 0] = null.reshape(squares, rank, -1)
         self.kernel = kernel.reshape(self.dim, -1)
-        self._seam_edges(disc)
+        # the seam table's ends, as flat indices into (S, 4, n) slots
+        to_slot = np.arange(squares * 4 * n).reshape(squares, 4, n)[
+            :, SIDE_SLOT].ravel()
+        self.tail_slots = to_slot[disc.seam_tails]
+        self.head_slots = to_slot[disc.seam_heads]
+        self.transports = disc.seam_transports
         # K^-1 = L^-* L^-1 from the Cholesky factor L of K: an explicit
         # inverse of K would cost its condition number in accuracy
         self.half_inv = _lower_inverse(np.linalg.cholesky(self._capacitance()))
 
     # ---- setup ---------------------------------------------------------
-
-    def _seam_edges(self, disc):
-        """Slots (square, side slot, segment) of each seam edge's tail and
-        head, as flat indices into (S, 4, n), and the edges' transports.
-        The seam edges are the last len(seams) n edges of ``disc``, seam
-        by seam, in segment order of the seam's first side."""
-        n, seams = disc.n, disc.surface.seams
-        segment = np.arange(n)
-        tails, heads = np.zeros((2, len(seams), n), dtype=int)
-        for row, seam in enumerate(seams):
-            q, side = seam.first
-            q2, side2, _, _, flip = disc.surface.across(q, side)
-            tails[row] = (q * 4 + SLOTS.index(side)) * n + segment
-            heads[row] = (q2 * 4 + SLOTS.index(side2)) * n + facing(segment,
-                                                                   flip)
-        self.tail_slots, self.head_slots = tails.ravel(), heads.ravel()
-        self.transports = disc.transports[len(disc.tails) - tails.size:]
 
     def _side_green(self):
         """M^-1 between the side cells of one square, (4 n, 4 n) in slot

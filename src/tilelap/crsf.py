@@ -48,13 +48,6 @@ class ConnectionGraph:
     def determinant(self):
         return float(np.linalg.det(self.laplacian()).real)
 
-    def gauged(self, phases):
-        """Gauge-transformed copy: weight w on (u, v) becomes
-        e^{i phi_v} w e^{-i phi_u}."""
-        edges = [(u, v, np.exp(1j * phases[v]) * w * np.exp(-1j * phases[u]))
-                 for (u, v, w) in self.edges]
-        return ConnectionGraph(self.n_vertices, edges)
-
     def forest_sum(self):
         """Sum over cycle-rooted spanning forests of
         prod over cycles (2 - w(gamma) - conj(w(gamma))).

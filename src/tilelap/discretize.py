@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .surface import CORNER_XY, CORNERS, SIDES, VertexCycle, facing
+from .surface import CORNER_XY, CORNERS, SIDES, VertexCycle
 
 
 @dataclass
@@ -75,55 +75,52 @@ class Discretization:
     # ---- edges ---------------------------------------------------------
 
     def _build_edges(self):
-        """The side cells and seam halo, then the edge arrays ``tails``,
-        ``heads`` and ``transports``.
+        """The side cells and the seam table, then the edge arrays
+        ``tails``, ``heads`` and ``transports``.
 
         ``side_vertex[q, s, k]`` is square q's own cell at segment k of side
-        ``SIDES[s]``.  The seam halo describes what each square sees across
-        its sides: ``halo_vertex[q, s, k]`` is the cell across that segment
-        (-1 on a free side) and ``halo_transport[q, s, k]`` maps that cell's
-        frame into q's frame.  Both are read from
-        :meth:`SquareTiledSurface.across`.
+        ``SIDES[s]``.  The seam table lists the n edges of each seam, seam
+        by seam, in segment order of its first side: ``seam_tails`` and
+        ``seam_heads`` are flat indices into ``side_vertex`` of the edge's
+        cell on the first side and of the cell it faces on the second (in
+        reversed segment order across a half-turn), ``seam_transports``
+        the head -> tail transport, the adjoint of the seam's unitary.
 
         Interior edges come first, in (square, row, column, east-then-north)
-        order, then the n edges of each seam, read off the halo of its first
-        side.  The stack holds one head -> tail frame transport per edge; it
-        is real when every seam unitary is.
+        order, then the seam edges of the table.  The stack holds one
+        head -> tail frame transport per edge; it is real when every seam
+        unitary is.
         """
         n, rank = self.n, self.bundle.rank
-        n_squares = self.surface.n_squares
         v = np.arange(self.n_vertices).reshape(-1, n, n)  # [square, j, i]
         self.side_vertex = np.stack([v[:, -1], v[:, :, -1], v[:, 0],
                                      v[:, :, 0]], axis=1)
-        shape = (n_squares, len(SIDES), n)
-        self.halo_vertex = np.full(shape, -1)
-        halo = np.zeros(shape + (rank, rank), complex)
-        for q in range(n_squares):
-            for s, side in enumerate(SIDES):
-                hit = self.surface.across(q, side)
-                if hit is None:
-                    continue
-                q2, side2, index, role, flip = hit
-                self.halo_vertex[q, s] = facing(
-                    self.side_vertex[q2, SIDES.index(side2)], flip)
-                halo[q, s] = self.bundle.seam_unitary(index, -role)
-        self.halo_transport = halo if halo.imag.any() else halo.real.copy()
+        # per seam: square and side index of its first and second side,
+        # and whether it is a half-turn
+        q, s, q2, s2, flip = np.array(
+            [(seam.first[0], SIDES.index(seam.first[1]), seam.second[0],
+              SIDES.index(seam.second[1]), seam.kind == "halfturn")
+             for seam in self.surface.seams], dtype=int).reshape(-1, 5).T
+        k = np.arange(n)
+        self.seam_tails = (((q * 4 + s) * n)[:, None] + k).ravel()
+        self.seam_heads = (((q2 * 4 + s2) * n)[:, None]
+                           + np.where(flip[:, None], n - 1 - k, k)).ravel()
+        u = np.array(self.bundle.transports, complex).reshape(-1, rank, rank)
+        u = np.repeat(u.conj().transpose(0, 2, 1), n, axis=0)
+        self.seam_transports = u if u.imag.any() else u.real.copy()
 
         jj, ii = np.indices((n, n))
         keep = np.broadcast_to(np.stack([ii + 1 < n, jj + 1 < n], axis=-1),
                                v.shape + (2,))
-        # each seam's first side: square and side index
-        fq, fs = np.array([(q, SIDES.index(side)) for q, side in
-                           (seam.first for seam in self.surface.seams)],
-                          dtype=int).reshape(-1, 2).T
+        sides = self.side_vertex.ravel()
         self.tails = np.concatenate([np.stack([v, v], axis=-1)[keep],
-                                     self.side_vertex[fq, fs].ravel()])
+                                     sides[self.seam_tails]])
         self.heads = np.concatenate([np.stack([v + 1, v + n], axis=-1)[keep],
-                                     self.halo_vertex[fq, fs].ravel()])
+                                     sides[self.seam_heads]])
         self.transports = np.concatenate([
             np.broadcast_to(np.eye(rank), (np.count_nonzero(keep), rank,
                                            rank)),
-            self.halo_transport[fq, fs].reshape(-1, rank, rank)])
+            self.seam_transports])
         self.degrees = (np.bincount(self.tails, minlength=self.n_vertices)
                         + np.bincount(self.heads, minlength=self.n_vertices))
 

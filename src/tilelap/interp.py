@@ -173,19 +173,22 @@ def linearize(disc, f):
 
     The section is averaged first, so that the extension is single-valued
     (constant) around singular points.  Each square gets a ring of ghost
-    cells: across a seam the cell on the other side, carried into the
-    square's frame by the halo; across a free side the cell itself.  Cell
-    centres take the cell values, side midpoints average the two cells
-    sharing the side, lattice points the two cells on their main diagonal;
-    with the ring, this gives the values on the square's sides too.  Square
-    corners come from the corner table.
+    cells, filled from the seam table: across a seam the cell on the other
+    side, carried into the square's frame by the edge's transport (or its
+    adjoint, seen from the second side); across a free side the cell
+    itself.  Cell centres take the cell values, side midpoints average the
+    two cells sharing the side, lattice points the two cells on their main
+    diagonal; with the ring, this gives the values on the square's sides
+    too.  Square corners come from the corner table.
     """
     n, rank = disc.n, disc.bundle.rank
     g = _as_section(disc, average(disc, f))
-    across = np.einsum("qskij,qskj->qski", disc.halo_transport,
-                       g[disc.halo_vertex])
-    ghosts = np.where((disc.halo_vertex < 0)[..., None],
-                      g[disc.side_vertex], across)  # [square, side, k]
+    sides = g[disc.side_vertex.ravel()]
+    ghosts = sides.copy()  # flat [square, side, k]
+    u, tails, heads = disc.seam_transports, disc.seam_tails, disc.seam_heads
+    ghosts[tails] = np.einsum("eij,ej->ei", u, sides[heads])
+    ghosts[heads] = np.einsum("eji,ej->ei", u.conj(), sides[tails])
+    ghosts = ghosts.reshape(disc.side_vertex.shape + (rank,))
     cells = g.reshape(-1, n, n, rank).swapaxes(1, 2)  # [square, i, j]
     ring = np.zeros((len(cells), n + 2, n + 2, rank), dtype=complex)
     ring[:, 1:-1, 1:-1] = cells

@@ -11,8 +11,8 @@ Sides are labelled N, E, S, W.  A point on a side is located by the
 absolute coordinate running along that side (x for horizontal sides, y for
 vertical ones); a translation gluing preserves that coordinate while a
 half-turn reverses it.  :meth:`SquareTiledSurface.across` is the one
-crossing rule; corner cycles and the mesh's seam halo are both read from
-it.
+crossing rule, and corner cycles are read from it; the mesh's seam table
+is read from the seams themselves.
 """
 
 from dataclasses import dataclass
@@ -162,10 +162,6 @@ class SquareTiledSurface:
         return [(sq, s) for sq in range(self.n_squares) for s in SIDES
                 if (sq, s) not in self._across]
 
-    @property
-    def is_closed(self):
-        return not self.free_sides
-
     # ---- corner cycles ------------------------------------------------
 
     def _turn(self, sq, corner):
@@ -313,6 +309,9 @@ def parse_surface(text):
             kind = parts[2].lower()
             gluings.append((first, second, kind))
         elif key == "rank":
+            if rank is not None:
+                raise SurfaceFormatError(
+                    "line %d: duplicate 'rank' line" % lineno)
             try:
                 rank = int(value)
             except ValueError:

@@ -63,6 +63,23 @@ def make_disc(name, n, bundle=None, rank=1):
     return Discretization(surface, bundle, n)
 
 
+def halo(disc):
+    """What each square sees across its sides, read from the seam table:
+    the cell across segment k of side s of square q, ``cells[q, s, k]``
+    (-1 on a free side), and ``transports[q, s, k]``, which maps that
+    cell's frame into q's (0 on a free side)."""
+    rank = disc.bundle.rank
+    sides = disc.side_vertex.ravel()
+    cells = np.full(sides.shape, -1)
+    transports = np.zeros(sides.shape + (rank, rank), complex)
+    tails, heads = disc.seam_tails, disc.seam_heads
+    cells[tails], cells[heads] = sides[heads], sides[tails]
+    transports[tails] = disc.seam_transports
+    transports[heads] = disc.seam_transports.conj().transpose(0, 2, 1)
+    return (cells.reshape(disc.side_vertex.shape),
+            transports.reshape(disc.side_vertex.shape + (rank, rank)))
+
+
 def random_unitary(rng, r):
     mat = rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r))
     q, _ = np.linalg.qr(mat)

@@ -123,7 +123,7 @@ def test_05_operator_algebra():
             vals = np.linalg.eigvalsh(lap)
             assert vals.min() >= -1e-10
             assert vals.max() <= 8 * rank + 1e-10
-            if surface.is_closed:
+            if not surface.free_sides:
                 assert np.sum(vals < 1e-8) == rank
 
 

@@ -110,7 +110,10 @@ def test_gauge_invariance():
     rng = np.random.default_rng(11)
     g = random_connection_graph(rng, max_vertices=5, max_edges=9)
     phases = rng.uniform(0, 2 * np.pi, g.n_vertices)
-    h = g.gauged(phases)
+    # weight w on (u, v) becomes e^{i phi_v} w e^{-i phi_u}
+    h = ConnectionGraph(g.n_vertices, [
+        (u, v, np.exp(1j * (phases[v] - phases[u])) * w)
+        for (u, v, w) in g.edges])
     assert g.determinant() == pytest.approx(h.determinant(), abs=1e-9)
     assert g.forest_sum() == pytest.approx(h.forest_sum(), abs=1e-9)
 

@@ -8,7 +8,7 @@ from tilelap.bundle import FlatUnitaryBundle
 from tilelap.discretize import Discretization
 from tilelap.surface import CORNER_XY
 
-from conftest import make_disc
+from conftest import halo, make_disc
 
 
 def test_vertex_indexing_round_trip():
@@ -42,10 +42,17 @@ def test_halfturn_seam_reverses_segments():
     surf = catalog.pillowcase()
     bundle = FlatUnitaryBundle.trivial(surf)
     disc = Discretization(surf, bundle, 4)
-    # across the south side of square 0 lies the bottom row of square 1 at
-    # the mirrored column
-    south = disc.halo_vertex[0, 2]
+    # seam 2 glues the south sides of squares 0 and 1 by a half-turn: its
+    # edges run from the bottom row of square 0 to the bottom row of
+    # square 1 at the mirrored column, in both the seam table and its halo
+    sides = disc.side_vertex.ravel()
+    rows = slice(2 * 4, 3 * 4)
+    tails = sides[disc.seam_tails[rows]]
+    heads = sides[disc.seam_heads[rows]]
+    south = halo(disc)[0][0, 2]
     for i in range(4):
+        assert disc.vertex_cell(int(tails[i])) == (0, i, 0)
+        assert disc.vertex_cell(int(heads[i])) == (1, 4 - 1 - i, 0)
         assert disc.vertex_cell(int(south[i])) == (1, 4 - 1 - i, 0)
 
 

@@ -8,7 +8,7 @@ from tilelap.discretize import Discretization
 from tilelap.surface import (CCW_EXIT, OPPOSITE, SIDE_ENDS, SIDES,
                              SquareTiledSurface)
 
-from conftest import random_unitary
+from conftest import halo, random_unitary
 
 SEEDS = range(200)
 
@@ -91,6 +91,11 @@ def test_vertex_cycles_match_union_find(block):
 
 @pytest.mark.parametrize("block", range(4))
 def test_halo_is_an_involution(block):
+    # the seam table, and the halo read from it: each seam edge joins
+    # segment k of the first side to segment k of the second, or n - 1 - k
+    # across a half-turn, with the adjoint of the seam unitary (second ->
+    # first) as its transport; what lies across the far side is the near
+    # side again, and the two transports multiply to I (so are unitary)
     for seed in SEEDS[block::4]:
         rng = np.random.default_rng(seed)
         surface = random_surface(rng)
@@ -104,32 +109,36 @@ def test_halo_is_an_involution(block):
             partner[seam.second] = seam.first, flip, seam.index, +1
         for n in (1, 2, 3):
             disc = Discretization(surface, bundle, n)
+            cells, transports = halo(disc)
             for q in range(surface.n_squares):
                 for s, side in enumerate(SIDES):
                     assert disc.side_vertex[q, s].tolist() == [
                         side_cell(n, q, side, k) for k in range(n)]
                     if (q, side) not in partner:
-                        assert (disc.halo_vertex[q, s] == -1).all()
+                        assert (cells[q, s] == -1).all()
                         continue
                     (q2, side2), flip, index, back = partner[q, side]
                     s2 = SIDES.index(side2)
                     for k in range(n):
                         k2 = n - 1 - k if flip else k
-                        v = disc.halo_vertex[q, s, k]
-                        assert v == side_cell(n, q2, side2, k2), seed
-                        assert disc.halo_vertex[q2, s2, k2] == side_cell(
-                            n, q, side, k)
-                        u = disc.halo_transport[q, s, k]
+                        assert cells[q, s, k] == side_cell(n, q2, side2,
+                                                           k2), seed
+                        assert cells[q2, s2, k2] == side_cell(n, q, side, k)
+                        u = transports[q, s, k]
                         assert np.allclose(u, bundle.seam_unitary(index,
                                                                   back))
-                        assert np.allclose(
-                            u @ disc.halo_transport[q2, s2, k2],
-                            np.eye(rank), atol=1e-14)
-            # after the 2n(n - 1) interior edges per square, the n edges
-            # of each seam join its first side to its second
+                        assert np.allclose(u @ transports[q2, s2, k2],
+                                           np.eye(rank), atol=1e-14)
+            # the table goes seam by seam; after the 2n(n - 1) interior
+            # edges per square, the edges of the mesh are its rows
+            sides = disc.side_vertex.ravel()
+            first = sides[disc.seam_tails].reshape(-1, n)
+            second = sides[disc.seam_heads].reshape(-1, n)
             inner = 2 * n * (n - 1) * surface.n_squares
-            first = disc.tails[inner:].reshape(-1, n)
-            second = disc.heads[inner:].reshape(-1, n)
+            assert disc.tails[inner:].tolist() == first.ravel().tolist()
+            assert disc.heads[inner:].tolist() == second.ravel().tolist()
+            assert np.array_equal(disc.transports[inner:],
+                                  disc.seam_transports)
             for seam in surface.seams:
                 k = np.arange(n)
                 k2 = k[::-1] if seam.kind == "halfturn" else k
@@ -142,9 +151,9 @@ def test_halo_is_an_involution(block):
 @pytest.mark.parametrize("block", range(4))
 def test_corner_table_matches_halo(block):
     # each counter-clockwise step of a corner point crosses the side its
-    # corner leaves by: the halo's cell at that corner is the next cell,
-    # and the halo's transport the relative transport of the two cells;
-    # the bundles need not be flat for either
+    # corner leaves by: the halo's cell at that corner, read from the seam
+    # table, is the next cell, and the halo's transport the relative
+    # transport of the two cells; the bundles need not be flat for either
     for seed in SEEDS[block::4]:
         rng = np.random.default_rng(seed)
         surface = random_surface(rng)
@@ -153,14 +162,15 @@ def test_corner_table_matches_halo(block):
             seam.index: random_unitary(rng, rank) for seam in surface.seams})
         for n in (1, 2, 3):
             disc = Discretization(surface, bundle, n)
+            cells, transports = halo(disc)
             for point in disc.corner_points:
                 for k in range(point.quarters - 1):
                     q, corner = point.corners[k]
                     side = CCW_EXIT[corner]
                     at = (q, SIDES.index(side),
                           (n - 1) * SIDE_ENDS[side].index(corner))
-                    assert disc.halo_vertex[at] == point.cells[k + 1], seed
+                    assert cells[at] == point.cells[k + 1], seed
                     assert np.allclose(
-                        disc.halo_transport[at],
+                        transports[at],
                         point.transports[k].conj().T
                         @ point.transports[k + 1], atol=1e-14), seed

@@ -51,7 +51,7 @@ def test_torus_census():
     assert cycles[0].interior and cycles[0].quarters == 4
     assert not cycles[0].singular
     assert surf.euler_characteristic() == 0
-    assert surf.is_closed
+    assert not surf.free_sides
 
 
 def test_square_census():
@@ -75,7 +75,7 @@ def test_lshape_census():
 
 def test_pillowcase_census():
     surf = catalog.pillowcase()
-    assert surf.is_closed
+    assert not surf.free_sides
     assert surf.euler_characteristic() == 2
     cones = [c for c in surf.vertex_cycles() if c.interior and c.singular]
     assert len(cones) == 4
@@ -85,7 +85,7 @@ def test_pillowcase_census():
 
 def test_genus_two_census():
     surf = catalog.genus_two()
-    assert surf.is_closed
+    assert not surf.free_sides
     assert surf.euler_characteristic() == -2
     cones = [c for c in surf.vertex_cycles() if c.interior and c.singular]
     assert len(cones) == 1
@@ -112,7 +112,7 @@ def test_parse_comments_and_errors():
         "# a torus\nsquares: 1\n"
         "glue: (0,E) (0,W) translation  # horizontal\n"
         "glue: (0,N) (0,S) translation\n")
-    assert surf.is_closed and spec is None
+    assert not surf.free_sides and spec is None
     for bad in ("glue: (0,E) (0,W) translation\n",  # missing squares
                 "squares: one\n",
                 "squares: 1\nglue: (0,E) translation\n",
@@ -160,8 +160,22 @@ def test_parse_bundle_block():
         parse_surface("squares: 1\ntransport: 0 1\n")  # before rank
 
 
+def test_parse_rejects_duplicate_rank():
+    # a second rank line used to replace the first, so that a transport
+    # read before it failed later, naming no line
+    text = ("squares: 1\n"
+            "glue: (0,E) (0,W) translation\n"
+            "glue: (0,N) (0,S) translation\n"
+            "rank: 1\n"
+            "transport: 0 -1\n"
+            "rank: 2\n")
+    with pytest.raises(SurfaceFormatError,
+                       match=re.escape("line 6: duplicate 'rank' line")):
+        parse_surface(text)
+
+
 def test_catalog_load_from_file(tmp_path):
     path = tmp_path / "torus.surf"
     path.write_text(catalog.torus().to_text())
     surf, spec = catalog.load(str(path))
-    assert surf.is_closed and surf.n_squares == 1
+    assert not surf.free_sides and surf.n_squares == 1
