@@ -21,11 +21,17 @@ outside:
     shift       the shift sigma of the shift-invert
     scipy_import_s  importing scipy.sparse.linalg, before the eigen call,
                 on a tree that uses it (its eigen call would import it)
+    eigen_peak_mb   the ``tracemalloc`` peak over a second, traced
+                ``rescaled_spectrum`` call (traced apart, since tracing
+                slows the timed call): the solver's own memory, which
+                the imports' share of peak RSS does not hide
 
-Every case reports its own peak RSS (``ru_maxrss``) and whether any scipy
-module was loaded.  Each case runs three times per source tree, the trees
-alternating run by run; the file records the median seconds and the
-largest peak RSS over the runs.
+Every case reports its own peak RSS (``ru_maxrss``, before the traced
+call) and whether any scipy module was loaded.  Each case runs three
+times per source tree, the trees alternating run by run; the file records
+the median seconds and the largest peak RSS and eigen peak over the runs,
+and a peak-RSS ceiling for each eigen case: 10% above the last tree's
+largest peak RSS, rounded up to a whole MB.
 
     python bench/scaling.py [--radii 64,128,256,512] [--src NAME=DIR ...]
                             [--out BENCH_scaling.json]
@@ -42,10 +48,12 @@ import functools
 import json
 import os
 import platform
+import math
 import statistics
 import subprocess
 import sys
 import time
+import tracemalloc
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 REPEAT = 3
@@ -184,12 +192,17 @@ def run_eigen_case(name, n):
     eigen_s = time.perf_counter() - start
     table["lanczos_s"] = eigen_s - sum(table[key] for key in (
         "assemble_s", "setup_s", "solve_s", "post_s"))
-    return {"surface": name, "n": n, "k": k, "path": path,
-            "unknowns": disc.n_vertices * bundle.rank,
-            "import_s": import_s, "discretize_s": discretize_s,
-            "eigen_s": eigen_s, **table,
-            "values": [float(v) for v in vals],
-            "peak_rss_mb": _peak_rss_mb(), "scipy": _scipy_loaded()}
+    result = {"surface": name, "n": n, "k": k, "path": path,
+              "unknowns": disc.n_vertices * bundle.rank,
+              "import_s": import_s, "discretize_s": discretize_s,
+              "eigen_s": eigen_s, **table,
+              "values": [float(v) for v in vals],
+              "peak_rss_mb": _peak_rss_mb(), "scipy": _scipy_loaded()}
+    tracemalloc.start()
+    spectral.rescaled_spectrum(disc, k)
+    result["eigen_peak_mb"] = tracemalloc.get_traced_memory()[1] / 2 ** 20
+    tracemalloc.stop()
+    return result
 
 
 def _spawn(src, case):
@@ -275,13 +288,13 @@ def main(argv=None):
                     for n in args.ns.split(",")],
             ("import_s", "discretize_s", "eigen_s", "assemble_s", "setup_s",
              "solve_s", "post_s", "lanczos_s", "scipy_import_s"),
-            ("peak_rss_mb",),
+            ("peak_rss_mb", "eigen_peak_mb"),
             lambda c: "%s n = %d (%s): eigen %.3f s = setup %.3f + %d "
             "solves %.3f + lanczos %.3f + post %.3f; size %d, peak RSS "
-            "%.1f MB, scipy %s"
+            "%.1f MB, eigen peak %.1f MB, scipy %s"
             % (c["surface"], c["n"], c["path"], c["eigen_s"], c["setup_s"],
                c["solves"], c["solve_s"], c["lanczos_s"], c["post_s"],
-               c["size"], c["peak_rss_mb"], c["scipy"]))
+               c["size"], c["peak_rss_mb"], c["eigen_peak_mb"], c["scipy"]))
         record = {
             "benchmark": "mesh eigensolve scaling",
             "seconds": "median over runs, each in a fresh interpreter, "
@@ -289,11 +302,20 @@ def main(argv=None):
                        "rescaled_spectrum call, split as in "
                        "bench/scaling.py's docstring",
             "peak_rss_mb": "largest ru_maxrss over runs, imports included",
+            "eigen_peak_mb": "largest tracemalloc peak over runs of a "
+                             "second, traced rescaled_spectrum call",
+            "peak_rss_ceiling_mb": "per case, 10% above the largest "
+                                   "peak_rss_mb of the last tree, "
+                                   "rounded up to a whole MB",
             "scipy": "whether any run loaded a scipy module",
             "shift": "sigma = spectral.SHIFT / n^2, SHIFT = -1 in units "
                      "of the rescaled spectrum (a tree whose SHIFT is the "
                      "fixed sigma -0.01 uses that); each case records its "
                      "own sigma as shift"}
+        last = results[list(trees)[-1]]
+        record["peak_rss_ceiling_mb"] = {
+            "%s n=%d" % (c["surface"], c["n"]):
+            math.ceil(1.1 * c["peak_rss_mb"]) for c in last}
     record["machine"] = machine
     record["results"] = results
     out = args.out or os.path.join(ROOT, "BENCH_scaling.json"

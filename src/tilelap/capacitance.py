@@ -142,19 +142,26 @@ class SeamCapacitance:
     def _capacitance(self):
         """K = I + W* M^-1 W, (m r) square: for edges e, f and ends x of e,
         y of f, the side Green value G(x, y) times C_x* C_y, with C = I at
-        a tail and -U* at a head; ends in different squares see 0."""
+        a tail and -U* at a head.  Ends in different squares see 0, and the
+        n edges of a seam have their tails on one side and their heads on
+        another, so each of the four tail/head pairings adds, in place, an
+        n x n block of edges for each two seam ends in one square."""
         green = self._side_green()
-        count, rank = len(self.tail_slots), self.shape[1]
-        local = 4 * self.shape[2]
+        count, rank, n = len(self.tail_slots), self.shape[1], self.shape[2]
+        local = 4 * n
         eye = np.broadcast_to(np.eye(rank), self.transports.shape)
         ends = [(self.tail_slots, eye),
                 (self.head_slots, -self.transports.conj().transpose(0, 2, 1))]
         cap = np.zeros((count, rank, count, rank), self.dtype)
         for sx, cx in ends:
             for sy, cy in ends:
-                g = np.where(sx[:, None] // local == sy // local,
-                             green[sx[:, None] % local, sy % local], 0.0)
-                cap += np.einsum("xy,xca,ycb->xayb", g, cx.conj(), cy)
+                same = sx[::n, None] // local == sy[::n] // local
+                for i, j in zip(*np.nonzero(same)):
+                    x, y = slice(i * n, i * n + n), slice(j * n, j * n + n)
+                    cap[x, :, y] += np.einsum(
+                        "xy,xca,ycb->xayb",
+                        green[sx[x, None] % local, sy[y] % local],
+                        cx[x].conj(), cy[y])
         cap = cap.reshape(count * rank, count * rank)
         cap[np.diag_indices_from(cap)] += 1
         return cap
@@ -178,21 +185,14 @@ class SeamCapacitance:
         return sides.transpose(1, 3, 4, 0, 2).reshape(-1, len(y),
                                                       self.shape[1])
 
-    def _from_sides(self, sides, b):
-        """Cosine coordinates (b, S, r, n, n) of a field that lives on the
-        side slots, given there as (S * 4 * n, b, r)."""
-        squares, rank, n, _ = self.shape
-        sides = sides.reshape(squares, 4, n, b, rank).transpose(3, 0, 4, 1, 2)
-        rows = self.ends.T @ (sides[:, :, :, :2] @ self.phi)
-        cols = (sides[:, :, :, 2:] @ self.phi).swapaxes(-1, -2) @ self.ends
-        return rows + cols
-
     def _seam_term(self, y, weigh=None):
         """T(W c) for cosine fields y, (b, S, r, n, n), where c = W* y at
-        the seam edges, or ``weigh`` of it, (m r, b) -> (m r, b)."""
+        the seam edges, or ``weigh`` of it, (m r, b) -> (m r, b).  An
+        iterator over its b fields, (S, r, n, n) each, so that one full
+        field is held at a time; empty when the mesh has no seams."""
         b, count, rank = len(y), len(self.transports), self.shape[1]
         if not count:
-            return 0
+            return iter(())
         sides = self._sides(y)
         u = self.transports
         at_tail, at_head = sides[self.tail_slots], sides[self.head_slots]
@@ -203,7 +203,23 @@ class SeamCapacitance:
         field = np.zeros((len(sides), b, rank), coef.dtype)
         field[self.tail_slots] = coef
         field[self.head_slots] = -np.einsum("eji,ebj->ebi", u.conj(), coef)
-        return self._from_sides(field, b)
+        return map(self._from_sides, *self._side_modes(field, b))
+
+    def _side_modes(self, sides, b):
+        """Cosine modes along the side slots of a field given there as
+        (S * 4 * n, b, r): rows (N, S) and columns (E, W), (b, S, r, 2, n)
+        each."""
+        squares, rank, n, _ = self.shape
+        sides = sides.reshape(squares, 4, n, b, rank).transpose(3, 0, 4, 1, 2)
+        return sides[:, :, :, :2] @ self.phi, sides[:, :, :, 2:] @ self.phi
+
+    def _from_sides(self, rows, cols):
+        """Cosine coordinates (S, r, n, n) of one field that lives on the
+        side slots, from its modes ``rows`` and ``cols`` (S, r, 2, n); the
+        column term is added into the row term's array."""
+        field = self.ends.T @ rows
+        field += cols.swapaxes(-1, -2) @ self.ends
+        return field
 
     def _solve_capacitance(self, c):
         """K^-1 c = L^-* (L^-1 c), conjugating the (m r, b) block only."""
@@ -213,13 +229,20 @@ class SeamCapacitance:
     def apply(self, z):
         """(A - shift I)^-1 of each row of z, (b, dim) cosine coordinates:
         H (z - T(W K^-1 W* H z)), with H = M^-1 and T the cosine transform
-        of a field on side cells."""
+        of a field on side cells; each row's seam term is scaled by H and
+        subtracted in place."""
         y = self.inv_m * z.reshape((len(z),) + self.shape)
-        y -= self.inv_m * self._seam_term(y, self._solve_capacitance)
+        for row, term in zip(y, self._seam_term(y, self._solve_capacitance)):
+            term *= self.inv_m
+            row -= term
         return y.reshape(len(z), -1)
 
     def shifted(self, z):
         """(A - shift I) z = M z + T(W W* z) of each row of z, (b, dim)
-        cosine coordinates."""
+        cosine coordinates; each row's seam term is added in place."""
         y = z.reshape((len(z),) + self.shape)
-        return (y / self.inv_m + self._seam_term(y)).reshape(len(z), -1)
+        out = np.divide(y, self.inv_m, out=np.empty(
+            y.shape, np.result_type(y, self.transports)))
+        for row, term in zip(out, self._seam_term(y)):
+            row += term
+        return out.reshape(len(z), -1)

@@ -161,6 +161,40 @@ def lowest_eigenpairs(mat, k):
     return vals, vecs, residuals
 
 
+class SplitMix64:
+    """A seeded stream of values in [-1, 1), drawn by counter: value i
+    (from 1) is splitmix64's i-th output (Steele, Lea & Flood, OOPSLA
+    2014) from the state ``seed`` mod 2^64, z_i = seed + i GAMMA mixed,
+    its top 53 bits scaled.  It draws the Lanczos start block and the rows
+    that replace spent directions, without importing numpy.random (5 MB
+    of RSS).  Each call to :meth:`rows` continues where the last one
+    stopped."""
+
+    GAMMA = 0x9E3779B97F4A7C15
+    MIX = (0xBF58476D1CE4E5B9, 0x94D049BB133111EB)
+
+    def __init__(self, seed):
+        self.state, self.drawn = seed % 2 ** 64, 0
+
+    def rows(self, count, dim, dtype=float):
+        """The next (count, dim) values, as ``dtype``; a complex value
+        takes its real and imaginary parts from two values in turn."""
+        size = count * dim * (2 if np.dtype(dtype).kind == "c" else 1)
+        z = np.arange(self.drawn + 1, self.drawn + size + 1, dtype=np.uint64)
+        self.drawn += size
+        z *= np.uint64(self.GAMMA)  # unsigned arrays wrap mod 2^64
+        z += np.uint64(self.state)
+        for shift, mult in zip((30, 27), self.MIX):
+            z ^= z >> np.uint64(shift)
+            z *= np.uint64(mult)
+        z ^= z >> np.uint64(31)
+        z >>= np.uint64(11)
+        # the values overwrite their own integers
+        values = np.multiply(z, 2.0 ** -52, out=z.view(float))
+        values -= 1.0
+        return values.view(dtype).reshape(count, dim)
+
+
 def _conj(a):
     return a.conj() if np.iscomplexobj(a) else a
 
@@ -174,18 +208,19 @@ def _project_off(w, rows):
     return coef.T
 
 
-def _orthonormalize(w, against, floor, rng):
+def _orthonormalize(w, against, floor, stream):
     """Orthonormal rows q spanning the rows of ``w`` (already orthogonal to
     each array of rows in ``against``), the coupling B = Q* W of the
-    column form W = Q B, and the number of random rows in q.  Two
-    Cholesky QR passes (Fukaya, Nakatsukasa, Yanagisawa & Yamamoto, 2014)
-    when the Gram matrix is well conditioned.  Otherwise rows are taken
-    one by one, projected twice: a row left below ``floor``, or below
-    1e-8 of the largest row, spans nothing reliable (an invariant subspace
-    was found) and gives way to a random vector, as long as the space has
+    column form W = Q B, and the number of rows in q drawn from
+    ``stream``.  Two Cholesky QR passes (Fukaya, Nakatsukasa, Yanagisawa
+    & Yamamoto, 2014) when the Gram matrix is well conditioned; the
+    second writes q over ``w``.  Otherwise rows are taken one by one,
+    projected twice: a row left below ``floor``, or below 1e-8 of the
+    largest row, spans nothing reliable (an invariant subspace was found)
+    and gives way to a row of the stream, as long as the space has
     room."""
     q, lower = w, np.eye(len(w))
-    for _ in range(2):  # W = Q R with R = (L1 L2)*, L the Cholesky factors
+    for second in (False, True):  # W = Q R, R = (L1 L2)*, L the factors
         try:
             chol = np.linalg.cholesky(_conj(q) @ q.T)
         except np.linalg.LinAlgError:
@@ -193,7 +228,9 @@ def _orthonormalize(w, against, floor, rng):
         diag = chol.diagonal().real
         if diag.min() <= 1e-7 * diag.max() or diag.max() <= floor:
             break
-        q = _conj(np.linalg.inv(chol)) @ q
+        # the second pass writes Q into w, which no fallback needs now
+        q = np.matmul(_conj(np.linalg.inv(chol)), q,
+                      out=w if second else None)
         lower = lower @ chol
     else:
         return q, _conj(lower).T, 0
@@ -203,9 +240,7 @@ def _orthonormalize(w, against, floor, rng):
         found = _grow(found, x, against, small)
     spanned = len(found)
     for _ in range(len(w) - spanned):
-        x = rng.standard_normal(w.shape[1])
-        if np.iscomplexobj(w):
-            x = x + 1j * rng.standard_normal(w.shape[1])
+        x = stream.rows(1, w.shape[1], w.dtype)[0]
         grown = _grow(found, x, against, 1e-8 * np.linalg.norm(x))
         if len(grown) == len(found):  # the space is spanned
             break
@@ -224,7 +259,23 @@ def _grow(found, x, against, small):
     return np.concatenate([found, x / norm]) if norm > small else found
 
 
-def _block_lanczos(solver, k, block, gate, rng):
+def _norms_within(coef, rows, bounds):
+    """Whether |coef_i @ rows| <= bounds_i for every i, forming one
+    combination of the rows at a time."""
+    return all(np.linalg.norm(c @ rows) <= bound
+               for c, bound in zip(coef, bounds))
+
+
+def _rotate(rows, coef, hi):
+    """rows[:len(coef)] = coef @ rows[:hi], in place, a slab of columns at
+    a time, so that no temporary is larger than one row."""
+    step = max(1, rows.shape[1] // len(coef))
+    for start in range(0, rows.shape[1], step):
+        cols = slice(start, start + step)
+        rows[:len(coef), cols] = coef @ rows[:hi, cols]
+
+
+def _block_lanczos(solver, k, block, gate, stream):
     """The k lowest eigenpairs of A off its kernel, by block Lanczos on
     the shift-inverted operator T = (A - sigma I)^-1 of ``solver`` (a
     `capacitance.SeamCapacitance`, sigma its ``shift``), with full
@@ -259,21 +310,20 @@ def _block_lanczos(solver, k, block, gate, rng):
     proj = np.zeros((cap, cap), solver.dtype)
     # |T| is at most 1 / |sigma|: directions below this are round-off
     floor = 1e-14 / -shift
-    start = rng.standard_normal((block, dim)).astype(solver.dtype)
-    if np.iscomplexobj(start):
-        start += 1j * rng.standard_normal((block, dim))
+    start = stream.rows(block, dim, solver.dtype)
     _project_off(start, kernel)
-    q, _, _ = _orthonormalize(start, [kernel], floor, rng)
+    q, _, _ = _orthonormalize(start, [kernel], floor, stream)
     # the image of block lo:hi is coupled to rows near:hi only
     near, lo, hi = 0, 0, len(q)
     rows[:hi] = q
+    del start, q  # the basis holds them now
     for _ in range(LANCZOS_MAX_STEPS):
         w = solver.apply(rows[lo:hi])
         proj[near:hi, lo:hi] += _project_off(w, rows[near:hi])
         proj[:hi, lo:hi] += _project_off(w, rows[:hi])
         _project_off(w, kernel)
         q, coupling, fresh = _orthonormalize(w, [rows[:hi], kernel], floor,
-                                             rng)
+                                             stream)
         del w  # freed before the gate's products and the next solve
         if hi >= k:  # else too few Ritz pairs yet, and room in the basis
             theta, vecs = np.linalg.eigh(proj[:hi, :hi], UPLO="U")
@@ -285,31 +335,37 @@ def _block_lanczos(solver, k, block, gate, rng):
             # them; |A - sigma I| >= |sigma| off the kernel, a lower bound
             if not fresh and (
                     not len(q) or resid.max() <= LANCZOS_FLOOR / -shift
-                    or (-shift * resid <= target).all() and (np.linalg.norm(
-                        coef.T @ solver.shifted(q), axis=1) <= target).all()):
-                return _refine(solver, vecs[:, :k].T @ rows[:hi], rng)
+                    or (-shift * resid <= target).all() and _norms_within(
+                        coef.T, solver.shifted(q), target)):
+                ritz = vecs[:, :k].T @ rows[:hi]
+                del basis, rows  # freed before the refinement's solves
+                return _refine(solver, ritz, stream)
             if hi + len(q) > cap:  # thick restart
                 keep = k + LANCZOS_KEEP * block
-                rows[:keep] = vecs[:, :keep].T @ rows[:hi]
+                _rotate(rows, vecs[:, :keep].T, hi)
                 proj[:] = 0
                 proj[:keep, :keep] = np.diag(theta[:keep])
                 lo = hi = keep
         rows[hi:hi + len(q)] = q
         near, lo, hi = 0 if lo == hi else lo, hi, hi + len(q)
+        del q
     raise RuntimeError("block Lanczos did not converge in %d steps"
                        % LANCZOS_MAX_STEPS)
 
 
-def _refine(solver, ritz, rng):
+def _refine(solver, ritz, stream):
     """Eigenpairs of A from Ritz vectors (rows) of its shift-inverse: one
     step of block inverse iteration, its solve refined once by the
     residual (A - sigma I) y - x, then Rayleigh-Ritz with A itself.
     Takes the Ritz vectors from the round-off of the shift-inverted
     solve down to that of A.  Returns (values ascending, rows)."""
     image = solver.apply(ritz)
-    image += solver.apply(ritz - solver.shifted(image))
+    resid = solver.shifted(image)
+    np.subtract(ritz, resid, out=resid)
+    image += solver.apply(resid)
+    del resid
     _project_off(image, solver.kernel.T)
-    q, _, _ = _orthonormalize(image, [solver.kernel.T], 0.0, rng)
+    q, _, _ = _orthonormalize(image, [solver.kernel.T], 0.0, stream)
     vals, vecs = np.linalg.eigh(_conj(q) @ solver.shifted(q).T)
     return solver.shift + vals, vecs.T @ q
 
@@ -334,7 +390,9 @@ def mesh_eigenpairs(disc, k, seed=0):
     residuals pass GATE_MARGIN times the gate of :func:`_check_residuals`;
     only the k vectors return to vertex order.  Returns (values, vectors,
     residuals) as :func:`lowest_eigenpairs` does, with the same gate, the
-    residuals taken by `operators.apply_laplacian`.
+    residuals taken by `operators.apply_laplacian`: of every pair on the
+    Lanczos route, of the exact kernel pairs only on the LAPACK route,
+    where :func:`lowest_eigenpairs` has taken the others.
     """
     from .capacitance import SeamCapacitance, square_kernel
     from .operators import apply_laplacian, laplacian
@@ -345,13 +403,22 @@ def mesh_eigenpairs(disc, k, seed=0):
     # |A|_1 <= deg (1 + sqrt r): a degree block, and unitary blocks whose
     # columns have 1-norm at most sqrt r
     norm1 = disc.degrees.max() * (1 + np.sqrt(disc.bundle.rank))
+
+    def residuals(vals, vecs):
+        return np.array([np.linalg.norm(apply_laplacian(disc, v) - lam * v)
+                         for lam, v in zip(vals, vecs.T)])
+
     if k + LANCZOS_BASIS * min(LANCZOS_BLOCK, k) >= LANCZOS_SHARE * dim:
-        vals, vecs, _ = lowest_eigenpairs(laplacian(disc), k)
+        # lowest_eigenpairs has checked its residuals; only the exact
+        # kernel vectors put in for its round-off ones need theirs
+        vals, vecs, res = lowest_eigenpairs(laplacian(disc), k)
         # the constant c_q of square q on each of its n^2 vertices
         null = square_kernel(disc)[:, :k] / disc.n
-        vals[:null.shape[1]] = 0.0
-        vecs[:, :null.shape[1]] = np.repeat(null.reshape(
+        size = null.shape[1]
+        vals[:size] = 0.0
+        vecs[:, :size] = np.repeat(null.reshape(
             disc.surface.n_squares, -1), disc.n ** 2, axis=0).reshape(dim, -1)
+        res[:size] = residuals(vals[:size], vecs[:, :size])
     else:
         with _one_blas_thread():
             solver = SeamCapacitance(disc, SHIFT / disc.n ** 2)
@@ -364,7 +431,7 @@ def mesh_eigenpairs(disc, k, seed=0):
                     solver, wanted, block,
                     lambda lam: GATE_MARGIN * RESIDUAL_TOL * max(
                         lam.max(), ZERO_SCALE * norm1),
-                    np.random.default_rng(seed))
+                    SplitMix64(seed))
                 # the Krylov space of a block holds at most that many
                 # members of a multiple eigenvalue: a group as large may
                 # have more, unless the block holds as many vectors as
@@ -374,10 +441,9 @@ def mesh_eigenpairs(disc, k, seed=0):
                     vecs = np.concatenate([vecs, ritz])
                 block *= 2
             vecs = solver.to_vertices(vecs)
-    residuals = np.array([np.linalg.norm(apply_laplacian(disc, v) - lam * v)
-                          for lam, v in zip(vals, vecs.T)])
-    _check_residuals(vals, residuals, norm1)
-    return vals, vecs, residuals
+        res = residuals(vals, vecs)
+    _check_residuals(vals, res, norm1)
+    return vals, vecs, res
 
 
 def rescaled_spectrum(disc, k, seed=0):

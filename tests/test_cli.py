@@ -430,7 +430,7 @@ def test_invalid_input_exits_1(capsys):
 def _in_fresh_interpreter(argvs, setup="", report=""):
     """Run the commands in a fresh interpreter, after ``setup``, and
     return what the ``report`` expression prints, followed by the loaded
-    scipy modules."""
+    scipy modules and the loaded numpy.random modules."""
     script = textwrap.dedent("""
         import contextlib, io, sys
         from tilelap import cli, spectral
@@ -440,13 +440,15 @@ def _in_fresh_interpreter(argvs, setup="", report=""):
                 assert cli.main(argv) == 0, argv
         print(%s)
         print(" ".join(m for m in sys.modules if m.split(".")[0] == "scipy"))
+        print(" ".join(m for m in sys.modules
+                       if m.split(".")[:2] == ["numpy", "random"]))
     """) % (setup, argvs, report or '""')
     src = os.path.dirname(os.path.dirname(os.path.abspath(tilelap.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    return proc.stdout.split("\n")[:2]
+    return proc.stdout.split("\n")[:3]
 
 
 def _rank2_torus_file(tmp_path):
@@ -468,7 +470,7 @@ def test_numpy_only_commands_leave_scipy_unloaded(tmp_path):
     # no command loads scipy: eigen systems are solved by LAPACK or by
     # the mesh solver, Green functions by a banded Cholesky; the eigen
     # commands run here on meshes that take either route
-    _, modules = _in_fresh_interpreter([
+    _, modules, _ = _in_fresh_interpreter([
         ["validate", "--surface", "genus2"],
         ["crsf-check", "--count", "20"],
         ["barrier", "--surface", "lshape", "--n", "8"],
@@ -490,6 +492,40 @@ def test_numpy_only_commands_leave_scipy_unloaded(tmp_path):
     assert modules == ""
 
 
+def test_eigen_commands_leave_numpy_random_unloaded(tmp_path):
+    # the Lanczos start block and its replacement rows come from
+    # spectral.SplitMix64, so no eigen command imports numpy.random, on
+    # either route: LAPACK (D) or block Lanczos (B), listed per command;
+    # the sweeps take LAPACK on their coarse meshes and Lanczos on their
+    # fine ones, the rank-2 torus file included
+    rank2 = _rank2_torus_file(tmp_path)
+    setup = textwrap.dedent("""
+        routes, main = [], cli.main
+        def traced(argv):
+            routes.append(set())
+            return main(argv)
+        def route(name, solve):
+            def routed(*args):
+                routes[-1].add(name)
+                return solve(*args)
+            return routed
+        cli.main = traced
+        spectral.lowest_eigenpairs = route("D", spectral.lowest_eigenpairs)
+        spectral._block_lanczos = route("B", spectral._block_lanczos)
+    """)
+    report, _, modules = _in_fresh_interpreter([
+        ["spectrum", "--surface", "torus", "--n", "8"],
+        ["spectrum", "--surface", "torus", "--n", "32"],
+        ["spectrum", "--surface", rank2, "--n", "8"],
+        ["spectrum", "--surface", rank2, "--n", "32"],
+        ["converge", "--surface", "genus2", "--ns", "8,16,32"],
+        ["converge", "--surface", rank2, "--ns", "8,16,32"],
+        ["eigvec", "--surface", "square", "--ns", "8,16,32"],
+        ["harnack", "--surface", "pillowcase", "--ns", "4,8,16"]], setup,
+        '" ".join("".join(sorted(r)) for r in routes)')
+    assert report == "D B D B BD BD BD BD" and modules == ""
+
+
 @pytest.mark.parametrize("argv", [
     ["harnack", "--surface", "lshape", "--ns", "8,16,32,64"]],
     ids=["harnack"])
@@ -505,7 +541,7 @@ def test_large_systems_take_the_mesh_path(argv):
             return solve(disc, *args, **kwargs)
         spectral.mesh_eigenpairs = counted
     """)
-    calls, modules = _in_fresh_interpreter([argv], setup, "calls")
+    calls, modules, _ = _in_fresh_interpreter([argv], setup, "calls")
     assert calls == "[8, 16, 32, 64]" and modules == ""
 
 

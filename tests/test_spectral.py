@@ -1,5 +1,8 @@
 """Eigenvalue machinery against closed-form lattice oracles."""
 
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
@@ -377,3 +380,103 @@ def test_residual_gate_rejects_perturbed_pair(monkeypatch):
     monkeypatch.setattr(spectral, "_block_lanczos", perturbed)
     with pytest.raises(RuntimeError, match="residual"):
         spectral.mesh_eigenpairs(disc, 4)
+
+
+def _splitmix64(seed, count):
+    """The first ``count`` values of the start stream in Python integers:
+    splitmix64 from state ``seed``, top 53 bits scaled to [-1, 1)."""
+    mask, values, state = 2 ** 64 - 1, [], seed % 2 ** 64
+    for _ in range(count):
+        state = (state + 0x9E3779B97F4A7C15) & mask
+        z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        values.append((z ^ (z >> 31)) >> 11)
+    return np.array(values) * 2.0 ** -52 - 1.0
+
+
+def test_start_stream():
+    # the Lanczos start rows: splitmix64 by counter, mixed mod 2^64 with
+    # no overflow warning (seeds past 2^64 wrap); the same seed repeats
+    # its rows, other seeds change them, the values lie in [-1, 1), and a
+    # second draw continues the stream rather than repeating the start
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = spectral.SplitMix64(7).rows(4, 500)
+        assert np.array_equal(rows.ravel()[:50], _splitmix64(7, 50))
+        assert np.array_equal(rows, spectral.SplitMix64(7).rows(4, 500))
+        assert np.array_equal(rows,
+                              spectral.SplitMix64(7 + 2 ** 64).rows(4, 500))
+        for seed in (0, 6, 8, 2 ** 63, 2 ** 64 - 1):
+            other = spectral.SplitMix64(seed).rows(4, 500)
+            assert np.array_equal(other.ravel()[:50], _splitmix64(seed, 50))
+            assert not np.isin(other, rows).any()
+        stream = spectral.SplitMix64(7)
+        first, more = stream.rows(4, 500), stream.rows(8, 500)
+        assert np.array_equal(first, rows)
+        assert not np.isin(more, rows).any()
+        assert np.array_equal(np.concatenate([first, more]).ravel(),
+                              spectral.SplitMix64(7).rows(1, 6000)[0])
+        # a complex value takes two values of the stream in turn
+        pairs = spectral.SplitMix64(7).rows(2, 250, complex)
+        assert np.array_equal(pairs.view(float).ravel(), rows[:2].ravel())
+        every = spectral.SplitMix64(3).rows(100, 1000)
+    assert every.min() >= -1.0 and every.max() < 1.0
+    assert abs(every.mean()) < 0.01 and abs(np.mean(every ** 2) - 1 / 3) < 0.01
+
+
+def test_lapack_route_checks_only_kernel_residuals(monkeypatch):
+    # lowest_eigenpairs has checked the residuals of its pairs; on the
+    # LAPACK route the mesh solver applies the Laplacian only to the exact
+    # kernel vectors it puts in, and returns every pair's residual
+    calls, apply = [], operators.apply_laplacian
+
+    def counted(disc, v):
+        calls.append(len(v))
+        return apply(disc, v)
+
+    monkeypatch.setattr(operators, "apply_laplacian", counted)
+    routes = record_routes(monkeypatch)
+    for rank, size in ((1, 1), (2, 2)):
+        disc = make_disc("genus2", 4, rank=rank)
+        calls.clear()
+        vals, vecs, res = spectral.mesh_eigenpairs(disc, 8)
+        assert routes[-1] == "lapack" and len(calls) == size
+        assert np.all(vals[:size] == 0.0)
+        lap = np.asarray(operators.laplacian(disc))
+        want = np.linalg.norm(lap @ vecs - vecs * vals, axis=0)
+        assert np.abs(res - want).max() <= 1e-13
+
+
+# the tracemalloc peak of a Lanczos-route solve, above its basis (k' +
+# LANCZOS_BASIS blocks of b = min(LANCZOS_BLOCK, k') rows, for the k'
+# values wanted past the kernel) and the inverse Cholesky factor of the
+# capacitance matrix K, counted in (b, dim) arrays.  Measured: 3.3 on the
+# rank-2 torus and 3.1 on genus2, a margin of 0.7 array; 14.7 and 9.6
+# when the seam solves and the thick restart built full-size temporaries
+# and the basis stayed alive through the refinement
+PEAK_BLOCKS = 4
+
+
+@pytest.mark.parametrize("case, n, k", [("torus-rank2", 48, 12),
+                                        ("genus2", 64, 6)])
+def test_mesh_solver_peak_memory(case, n, k):
+    disc = (_twisted_rank2_torus(n, seed=0) if case == "torus-rank2"
+            else make_disc(case, n))
+    spectral.mesh_eigenpairs(disc, k)  # imports and caches
+    tracemalloc.start()
+    try:
+        vals, vecs, _ = spectral.mesh_eigenpairs(disc, k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    item = vecs.itemsize
+    dim = len(vecs)
+    wanted = k - capacitance.square_kernel(disc).shape[1]
+    block = min(spectral.LANCZOS_BLOCK, wanted)
+    basis = (wanted + spectral.LANCZOS_BASIS * block) * dim * item
+    factor = (len(disc.seam_tails) * disc.bundle.rank) ** 2 * item
+    # the Lanczos route
+    assert (k + spectral.LANCZOS_BASIS * min(spectral.LANCZOS_BLOCK, k)
+            < spectral.LANCZOS_SHARE * dim)
+    blocks = (peak - basis - factor) / (block * dim * item)
+    assert blocks <= PEAK_BLOCKS, blocks
