@@ -4,30 +4,27 @@ Two modes.  ``green`` (the default): for each radius, a fresh interpreter
 imports tilelap, times ``potential.green_ball(radius)`` and the full-ball
 defining-equation residual.  ``eigen``: for each surface and mesh size, a
 fresh interpreter imports tilelap, builds the mesh and times
-``spectral.rescaled_spectrum`` on the path a command of that size takes
-(the k lowest pairs: 6 on genus2, pillowcase and lshape, 12 on a seeded
-rank-2 twisted torus), split into layers by wrapping the library from
+``spectral.rescaled_spectrum`` (the k lowest pairs: 6 on genus2,
+pillowcase and lshape, 12 on a seeded rank-2 twisted torus, whose two
+unitaries are drawn once here and passed to each case, so that no case
+imports numpy.random), split into layers by wrapping the library from
 outside:
 
-    assemble_s  sparse Laplacian assembly (SuperLU path only)
     setup_s     the shift-invert set-up: the capacitance matrix K and its
-                Cholesky factor, or the sparse LU factorization
+                Cholesky factor
     solves      shift-inverted vectors solved; solve_s their time
-    post_s      mesh path only: the return to vertex order and the
-                residual check; the SuperLU path checks residuals inside
-                its eigen call, so there it counts as lanczos_s
+    post_s      the return to vertex order and the residual check
     lanczos_s   the rest of the eigen call: the Lanczos iteration itself
-    size        m, the capacitance matrix's order, or the LU's nonzeros
+    size        m, the capacitance matrix's order
     shift       the shift sigma of the shift-invert
-    scipy_import_s  importing scipy.sparse.linalg, before the eigen call,
-                on a tree that uses it (its eigen call would import it)
     eigen_peak_mb   the ``tracemalloc`` peak over a second, traced
                 ``rescaled_spectrum`` call (traced apart, since tracing
                 slows the timed call): the solver's own memory, which
                 the imports' share of peak RSS does not hide
 
-Every case reports its own peak RSS (``ru_maxrss``, before the traced
-call) and whether any scipy module was loaded.  Each case runs three
+Every case reports its own peak RSS (``VmHWM``, before the traced call;
+a spawned process's ``ru_maxrss`` would start from this script's peak)
+and whether any scipy module was loaded.  Each case runs three
 times per source tree, the trees alternating run by run; the file records
 the median seconds and the largest peak RSS and eigen peak over the runs,
 and a peak-RSS ceiling for each eigen case: 10% above the last tree's
@@ -61,10 +58,10 @@ EIGEN_SURFACES = ("genus2", "pillowcase", "lshape", "torus-rank2")
 
 
 def _peak_rss_mb():
-    import resource
-
-    # ru_maxrss is in KiB on Linux
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    with open("/proc/self/status") as fh:
+        for line in fh:
+            if line.startswith("VmHWM:"):  # in kB
+                return int(line.split()[1]) / 1024.0
 
 
 def _scipy_loaded():
@@ -95,10 +92,9 @@ def run_case(radius):
             "residual": residual, "scipy": _scipy_loaded()}
 
 
-def _timed(table, key, fn, vectors=None):
-    """``fn`` adding its run time to table[key], and, with ``vectors``,
-    the number of vectors its last argument holds to table["solves"]:
-    rows of a (b, dim) block, or columns of a (dim, b) one."""
+def _timed(table, key, fn, count=False):
+    """``fn`` adding its run time to table[key], and, with ``count``, the
+    rows of its last argument, a (b, dim) block, to table["solves"]."""
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
         start = time.perf_counter()
@@ -106,16 +102,29 @@ def _timed(table, key, fn, vectors=None):
             return fn(*args, **kwargs)
         finally:
             table[key] += time.perf_counter() - start
-            if vectors:
-                shape = args[-1].shape
-                table["solves"] += (1 if len(shape) == 1 else
-                                    shape[0] if vectors == "rows"
-                                    else shape[1])
+            if count:
+                table["solves"] += len(args[-1])
     return wrapper
 
 
-def _eigen_input(name):
-    """(surface, bundle, k) of an eigen case."""
+def _rank2_transports():
+    """The two seam unitaries of the torus-rank2 case, commuting
+    holonomies V diag(e^{i a}) V*, V diag(e^{i b}) V* (a flat bundle),
+    from a seeded draw; for the case's JSON, as nested lists with the
+    real and imaginary parts of each entry side by side."""
+    import numpy as np
+
+    rng = np.random.default_rng(0)
+    v = np.linalg.qr(rng.standard_normal((2, 2))
+                     + 1j * rng.standard_normal((2, 2)))[0]
+    unitaries = [v @ np.diag(np.exp(1j * angles)) @ v.conj().T
+                 for angles in rng.uniform(0, 2 * np.pi, (2, 2))]
+    return np.array(unitaries).view(float).tolist()
+
+
+def _eigen_input(name, transports):
+    """(surface, bundle, k) of an eigen case; ``transports`` are the seam
+    unitaries of torus-rank2 as :func:`_rank2_transports` gives them."""
     import numpy as np
 
     from tilelap import catalog
@@ -124,66 +133,35 @@ def _eigen_input(name):
     if name != "torus-rank2":
         surface = catalog.BUILTIN[name]()
         return surface, FlatUnitaryBundle.trivial(surface), 6
-    # commuting holonomies V diag(e^{i a}) V*, V diag(e^{i b}) V*: flat
-    rng = np.random.default_rng(0)
-    v = np.linalg.qr(rng.standard_normal((2, 2))
-                     + 1j * rng.standard_normal((2, 2)))[0]
     surface = catalog.torus()
-    return surface, FlatUnitaryBundle(surface, 2, {
-        seam: v @ np.diag(np.exp(1j * angles)) @ v.conj().T
-        for seam, angles in enumerate(rng.uniform(0, 2 * np.pi, (2, 2)))}), 12
+    unitaries = np.array(transports).view(complex)
+    return surface, FlatUnitaryBundle(surface, 2,
+                                      dict(enumerate(unitaries))), 12
 
 
-def run_eigen_case(name, n):
+def run_eigen_case(name, n, transports):
     """Measure one eigen case in this process; returns a dict."""
     start = time.perf_counter()
-    import numpy as np
-
-    from tilelap import operators, spectral
+    from tilelap import capacitance, operators, spectral
     from tilelap.discretize import Discretization
 
     import_s = time.perf_counter() - start
-    surface, bundle, k = _eigen_input(name)
-    table = dict.fromkeys(("assemble_s", "setup_s", "solve_s", "post_s",
-                           "scipy_import_s"), 0.0)
+    surface, bundle, k = _eigen_input(name, transports)
+    table = dict.fromkeys(("setup_s", "solve_s", "post_s"), 0.0)
     table.update(solves=0, size=0)
-    if hasattr(spectral, "mesh_eigenpairs"):
-        from tilelap import capacitance
+    cls = capacitance.SeamCapacitance
+    init = cls.__init__
 
-        path, cls = "mesh", capacitance.SeamCapacitance
-        init = cls.__init__
+    def setup(self, disc, shift):
+        init(self, disc, shift)
+        table["size"] = len(self.tail_slots) * bundle.rank
+        table["shift"] = shift
 
-        def setup(self, disc, shift):
-            init(self, disc, shift)
-            table["size"] = len(self.tail_slots) * bundle.rank
-            table["shift"] = shift
-
-        cls.__init__ = _timed(table, "setup_s", setup)
-        cls.apply = _timed(table, "solve_s", cls.apply, "rows")
-        cls.to_vertices = _timed(table, "post_s", cls.to_vertices)
-        operators.apply_laplacian = _timed(table, "post_s",
-                                           operators.apply_laplacian)
-    else:
-        path = "sparse"
-        table["shift"] = spectral.SHIFT
-        start = time.perf_counter()
-        import scipy.sparse.linalg as spla
-
-        table["scipy_import_s"] = time.perf_counter() - start
-        splu = spla.splu
-
-        class Factor:
-            def __init__(self, *args, **kwargs):
-                self.lu = splu(*args, **kwargs)
-                table["size"] = self.lu.L.nnz + self.lu.U.nnz
-
-            def solve(self, rhs):
-                return self.lu.solve(rhs)
-
-        spla.splu = _timed(table, "setup_s", Factor)
-        Factor.solve = _timed(table, "solve_s", Factor.solve, "columns")
-        operators.laplacian = _timed(table, "assemble_s",
-                                     operators.laplacian)
+    cls.__init__ = _timed(table, "setup_s", setup)
+    cls.apply = _timed(table, "solve_s", cls.apply, count=True)
+    cls.to_vertices = _timed(table, "post_s", cls.to_vertices)
+    operators.apply_laplacian = _timed(table, "post_s",
+                                       operators.apply_laplacian)
     start = time.perf_counter()
     disc = Discretization(surface, bundle, n)
     discretize_s = time.perf_counter() - start
@@ -191,8 +169,8 @@ def run_eigen_case(name, n):
     vals, _ = spectral.rescaled_spectrum(disc, k)
     eigen_s = time.perf_counter() - start
     table["lanczos_s"] = eigen_s - sum(table[key] for key in (
-        "assemble_s", "setup_s", "solve_s", "post_s"))
-    result = {"surface": name, "n": n, "k": k, "path": path,
+        "setup_s", "solve_s", "post_s"))
+    result = {"surface": name, "n": n, "k": k,
               "unknowns": disc.n_vertices * bundle.rank,
               "import_s": import_s, "discretize_s": discretize_s,
               "eigen_s": eigen_s, **table,
@@ -280,19 +258,21 @@ def main(argv=None):
                        "trees alternating; solve_s and residual_s exclude "
                        "import_s (numpy, tilelap), so solve_s includes any "
                        "scipy import the solve makes",
-            "peak_rss_mb": "largest ru_maxrss over runs, imports included",
+            "peak_rss_mb": "largest VmHWM over runs, imports included",
             "scipy": "whether any run loaded a scipy module"}
     else:
+        transports = _rank2_transports()
         results = _measure(
-            trees, [[name, int(n)] for name in EIGEN_SURFACES
-                    for n in args.ns.split(",")],
-            ("import_s", "discretize_s", "eigen_s", "assemble_s", "setup_s",
-             "solve_s", "post_s", "lanczos_s", "scipy_import_s"),
+            trees, [[name, int(n), transports if name == "torus-rank2"
+                     else None]
+                    for name in EIGEN_SURFACES for n in args.ns.split(",")],
+            ("import_s", "discretize_s", "eigen_s", "setup_s", "solve_s",
+             "post_s", "lanczos_s"),
             ("peak_rss_mb", "eigen_peak_mb"),
-            lambda c: "%s n = %d (%s): eigen %.3f s = setup %.3f + %d "
+            lambda c: "%s n = %d: eigen %.3f s = setup %.3f + %d "
             "solves %.3f + lanczos %.3f + post %.3f; size %d, peak RSS "
             "%.1f MB, eigen peak %.1f MB, scipy %s"
-            % (c["surface"], c["n"], c["path"], c["eigen_s"], c["setup_s"],
+            % (c["surface"], c["n"], c["eigen_s"], c["setup_s"],
                c["solves"], c["solve_s"], c["lanczos_s"], c["post_s"],
                c["size"], c["peak_rss_mb"], c["eigen_peak_mb"], c["scipy"]))
         record = {
@@ -301,7 +281,7 @@ def main(argv=None):
                        "trees alternating; eigen_s is the whole "
                        "rescaled_spectrum call, split as in "
                        "bench/scaling.py's docstring",
-            "peak_rss_mb": "largest ru_maxrss over runs, imports included",
+            "peak_rss_mb": "largest VmHWM over runs, imports included",
             "eigen_peak_mb": "largest tracemalloc peak over runs of a "
                              "second, traced rescaled_spectrum call",
             "peak_rss_ceiling_mb": "per case, 10% above the largest "

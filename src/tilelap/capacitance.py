@@ -25,8 +25,8 @@ and m = (number of seams) n r.
 
 import numpy as np
 
+from .lapack import lower_inverse
 from .operators import _block_matrix, laplacian_blocks
-from .spectral import _lapacke
 from .surface import SIDES
 
 # side slots of a square, in the order rows (N at j = n - 1, S at j = 0),
@@ -45,22 +45,6 @@ def dct_basis(n):
     phi = np.sqrt(2.0 / n) * np.cos(np.pi * np.outer(i + 0.5, i) / n)
     phi[:, 0] = np.sqrt(1.0 / n)
     return phi, 2 - 2 * np.cos(np.pi * i / n)
-
-
-def _lower_inverse(lower):
-    """L^-1 of a lower triangular L, in the place of a row-major ``lower``,
-    by LAPACK ?trtri of numpy's OpenBLAS (numpy's ``inv`` where numpy
-    bundles none): 4-8 times faster than ``inv`` at order 384-1536.
-    ?trtri inverts the column-major reading of L, the upper triangular
-    L^T, and the inverse of L^T read back row by row is L^-1."""
-    real = not np.iscomplexobj(lower)
-    trtri = _lapacke("dtrtri" if real else "ztrtri")
-    if trtri is None:
-        return np.linalg.inv(lower)
-    inv = np.ascontiguousarray(lower, float if real else complex)
-    if trtri(102, b"U", b"N", len(inv), inv.ctypes.data, max(1, len(inv))):
-        raise RuntimeError("LAPACK ?trtri failed")
-    return inv
 
 
 def square_kernel(disc):
@@ -115,7 +99,7 @@ class SeamCapacitance:
         self.transports = disc.seam_transports
         # K^-1 = L^-* L^-1 from the Cholesky factor L of K: an explicit
         # inverse of K would cost its condition number in accuracy
-        self.half_inv = _lower_inverse(np.linalg.cholesky(self._capacitance()))
+        self.half_inv = lower_inverse(np.linalg.cholesky(self._capacitance()))
 
     # ---- setup ---------------------------------------------------------
 

@@ -66,6 +66,12 @@ def _emit(rows, fieldnames, args, summary):
         sys.stdout.write(text)
 
 
+def _emit_pairs(pairs, args, summary):
+    """Emit (key, value) pairs as a key,value table."""
+    _emit([{"key": k, "value": v} for k, v in pairs], ["key", "value"], args,
+          summary)
+
+
 def _load(name, check=True):
     """Surface and bundle by built-in name or file path.  The bundle must
     be unitary and flat (ValueError otherwise) unless ``check`` is False."""
@@ -173,15 +179,13 @@ def cmd_validate(args):
                         bundle.cone_monodromy_defect())
     disc = Discretization(surface, bundle, args.n)
     census = disc.census()
-    rows = [{"key": k, "value": v if not isinstance(v, list) else
-             " ".join(map(str, v))} for k, v in census.items()]
-    rows.append({"key": "euler_characteristic",
-                 "value": surface.euler_characteristic()})
     gb = surface.gauss_bonnet_defect()
-    rows.append({"key": "gauss_bonnet_defect", "value": gb})
-    rows.append({"key": "bundle_defect", "value": bundle_defect})
-    _emit(rows, ["key", "value"], args,
-          {"bundle_defect": bundle_defect, "gauss_bonnet_defect": gb})
+    pairs = [(k, " ".join(map(str, v)) if isinstance(v, list) else v)
+             for k, v in census.items()]
+    pairs += [("euler_characteristic", surface.euler_characteristic()),
+              ("gauss_bonnet_defect", gb), ("bundle_defect", bundle_defect)]
+    _emit_pairs(pairs, args,
+                {"bundle_defect": bundle_defect, "gauss_bonnet_defect": gb})
     if abs(gb) > args.tol or bundle_defect > args.tol:
         raise ToleranceFailure("surface/bundle validation failed")
 
@@ -346,38 +350,29 @@ def cmd_harnack(args):
 
 
 def cmd_green(args):
-    rows = []
-    summary = {}
     if args.mode == "ball":
         green = potential.green_ball(args.radius)
         resid = green.residual()
-        origin = green((0, 0))
-        rows.append({"key": "radius", "value": args.radius})
-        rows.append({"key": "points", "value": len(green.points)})
-        rows.append({"key": "residual", "value": resid})
-        rows.append({"key": "value_at_source", "value": origin})
-        rows.append({"key": "min_value", "value": float(green.values.min())})
+        pairs = [("radius", args.radius), ("points", len(green.points)),
+                 ("residual", resid), ("value_at_source", green((0, 0))),
+                 ("min_value", float(green.values.min()))]
         summary = {"residual": resid}
     elif args.mode == "constant":
         try:
             c, dev = potential.fullplane_constant(args.radius)
         except ValueError as exc:
             raise ValueError("--radius: %s" % exc) from None
-        rows.append({"key": "fitted_constant", "value": c})
-        rows.append({"key": "max_deviation", "value": dev})
-        rows.append({"key": "closed_form_constant",
-                     "value": -(2 * potential.EULER_MASCHERONI + np.log(8))
-                     / (4 * np.pi)})
+        pairs = [("fitted_constant", c), ("max_deviation", dev),
+                 ("closed_form_constant",
+                  -(2 * potential.EULER_MASCHERONI + np.log(8)) / (4 * np.pi))]
         summary = {"fitted_constant": c}
     else:  # halfplane
         green = potential.green_halfplane(args.source, args.radius)
         resid = green.residual()
-        rows.append({"key": "source", "value": "%d %d" % args.source})
-        rows.append({"key": "radius", "value": args.radius})
-        rows.append({"key": "points", "value": len(green.points)})
-        rows.append({"key": "residual", "value": resid})
+        pairs = [("source", "%d %d" % args.source), ("radius", args.radius),
+                 ("points", len(green.points)), ("residual", resid)]
         summary = {"residual": resid}
-    _emit(rows, ["key", "value"], args, summary)
+    _emit_pairs(pairs, args, summary)
     if summary.get("residual", 0.0) > args.tol:
         raise ToleranceFailure("green residual %.3e" % summary["residual"])
 
@@ -391,12 +386,9 @@ def cmd_flow(args):
     expected = np.where(aa + bb == n, 1.0 / (n + 1), 0.0)
     expected[0, 0] = -1.0
     err = float(np.max(np.abs(div - expected)))
-    rows = [{"key": "n", "value": n},
-            {"key": "norm_sq", "value": norm_sq},
-            {"key": "norm_bound", "value": bound},
-            {"key": "divergence_error", "value": err}]
-    _emit(rows, ["key", "value"], args,
-          {"divergence_error": err, "norm_sq": norm_sq})
+    _emit_pairs([("n", n), ("norm_sq", norm_sq), ("norm_bound", bound),
+                 ("divergence_error", err)], args,
+                {"divergence_error": err, "norm_sq": norm_sq})
     if err > args.tol or norm_sq > bound:
         raise ToleranceFailure("corner flow check failed")
 

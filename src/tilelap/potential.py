@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .spectral import _lapacke, _one_blas_thread
+from .lapack import pbsv
 
 EULER_MASCHERONI = 0.5772156649015329
 
@@ -73,8 +73,7 @@ def _solve_green(points, laplacian_row, sources, weights=1):
     W Delta, with W = diag(``weights``) (by default the identity), must
     be symmetric.  W Delta u = W delta is one banded positive definite
     system, the points ordered by rows so that neighbours lie about a row
-    apart, solved by banded Cholesky: ``dpbsv`` of numpy's OpenBLAS on
-    one BLAS thread, or scipy's ``solveh_banded`` where numpy has none.
+    apart, solved by banded Cholesky (`lapack.pbsv`).
     """
     order = np.lexsort((points[:, 1], points[:, 0]))
     weights = np.broadcast_to(weights, len(order)).astype(float)[order]
@@ -92,16 +91,7 @@ def _solve_green(points, laplacian_row, sources, weights=1):
     band[:, 0] = weights * deg
     np.add.at(band, (cols, rows - cols), -weights[rows])
     rhs = weights * np.isin(np.arange(len(points)), locate(sources))
-    pbsv = _lapacke("dpbsv")
-    with _one_blas_thread():
-        if pbsv is None:  # numpy without its OpenBLAS
-            from scipy.linalg import solveh_banded
-
-            rhs = solveh_banded(band.T, rhs, lower=True)
-        elif pbsv(102, b"L", len(points), width, 1, band.ctypes.data,
-                  width + 1, rhs.ctypes.data, len(points)):
-            raise RuntimeError("LAPACK dpbsv failed")
-    return rhs[np.argsort(order)]
+    return pbsv(band, rhs)[np.argsort(order)]
 
 
 def ball_laplacian_row(points):
@@ -210,24 +200,6 @@ def green_halfplane(source, radius):
     points = np.array(points)
     return GreenFunction(points, _solve_green(points, halfplane_laplacian_row,
                                               [source]), source,
-                         halfplane_laplacian_row)
-
-
-def reflected_plane_green(source, radius):
-    """Plane solve of the reflection-symmetrized problem for the half-plane.
-
-    Solves Delta H = delta_P + delta_P' on Z^2 over the union of the
-    quasi-ball and its mirror image, where P' = (-1 - a, b) is the mirror
-    of P; the restriction of H to rows a >= 0 solves the half-plane
-    problem, so it must agree with :func:`green_halfplane`.
-    """
-    a0, b0 = source
-    upper = np.array(quasi_ball(radius, source))
-    points = np.concatenate([upper, np.column_stack([-1 - upper[:, 0],
-                                                     upper[:, 1]])])
-    sol = _solve_green(points, ball_laplacian_row,
-                       [(a0, b0), (-1 - a0, b0)])
-    return GreenFunction(upper, sol[:len(upper)], source,
                          halfplane_laplacian_row)
 
 

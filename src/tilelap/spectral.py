@@ -9,11 +9,11 @@ provides closed-form reference spectra for flat tori, rectangles and the
 pillowcase, and fits empirical convergence orders.
 """
 
-import contextlib
-import functools
 import math
 
 import numpy as np
+
+from . import lapack
 
 # shift of the mesh solver's shift-invert, below the (nonnegative)
 # spectrum, in units of the rescaled spectrum n^2 Spec(Delta_n): the solver
@@ -47,78 +47,6 @@ GROUP_REL_TOL, GROUP_ABS_TOL = 1e-6, 1e-9
 ORDER_BRACKET = (0.5, 8.0)
 
 
-@functools.cache
-def _openblas():
-    """numpy's bundled OpenBLAS, opened with ctypes, and the prefix and
-    suffix of its symbol names, read from its file name
-    lib<prefix>openblas<suffix>-<hash>.so; None if numpy bundles none."""
-    import ctypes
-    import glob
-    import os
-
-    paths = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir,
-                                   "numpy.libs", "lib*openblas*"))
-    if not paths:
-        return None
-    stem = os.path.basename(paths[0])[3:].split("-")[0]
-    prefix, _, suffix = stem.partition("openblas")
-    return ctypes.CDLL(paths[0]), prefix, suffix
-
-
-def _blas_thread_control():
-    """The (get, set) thread-count functions of numpy's OpenBLAS, or None."""
-    if _openblas() is None:
-        return None
-    lib, prefix, suffix = _openblas()
-    for name in (prefix + "openblas_%s_num_threads" + suffix,
-                 prefix + "openblas_%s_num_threads"):
-        get, put = (getattr(lib, name % op, None) for op in ("get", "set"))
-        if get is not None and put is not None:
-            return get, put
-    return None
-
-
-def _lapacke(name):
-    """The LAPACKE routine ``name`` (dsyevr, zheevr, dpbsv, dtrtri or
-    ztrtri) of numpy's OpenBLAS, 64-bit integer build, or None when numpy
-    does not bundle it.  Its first argument is the matrix layout, 102 for
-    column-major."""
-    import ctypes as c
-
-    if _openblas() is None or _openblas()[2] != "64_":
-        return None
-    lib, prefix, suffix = _openblas()
-    func = getattr(lib, "%sLAPACKE_%s%s" % (prefix, name, suffix), None)
-    if func is not None:  # the C prototypes, arrays as void pointers
-        i, p, d, ch = c.c_int64, c.c_void_p, c.c_double, c.c_char
-        func.restype = i
-        func.argtypes = [c.c_int, ch] + (
-            [i, i, i, p, i, p, i] if name == "dpbsv"
-            else [ch, i, p, i] if name.endswith("trtri")
-            else [ch, ch, i, p, i, d, d, i, i, d, p, p, p, i, p])
-    return func
-
-
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Run the block on one BLAS thread.  A dense eigensolve of these sizes
-    makes
-    thousands of short BLAS calls; on two threads, when another BLAS
-    process spins on the same cores, a 0.1 s solve at dimension 768 took
-    7 s, and on one it took 0.6-0.8 s."""
-    control = _blas_thread_control()
-    if control is None:
-        yield
-        return
-    get, put = control
-    threads = get()
-    put(1)
-    try:
-        yield
-    finally:
-        put(threads)
-
-
 def _check_residuals(vals, residuals, norm1):
     """Raise if a residual |A v - lambda v| exceeds RESIDUAL_TOL times the
     largest |lambda|, or times ZERO_SCALE |A|_1 if that is larger."""
@@ -132,30 +60,16 @@ def _check_residuals(vals, residuals, norm1):
 def lowest_eigenpairs(mat, k):
     """The k smallest eigenpairs of a dense Hermitian matrix.
 
-    LAPACK ?syevr/?heevr of numpy's OpenBLAS computes the pairs of index
-    1..k only, on one BLAS thread, with no N x N eigenbasis (numpy's full
-    ``eigh`` where numpy has no OpenBLAS); it returns the true lowest k,
-    multiple eigenvalues included.  Returns (values, vectors, residuals)
+    `lapack.syevr` computes the pairs of index 1..k only, with no N x N
+    eigenbasis (numpy's full ``eigh`` where numpy has no OpenBLAS); it
+    returns the true lowest k, multiple eigenvalues included.  Returns
+    (values, vectors, residuals)
     with values ascending and vectors in columns; raises if a residual
     fails the gate of :func:`_check_residuals`.
     """
-    dim = mat.shape[0]
-    if k >= dim:
+    if k >= mat.shape[0]:
         raise ValueError("need k < matrix dimension")
-    # a column-major copy, which LAPACK overwrites
-    dense = np.array(mat, np.result_type(mat.dtype, float), order="F")
-    evr = _lapacke("zheevr" if np.iscomplexobj(dense) else "dsyevr")
-    vals, vecs = np.empty(dim), np.empty((dim, k), dense.dtype, order="F")
-    found, support = np.empty(1, np.int64), np.empty(2 * k, np.int64)
-    with _one_blas_thread():
-        if evr is None:  # numpy without its OpenBLAS: the whole spectrum
-            vals, vecs = np.linalg.eigh(dense)
-        elif evr(102, b"V", b"I", b"L", dim, dense.ctypes.data, dim, 0,
-                 0, 1, k, 0, found.ctypes.data, vals.ctypes.data,
-                 vecs.ctypes.data, dim, support.ctypes.data):
-            raise RuntimeError("LAPACK ?syevr/?heevr failed")
-    # a copy, so that a full dim x dim basis is freed
-    vals, vecs = vals[:k], vecs[:, :k].copy()
+    vals, vecs = lapack.syevr(mat, k)
     residuals = np.linalg.norm(mat @ vecs - vecs * vals, axis=0)
     _check_residuals(vals, residuals, np.abs(mat).sum(axis=0).max())
     return vals, vecs, residuals
@@ -420,7 +334,7 @@ def mesh_eigenpairs(disc, k, seed=0):
             disc.surface.n_squares, -1), disc.n ** 2, axis=0).reshape(dim, -1)
         res[:size] = residuals(vals[:size], vecs[:, :size])
     else:
-        with _one_blas_thread():
+        with lapack.one_blas_thread():
             solver = SeamCapacitance(disc, SHIFT / disc.n ** 2)
             vecs = solver.kernel[:, :k].T
             vals = np.zeros(k)

@@ -86,6 +86,32 @@ def random_unitary(rng, r):
     return q
 
 
+def twisted_rank2_torus(n, seed):
+    """The n-mesh of the torus with a seeded rank-2 bundle of commuting
+    holonomies V diag(e^{i a}) V*, V diag(e^{i b}) V*: flat."""
+    rng = np.random.default_rng(seed)
+    a, b = rng.uniform(0, 2 * np.pi, size=(2, 2))
+    v = random_unitary(rng, 2)
+    surf = catalog.torus()
+    bundle = FlatUnitaryBundle(surf, 2, {
+        0: v @ np.diag(np.exp(1j * a)) @ v.conj().T,
+        1: v @ np.diag(np.exp(1j * b)) @ v.conj().T})
+    return Discretization(surf, bundle, n)
+
+
+def assert_lowest_pairs(mat, vals, vecs):
+    """The values, and the projectors onto whole eigenvalue clusters, equal
+    those of numpy's full eigh within 1e-10."""
+    k = len(vals)
+    ref_vals, ref_vecs = np.linalg.eigh(np.asarray(mat))
+    assert np.abs(vals - ref_vals[:k]).max() <= 1e-10
+    # whole clusters only: the last group may continue past index k - 1
+    for group in spectral.eigenvalue_groups(ref_vals[:k + 1])[:-1]:
+        proj = vecs[:, group] @ vecs[:, group].conj().T
+        ref_proj = ref_vecs[:, group] @ ref_vecs[:, group].conj().T
+        assert np.abs(proj - ref_proj).max() <= 1e-10
+
+
 def random_flat_bundle(surface, rank, rng, trivial=0):
     """A random flat unitary bundle: a gauge g_q per square times
     commuting holonomies, U_s = g_second V diag(e^{i theta_s}) V* g_first*

@@ -6,11 +6,12 @@ import warnings
 import numpy as np
 import pytest
 
-from tilelap import capacitance, catalog, operators, spectral
+from tilelap import capacitance, catalog, lapack, operators, spectral
 from tilelap.bundle import FlatUnitaryBundle
 from tilelap.discretize import Discretization
 
-from conftest import SURFACE_NAMES, make_disc, random_unitary, record_routes
+from conftest import (SURFACE_NAMES, assert_lowest_pairs, make_disc,
+                      record_routes, twisted_rank2_torus)
 
 
 def test_assembled_torus_matches_fourier_oracle():
@@ -34,23 +35,11 @@ def test_assembled_rectangle_matches_path_oracle():
     assert np.allclose(vals, oracle, atol=1e-12)
 
 
-def _twisted_rank2_torus(n, seed):
-    # commuting holonomies V diag(e^{i a}) V*, V diag(e^{i b}) V*: flat
-    rng = np.random.default_rng(seed)
-    a, b = rng.uniform(0, 2 * np.pi, size=(2, 2))
-    v = random_unitary(rng, 2)
-    surf = catalog.torus()
-    bundle = FlatUnitaryBundle(surf, 2, {
-        0: v @ np.diag(np.exp(1j * a)) @ v.conj().T,
-        1: v @ np.diag(np.exp(1j * b)) @ v.conj().T})
-    return Discretization(surf, bundle, n)
-
-
 def test_dense_and_sparse_paths_agree(lanczos_runs):
     # the mesh solver sent to block Lanczos on meshes that the LAPACK
     # route would take
     discs = [make_disc(name, 6) for name in SURFACE_NAMES]
-    for disc in discs + [_twisted_rank2_torus(6, seed=11)]:
+    for disc in discs + [twisted_rank2_torus(6, seed=11)]:
         dense_vals, _, _ = spectral.lowest_eigenpairs(
             operators.laplacian(disc), 8)
         runs = len(lanczos_runs)
@@ -61,12 +50,12 @@ def test_dense_and_sparse_paths_agree(lanczos_runs):
 
 
 def test_dense_eigh_runs_on_one_blas_thread():
-    control = spectral._blas_thread_control()
+    control = lapack._blas_thread_control()
     if control is None:
         pytest.skip("numpy does not use its bundled OpenBLAS")
     get, _ = control
     before, inside = get(), []
-    with spectral._one_blas_thread():
+    with lapack.one_blas_thread():
         inside.append(get())
     assert inside == [1] and get() == before
 
@@ -94,7 +83,7 @@ def test_routes_match_closed_forms_at_the_share(monkeypatch, case, n,
         disc = make_disc("square", n)
         oracle = spectral.discrete_rectangle_spectrum(n, n)
     else:
-        disc = _twisted_rank2_torus(n, seed=11)
+        disc = twisted_rank2_torus(n, seed=11)
         oracle = _rank2_torus_spectrum(n, seed=11)
     k, routes, found = 10, record_routes(monkeypatch), []
     for share in (spectral.LANCZOS_SHARE,
@@ -133,52 +122,19 @@ def test_share_rule_on_genus2(monkeypatch, k, route):
     assert stopped.value.args == (route,)
 
 
-def _assert_lowest_pairs(mat, vals, vecs):
-    # the values, and the projectors onto whole eigenvalue clusters, equal
-    # those of numpy's full eigh within 1e-10
-    k = len(vals)
-    ref_vals, ref_vecs = np.linalg.eigh(np.asarray(mat))
-    assert np.abs(vals - ref_vals[:k]).max() <= 1e-10
-    # whole clusters only: the last group may continue past index k - 1
-    for group in spectral.eigenvalue_groups(ref_vals[:k + 1])[:-1]:
-        proj = vecs[:, group] @ vecs[:, group].conj().T
-        ref_proj = ref_vecs[:, group] @ ref_vecs[:, group].conj().T
-        assert np.abs(proj - ref_proj).max() <= 1e-10
-
-
 @pytest.mark.parametrize("name", SURFACE_NAMES + ["rank2"])
 def test_dense_lowest_k_matches_full_eigh(name):
-    disc = (_twisted_rank2_torus(8, seed=5) if name == "rank2"
+    disc = (twisted_rank2_torus(8, seed=5) if name == "rank2"
             else make_disc(name, 8))
     dense = operators.laplacian(disc)
     dim = len(dense)
     for k in (1, 12, dim - 1):
         vals, vecs, _ = spectral.lowest_eigenpairs(dense, k)
-        _assert_lowest_pairs(dense, vals, vecs)
+        assert_lowest_pairs(dense, vals, vecs)
     # the mesh solver asked for dim - 1 pairs, which Lanczos cannot give,
     # takes the LAPACK route, with the exact kernel
     vals, vecs, _ = spectral.mesh_eigenpairs(disc, dim - 1)
-    _assert_lowest_pairs(dense, vals, vecs)
-
-
-def test_dense_fallback_without_openblas(monkeypatch):
-    # where numpy does not bundle OpenBLAS, the dense solve takes numpy's
-    # full eigh and keeps the lowest k
-    if spectral._openblas() is None:
-        pytest.skip("numpy does not bundle OpenBLAS")
-    assert all(spectral._lapacke(name) is not None
-               for name in ("dsyevr", "zheevr", "dpbsv"))
-    mats = [operators.laplacian(make_disc("genus2", 8)),
-            operators.laplacian(_twisted_rank2_torus(8, seed=5))]
-    found = [spectral.lowest_eigenpairs(mat, 12)[:2] for mat in mats]
-    monkeypatch.setattr(spectral, "_openblas", lambda: None)
-    assert spectral._lapacke("dsyevr") is None
-    assert spectral._lapacke("zheevr") is None
-    for mat, (vals, vecs) in zip(mats, found):
-        again, again_vecs, _ = spectral.lowest_eigenpairs(mat, 12)
-        assert np.abs(again - vals).max() <= 1e-10
-        _assert_lowest_pairs(mat, vals, vecs)
-        _assert_lowest_pairs(mat, again, again_vecs)
+    assert_lowest_pairs(dense, vals, vecs)
 
 
 @pytest.mark.parametrize("dense", [False, True], ids=["sparse", "dense"])
@@ -346,7 +302,7 @@ def test_laplacian_dtype_follows_transports():
     twisted = FlatUnitaryBundle.twisted_torus(surf, 0.8, -1.9)
     lap = operators.laplacian(Discretization(surf, twisted, 4))
     assert lap.dtype == np.complex128
-    assert operators.laplacian(_twisted_rank2_torus(4, 3)).dtype == \
+    assert operators.laplacian(twisted_rank2_torus(4, 3)).dtype == \
         np.complex128
 
 
@@ -460,7 +416,7 @@ PEAK_BLOCKS = 4
 @pytest.mark.parametrize("case, n, k", [("torus-rank2", 48, 12),
                                         ("genus2", 64, 6)])
 def test_mesh_solver_peak_memory(case, n, k):
-    disc = (_twisted_rank2_torus(n, seed=0) if case == "torus-rank2"
+    disc = (twisted_rank2_torus(n, seed=0) if case == "torus-rank2"
             else make_disc(case, n))
     spectral.mesh_eigenpairs(disc, k)  # imports and caches
     tracemalloc.start()
