@@ -4,9 +4,9 @@ Runs every command of the benchmark's workload lists (perfbench's
 `sweep`, `diagnostics` at seed 1 and `twisted` at seeds 1, 2 and 5), plus
 `interp-check` and `harnack` on each twisted seed's rank-1 and rank-2 tori,
 those two and `spectrum` on a pillowcase with a gauge-trivial rank-2
-bundle, `converge --jobs 2` and a few rejected inputs, once under each
-tree, each in a fresh `python -B` process with the tree first on
-PYTHONPATH.  The exit code, stdout and stderr of the two runs must be
+bundle, `converge --jobs 2`, three more `green` commands and a few
+rejected inputs, once under each tree, each in a fresh `python -B`
+process with the tree first on PYTHONPATH.  The exit code, stdout and stderr of the two runs must be
 equal byte for byte.
 
     python bench/same_output.py --src PARENT/src --src CHANGE/src
@@ -38,7 +38,7 @@ from tilelap import catalog  # noqa: E402
 DIAGNOSTICS_SEED = 1
 TWISTED_SEEDS = (1, 2, 5)
 
-# edge cases of the eigen commands that the workloads do not reach
+# edge cases of the commands that the workloads do not reach
 EXTRA = {
     "converge-rectangle2x1-jobs2": [
         "converge", "--surface", "rectangle2x1", "--ns",
@@ -50,6 +50,12 @@ EXTRA = {
     "eigvec-ns-too-small": ["eigvec", "--surface", "square", "--ns", "1,2"],
     "harnack-index-too-large": ["harnack", "--surface", "torus",
                                 "--ns", "1,2", "--index", "1"],
+    # Green functions beyond the workloads' two: the fitted constant, a
+    # ball of non-integer radius and a wider quasi-ball on row 0
+    "green-constant": ["green", "--mode", "constant", "--radius", "64"],
+    "green-ball-4.301": ["green", "--mode", "ball", "--radius", "4.301"],
+    "green-halfplane-r30": ["green", "--mode", "halfplane", "--radius",
+                             "30", "--source", "0,10"],
 }
 
 # non-identity seam transports through the seam table and linearize

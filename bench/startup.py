@@ -1,13 +1,17 @@
 """Start-up cost of short CLI commands, one subprocess per run.
 
 Each run spawns a fresh interpreter that imports ``tilelap.cli``, runs one
-command through ``cli.main`` and reports its peak RSS (``ru_maxrss``) and
-whether any scipy module was loaded; the parent times the run from spawn
-to exit.  The commands are the `diagnostics` workload's small-mesh ones,
-whose meshes `spectral.mesh_eigenpairs` sends to LAPACK or to block
-Lanczos one by one, plus its two largest ones as controls.
-Each command runs REPEAT times per source tree, the trees alternating run
-by run; the file records the median wall seconds and the largest peak RSS.
+command through ``cli.main`` and reports the seconds of that import, the
+thread count numpy's OpenBLAS started with, its CPU seconds (all threads,
+interpreter start-up included), its peak RSS (``VmHWM``: a spawned
+process's ``ru_maxrss`` would start from this script's own, numpy and
+scipy included) and whether any scipy module was loaded; the parent times
+the run from spawn to exit.  The commands are the `diagnostics` workload's
+small-mesh ones, whose meshes `spectral.mesh_eigenpairs` sends to LAPACK
+or to block Lanczos one by one, plus its two largest ones and one
+`sweep` command as controls.  Each command runs REPEAT times per source
+tree, the trees alternating run by run; the file records the median
+seconds and the largest peak RSS.
 
     python bench/startup.py [--src NAME=DIR ...] [--out BENCH_startup.json]
 
@@ -41,21 +45,35 @@ CASES = {
     "green-halfplane": ["green", "--mode", "halfplane", "--radius", "6",
                         "--source", "0,3"],
     # controls: a sweep up to 12,288 unknowns, all of it by block Lanczos,
-    # and a Green ball of radius 128
+    # a Green ball of radius 128, and one of the `sweep` workload's
+    # commands, whose time goes to eigensolves rather than start-up
     "harnack-lshape": ["harnack", "--surface", "lshape",
                        "--ns", "8,16,32,64"],
     "green-ball": ["green", "--mode", "ball", "--radius", "128"],
+    "converge-lshape": ["converge", "--surface", "lshape",
+                        "--ns", "32,48,64"],
 }
 
-# run in the child: the command's exit code, peak RSS and scipy use
+# run in the child: the command's exit code, import seconds, OpenBLAS
+# threads, CPU seconds, peak RSS and scipy use
 CHILD = """
-import contextlib, io, json, resource, sys
+import time
+start = time.perf_counter()
 from tilelap import cli
+import_s = time.perf_counter() - start
+import contextlib, io, json, resource, sys
+from tilelap import lapack
+control = lapack._blas_thread_control()
 with contextlib.redirect_stdout(io.StringIO()):
     code = cli.main(json.loads(sys.argv[1]))
-print(json.dumps({"exit": code,
-                  "peak_rss_mb": resource.getrusage(
-                      resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+usage = resource.getrusage(resource.RUSAGE_SELF)
+with open("/proc/self/status") as fh:
+    peak = next(int(line.split()[1]) for line in fh
+                if line.startswith("VmHWM:"))  # in kB
+print(json.dumps({"exit": code, "import_s": import_s,
+                  "blas_threads": control and control[0](),
+                  "cpu_s": usage.ru_utime + usage.ru_stime,
+                  "peak_rss_mb": peak / 1024.0,
                   "scipy": any(m.split(".")[0] == "scipy"
                                for m in sys.modules)}))
 """
@@ -91,22 +109,30 @@ def main(argv=None):
             for name, src in trees.items():
                 runs[name].append(spawn(os.path.abspath(src), cmd))
         for name, got in runs.items():
-            results[name][case] = {
-                "argv": cmd,
-                "wall_s": statistics.median(r["wall_s"] for r in got),
-                "peak_rss_mb": max(r["peak_rss_mb"] for r in got),
-                "scipy_loaded": any(r["scipy"] for r in got),
-                "exit": max(r["exit"] for r in got),
-            }
-            print("%s %s: %.3f s, %.1f MB, scipy %s"
-                  % (name, case, results[name][case]["wall_s"],
-                     results[name][case]["peak_rss_mb"],
-                     results[name][case]["scipy_loaded"]), file=sys.stderr)
+            results[name][case] = dict(
+                {key: statistics.median(r[key] for r in got)
+                 for key in ("wall_s", "cpu_s", "import_s")},
+                argv=cmd, blas_threads=max(r["blas_threads"] or 0
+                                           for r in got),
+                peak_rss_mb=max(r["peak_rss_mb"] for r in got),
+                scipy_loaded=any(r["scipy"] for r in got),
+                exit=max(r["exit"] for r in got))
+            print("%s %s: %.3f s wall, %.3f s CPU, import %.3f s, %d BLAS "
+                  "threads, %.1f MB, scipy %s"
+                  % (name, case, *(results[name][case][key] for key in (
+                      "wall_s", "cpu_s", "import_s", "blas_threads",
+                      "peak_rss_mb", "scipy_loaded"))), file=sys.stderr)
     record = {
         "benchmark": "CLI start-up and short commands",
         "wall_s": "median over %d runs, spawn to exit, trees alternating"
                   % REPEAT,
-        "peak_rss_mb": "largest ru_maxrss over the runs",
+        "cpu_s": "median over the runs of the child's user and system "
+                 "seconds, all threads",
+        "import_s": "median over the runs of the child's import of "
+                    "tilelap.cli",
+        "blas_threads": "the thread count of numpy's OpenBLAS after that "
+                        "import, 0 where numpy bundles none",
+        "peak_rss_mb": "largest VmHWM of the child over the runs",
         "machine": {"cpus": os.cpu_count(), "platform": platform.platform(),
                     "python": platform.python_version(),
                     "numpy": numpy.__version__, "scipy": scipy.__version__},

@@ -4,15 +4,3 @@ linear transfer operators, discrete potential theory, and forest-sum
 determinant identities."""
 
 __version__ = "0.1.0"
-
-from .bundle import FlatUnitaryBundle
-from .discretize import Discretization
-from .surface import SquareTiledSurface, SurfaceFormatError, parse_surface
-
-__all__ = [
-    "Discretization",
-    "FlatUnitaryBundle",
-    "SquareTiledSurface",
-    "SurfaceFormatError",
-    "parse_surface",
-]

@@ -14,14 +14,22 @@ import functools
 import io
 import json
 import operator
+import os
 import sys
 
-import numpy as np
+# every BLAS and LAPACK call of tilelap runs on one thread (see
+# lapack.one_blas_thread), so a second OpenBLAS thread would only spin;
+# OpenBLAS reads this once, when numpy loads it, and a value the user set
+# wins
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from . import catalog, crsf, interp, operators, potential, spectral
-from .bundle import FlatUnitaryBundle
-from .discretize import Discretization
-from .surface import SurfaceFormatError
+import numpy as np  # noqa: E402
+
+from . import (catalog, crsf, interp, operators, potential,  # noqa: E402
+               spectral)
+from .bundle import FlatUnitaryBundle  # noqa: E402
+from .discretize import Discretization  # noqa: E402
+from .surface import SurfaceFormatError  # noqa: E402
 
 
 class ToleranceFailure(Exception):

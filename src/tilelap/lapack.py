@@ -67,7 +67,9 @@ def one_blas_thread():
     """Run the block on one BLAS thread.  A dense eigensolve of these sizes
     makes thousands of short BLAS calls; on two threads, when another BLAS
     process spins on the same cores, a 0.1 s solve at dimension 768 took
-    7 s, and on one it took 0.6-0.8 s."""
+    7 s, and on one it took 0.6-0.8 s.  The CLI starts OpenBLAS on one
+    thread already (see ``tilelap.cli``); this holds for library callers,
+    whose thread count is restored on exit."""
     control = _blas_thread_control()
     if control is None:
         yield

@@ -40,30 +40,61 @@ def _locator(points):
 
 
 class GreenFunction:
-    """Solution values of a lattice Dirichlet problem on a finite set,
-    given as an (N, 2) integer array of points, and the Laplacian it
-    solves, as a row function like :func:`ball_laplacian_row`."""
+    """Solution of a lattice Dirichlet problem, Delta G = delta_source on a
+    finite domain of Z^2 and G = 0 off it, held on a box grid: G at
+    ``origin`` + (i, j) is grid[i, j], and grid is 0 off the domain, the
+    boolean array ``mask``.  ``degree``, broadcast against the grid, is
+    each point's degree in the graph whose Laplacian deg - adj G solves
+    (4 on Z^2)."""
 
-    def __init__(self, points, values, source, laplacian_row):
-        self.points = np.asarray(points, dtype=np.int64).reshape(-1, 2)
-        self.values = np.asarray(values)
+    def __init__(self, grid, mask, origin, source, degree=4):
+        self.grid = grid
+        self.mask = mask
+        self.origin = tuple(origin)
         self.source = tuple(source)
-        self.laplacian_row = laplacian_row
-        self._locate = _locator(self.points)
+        self.degree = degree
+
+    @property
+    def points(self):
+        """The domain, an (N, 2) integer array, rows ascending and columns
+        ascending within a row."""
+        return np.argwhere(self.mask) + self.origin
+
+    @property
+    def values(self):
+        """G at ``points``, in their order."""
+        return self.grid[self.mask]
+
+    def _index(self, p):
+        """Grid index of the lattice point p, None outside the box."""
+        i, j = int(p[0]) - self.origin[0], int(p[1]) - self.origin[1]
+        rows, cols = self.grid.shape
+        return (i, j) if 0 <= i < rows and 0 <= j < cols else None
+
+    def __contains__(self, p):
+        """Whether the lattice point p lies in the domain."""
+        k = self._index(p)
+        return k is not None and bool(self.mask[k])
 
     def __call__(self, p):
         """Value at a lattice point (0 outside the domain)."""
-        k = int(self._locate(p))
-        return 0.0 if k < 0 else float(self.values[k])
+        k = self._index(p)
+        return 0.0 if k is None else float(self.grid[k])
 
     def residual(self):
         """Max |(Delta G)(p) - delta_source(p)| over the domain."""
-        deg, nbrs = self.laplacian_row(self.points)
-        k = self._locate(nbrs)
-        around = np.where(k >= 0, self.values[k], 0.0)
-        val = deg * self.values - around.sum(axis=1)
-        val[self._locate(self.source)] -= 1.0
-        return float(np.abs(val).max())
+        grid = self.grid
+        # the neighbours summed in STEPS order: row + 1, row - 1, column
+        # + 1, column - 1 (the grid is 0 off the domain)
+        around = np.zeros_like(grid)
+        around[:-1] += grid[1:]
+        around[1:] += grid[:-1]
+        around[:, :-1] += grid[:, 1:]
+        around[:, 1:] += grid[:, :-1]
+        val = self.degree * grid
+        val -= around
+        val[self._index(self.source)] -= 1.0
+        return float(np.abs(val, out=val).max(initial=0.0, where=self.mask))
 
 
 def _solve_green(points, laplacian_row, sources, weights=1):
@@ -94,12 +125,6 @@ def _solve_green(points, laplacian_row, sources, weights=1):
     return pbsv(band, rhs)[np.argsort(order)]
 
 
-def ball_laplacian_row(points):
-    """Degrees and (N, 4, 2) neighbours of an (N, 2) array of points of
-    Z^2."""
-    return np.full(len(points), 4), points[:, None, :] + STEPS
-
-
 def _fold(offsets):
     """Image (max(|a|, |b|), min(|a|, |b|)) of each offset (a, b) in the
     wedge 0 <= b <= a under the dihedral group of the square."""
@@ -115,21 +140,25 @@ def green_ball(radius, center=(0, 0)):
     the square about the center, and so is the unique solution: it is
     solved on the wedge 0 <= b <= a of offsets (a, b), each neighbour
     folded into the wedge (the fold keeps |z|, so neighbours off the ball
-    stay off), and unfolded to every point of the ball.
+    stay off), and unfolded to the (2r + 1)^2 grid of offsets, r the
+    integer part of the radius, by G(a, b) = G(|a|, |b|) = G(|b|, |a|).
     """
     rr = int(math.floor(radius))
-    a, b = np.meshgrid(np.arange(-rr, rr + 1), np.arange(-rr, rr + 1),
-                       indexing="ij")
-    inside = a * a + b * b <= radius * radius
-    offsets = np.column_stack([a[inside], b[inside]])
-    wedge = offsets[(0 <= offsets[:, 1]) & (offsets[:, 1] <= offsets[:, 0])]
-    images = _locator(wedge)(_fold(offsets))
+    fold = np.abs(np.arange(-rr, rr + 1))
+    inside = fold[:, None] ** 2 + fold ** 2 <= radius * radius
+    # rows a ascending, b ascending within a row
+    wedge = np.argwhere(np.tril(inside[rr:, rr:]))
+    a, b = wedge.T
     # orbit sizes (1, 4 or 8) make the folded Laplacian symmetric
     values = _solve_green(
         wedge, lambda p: (np.full(len(p), 4), _fold(p[:, None, :] + STEPS)),
-        [(0, 0)], weights=np.bincount(images))
-    return GreenFunction(offsets + center, values[images], center,
-                         ball_laplacian_row)
+        [(0, 0)], weights=np.where(a == 0, 1, np.where((b == 0) | (a == b),
+                                                       4, 8)))
+    quadrant = np.zeros((rr + 1, rr + 1))
+    quadrant[a, b] = values
+    quadrant[b, a] = values
+    return GreenFunction(quadrant[np.ix_(fold, fold)], inside,
+                         (center[0] - rr, center[1] - rr), center)
 
 
 def fullplane_constant(radius):
@@ -167,8 +196,9 @@ def halfplane_embed(p):
 
 
 def quasi_ball(radius, source):
-    """Lattice points of QB(radius, source) = {|(z - P)(z - conj P)| <= r^2}
-    in the half-plane N x Z, with z the embedded coordinate."""
+    """QB(radius, source) = {|(z - P)(z - conj P)| <= r^2} in the
+    half-plane N x Z, with z the embedded coordinate, on a box: returns
+    (mask, origin), mask[i, j] true where origin + (i, j) is a member."""
     zp = halfplane_embed(source)
     r2 = radius * radius
     # membership at distance d from P forces d (d - 2 Im P) <= r^2, so the
@@ -176,12 +206,11 @@ def quasi_ball(radius, source):
     h = zp.imag
     half = int(math.ceil(h + math.sqrt(h * h + r2))) + 2
     a0, b0 = source
-    a = np.arange(max(a0 - half, 0), a0 + half + 1)
-    b = np.arange(b0 - half, b0 + half + 1)
-    aa, bb = np.meshgrid(a, b, indexing="ij")
-    z = bb + 1j * (aa + 0.5)
-    mask = np.abs((z - zp) * (z - zp.conjugate())) <= r2
-    return [(int(x), int(y)) for x, y in zip(aa[mask], bb[mask])]
+    origin = (max(a0 - half, 0), b0 - half)
+    a = np.arange(origin[0], a0 + half + 1)
+    b = np.arange(origin[1], b0 + half + 1)
+    z = b + 1j * (a[:, None] + 0.5)
+    return np.abs((z - zp) * (z - zp.conjugate())) <= r2, origin
 
 
 def halfplane_laplacian_row(points):
@@ -194,13 +223,16 @@ def halfplane_laplacian_row(points):
 def green_halfplane(source, radius):
     """Green function on the Neumann half-plane graph N x Z, supported in
     the quasi-ball QB(radius, source)."""
-    points = quasi_ball(radius, source)
-    if tuple(source) not in set(points):
+    mask, origin = quasi_ball(radius, source)
+    rows = np.arange(origin[0], origin[0] + len(mask))
+    # degree 3 in row 0, as in halfplane_laplacian_row
+    green = GreenFunction(np.zeros(mask.shape), mask, origin, source,
+                          (3 + (rows > 0))[:, None])
+    if source not in green:
         raise ValueError("source not inside its quasi-ball")
-    points = np.array(points)
-    return GreenFunction(points, _solve_green(points, halfplane_laplacian_row,
-                                              [source]), source,
-                         halfplane_laplacian_row)
+    green.grid[mask] = _solve_green(green.points, halfplane_laplacian_row,
+                                    [source])
+    return green
 
 
 # ---- corner flow -------------------------------------------------------

@@ -451,6 +451,33 @@ def _in_fresh_interpreter(argvs, setup="", report=""):
     return proc.stdout.split("\n")[:3]
 
 
+@pytest.mark.parametrize("preset, threads", [(None, 1), ("2", 2)])
+def test_cli_starts_openblas_on_one_thread(preset, threads):
+    # importing tilelap.cli starts numpy's OpenBLAS on one thread unless
+    # the user set OPENBLAS_NUM_THREADS; importing tilelap alone loads no
+    # numpy and sets nothing
+    script = textwrap.dedent("""
+        import os, sys
+        import tilelap
+        print("numpy" in sys.modules, os.environ.get("OPENBLAS_NUM_THREADS"))
+        import tilelap.cli
+        from tilelap import lapack
+        get, _ = lapack._blas_thread_control()
+        print(get())
+    """)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(tilelap.__file__)))
+    env = {k: v for k, v in os.environ.items()
+           if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = src
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[:2] == [
+        "False %s" % preset, str(min(threads, os.cpu_count()))]
+
+
 def _rank2_torus_file(tmp_path):
     # commuting holonomies V diag(e^{i a}) V*, V diag(e^{i b}) V*: flat
     rng = np.random.default_rng(7)

@@ -1,6 +1,7 @@
 """Lattice Green functions, corner flow, barrier, regularity diagnostics."""
 
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -11,6 +12,11 @@ from tilelap.bundle import FlatUnitaryBundle
 from tilelap.discretize import Discretization
 
 from conftest import make_disc
+
+
+def _ball_row(points):
+    # degrees and (N, 4, 2) neighbours of an (N, 2) array of points of Z^2
+    return np.full(len(points), 4), points[:, None, :] + potential.STEPS
 
 
 def test_green_ball_defining_equation():
@@ -43,8 +49,7 @@ def test_green_ball_wedge_fold_matches_full_solve(radius, center):
     # the wedge solve, unfolded, equals a direct solve over the whole ball;
     # at radius 40 the wedge has 663 points and the ball 5,025
     green = potential.green_ball(radius, center=center)
-    direct = potential._solve_green(green.points, potential.ball_laplacian_row,
-                                    [center])
+    direct = potential._solve_green(green.points, _ball_row, [center])
     scale = green(center)
     assert np.abs(green.values - direct).max() <= 1e-13 * scale
     # and is invariant under the eight symmetries of the square about the
@@ -53,8 +58,7 @@ def test_green_ball_wedge_fold_matches_full_solve(radius, center):
     for image in ((a, -b), (-a, b), (-a, -b), (b, a), (b, -a), (-b, a),
                   (-b, -a)):
         moved = np.column_stack(image) + center
-        assert np.array_equal(green.values,
-                              green.values[green._locate(moved)])
+        assert np.array_equal(green.values, [green(p) for p in moved])
 
 
 def _spsolve_green(points, sources, halfplane=False):
@@ -89,13 +93,18 @@ def _reflected_plane_green(source, radius):
     # (-1 - a, b) the mirror of P = (a, b); H restricted to rows a >= 0
     # solves the half-plane problem
     a0, b0 = source
-    upper = np.array(potential.quasi_ball(radius, source))
+    mask, origin = potential.quasi_ball(radius, source)
+    upper = np.argwhere(mask) + origin
     points = np.concatenate([upper, np.column_stack([-1 - upper[:, 0],
                                                      upper[:, 1]])])
-    sol = potential._solve_green(points, potential.ball_laplacian_row,
+    sol = potential._solve_green(points, _ball_row,
                                  [(a0, b0), (-1 - a0, b0)])
-    return potential.GreenFunction(upper, sol[:len(upper)], source,
-                                   potential.halfplane_laplacian_row)
+    grid = np.zeros(mask.shape)
+    grid[mask] = sol[:len(upper)]
+    # degree 3 in row 0 of N x Z, 4 below it
+    rows = np.arange(origin[0], origin[0] + len(mask))
+    return potential.GreenFunction(grid, mask, origin, source,
+                                   (3 + (rows > 0))[:, None])
 
 
 @pytest.mark.parametrize("center", [(0, 0), (3, -5)])
@@ -103,8 +112,7 @@ def _reflected_plane_green(source, radius):
 def test_green_ball_matches_sparse_lu_oracle(radius, center):
     green = potential.green_ball(radius, center=center)
     oracle = _spsolve_green(green.points, [center])
-    direct = potential._solve_green(green.points, potential.ball_laplacian_row,
-                                    [center])
+    direct = potential._solve_green(green.points, _ball_row, [center])
     scale = oracle.max()
     assert np.abs(green.values - oracle).max() <= 1e-12 * scale
     assert np.abs(direct - oracle).max() <= 1e-12 * scale
@@ -174,14 +182,79 @@ def test_fullplane_constant_needs_radius_2(radius):
 
 def test_quasi_ball_contains_source_and_respects_halfplane():
     for source in ((0, 0), (3, -2), (10, 5)):
-        pts = potential.quasi_ball(4.0, source)
-        assert tuple(source) in set(pts)
-        assert all(a >= 0 for (a, b) in pts)
-    # membership test matches the defining inequality
+        mask, origin = potential.quasi_ball(4.0, source)
+        assert mask[source[0] - origin[0], source[1] - origin[1]]
+        assert origin[0] >= 0
+    # membership matches the defining inequality over the box and a
+    # margin around it
     zp = potential.halfplane_embed((2, 1))
-    for p in potential.quasi_ball(5.0, (2, 1)):
-        z = potential.halfplane_embed(p)
-        assert abs((z - zp) * (z - zp.conjugate())) <= 25.0 + 1e-9
+    mask, origin = potential.quasi_ball(5.0, (2, 1))
+    rows, cols = mask.shape
+    for a in range(max(origin[0] - 3, 0), origin[0] + rows + 3):
+        for b in range(origin[1] - 3, origin[1] + cols + 3):
+            z = potential.halfplane_embed((a, b))
+            inside = abs((z - zp) * (z - zp.conjugate())) <= 25.0
+            i, j = a - origin[0], b - origin[1]
+            assert inside == (0 <= i < rows and 0 <= j < cols
+                              and bool(mask[i, j])), (a, b)
+
+
+def _pointwise_residual(green, halfplane=False):
+    # the oracle: max |(Delta G)(p) - delta_source(p)| over the domain,
+    # assembled point by point from a dict of the domain's values, the
+    # neighbours summed in potential.STEPS order
+    value = dict(zip(map(tuple, green.points.tolist()), green.values))
+    worst = 0.0
+    for (a, b), g in value.items():
+        around = sum(value.get(q, 0.0) for q in
+                     ((a + 1, b), (a - 1, b), (a, b + 1), (a, b - 1)))
+        val = (3 if halfplane and a == 0 else 4) * g - around
+        if (a, b) == green.source:
+            val -= 1.0
+        worst = max(worst, abs(val))
+    return worst
+
+
+@pytest.mark.parametrize("center", [(0, 0), (3, -5)])
+@pytest.mark.parametrize("radius", [0, 1, math.sqrt(18.5), 4.301, 16])
+def test_green_ball_residual_matches_pointwise(radius, center):
+    green = potential.green_ball(radius, center=center)
+    assert green.residual() == _pointwise_residual(green)
+
+
+@pytest.mark.parametrize("source", [(0, 3), (2, -1), (7, 0)])
+def test_halfplane_residual_matches_pointwise(source):
+    green = potential.green_halfplane(source, 6.5)
+    assert green.residual() == _pointwise_residual(green, halfplane=True)
+
+
+def test_green_ball_peak_memory(monkeypatch):
+    # green_ball(128) holds its band and, beyond it, at most a few
+    # grid-sized arrays: the (2r + 1)^2 grid of values and the wedge's
+    # index arrays, about 0.8 of a grid; its residual two more grids
+    radius = 128
+    bands = []
+    pbsv = potential.pbsv
+
+    def recording(band, rhs):
+        bands.append(band.nbytes)
+        return pbsv(band, rhs)
+
+    monkeypatch.setattr(potential, "pbsv", recording)
+    potential.green_ball(radius)  # imports and caches
+    tracemalloc.start()
+    try:
+        green = potential.green_ball(radius)
+        solve_peak = tracemalloc.get_traced_memory()[1]
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        green.residual()
+        residual_peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    grid = (2 * radius + 1) ** 2 * 8
+    assert (solve_peak - bands[-1]) / grid <= 3.25
+    assert residual_peak / grid <= 2.25
 
 
 def test_halfplane_green_defining_equation():
