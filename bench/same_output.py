@@ -4,7 +4,7 @@ Runs every command of the benchmark's workload lists (perfbench's
 `sweep`, `diagnostics` at seed 1 and `twisted` at seeds 1, 2 and 5), plus
 `interp-check` and `harnack` on each twisted seed's rank-1 and rank-2 tori,
 those two and `spectrum` on a pillowcase with a gauge-trivial rank-2
-bundle, `converge --jobs 2`, three more `green` commands and a few
+bundle, `converge --jobs 2`, six more `green` commands and a few
 rejected inputs, once under each tree, each in a fresh `python -B`
 process with the tree first on PYTHONPATH.  The exit code, stdout and stderr of the two runs must be
 equal byte for byte.
@@ -51,11 +51,18 @@ EXTRA = {
     "harnack-index-too-large": ["harnack", "--surface", "torus",
                                 "--ns", "1,2", "--index", "1"],
     # Green functions beyond the workloads' two: the fitted constant, a
-    # ball of non-integer radius and a wider quasi-ball on row 0
+    # ball of non-integer radius, a wider quasi-ball on row 0, a one-cell
+    # quasi-ball off row 0, one below row 0 and a source off the graph
     "green-constant": ["green", "--mode", "constant", "--radius", "64"],
     "green-ball-4.301": ["green", "--mode", "ball", "--radius", "4.301"],
     "green-halfplane-r30": ["green", "--mode", "halfplane", "--radius",
                              "30", "--source", "0,10"],
+    "green-halfplane-one-cell": ["green", "--mode", "halfplane",
+                                 "--radius", "0.5", "--source", "5,0"],
+    "green-halfplane-r6.5": ["green", "--mode", "halfplane", "--radius",
+                             "6.5", "--source", "2,-1"],
+    "green-halfplane-source-off-graph": ["green", "--mode", "halfplane",
+                                         "--source=-2,0"],
 }
 
 # non-identity seam transports through the seam table and linearize

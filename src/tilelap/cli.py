@@ -4,8 +4,8 @@ Every subcommand emits a CSV table (to stdout, or to <out>.csv when --out
 is given) plus a JSON sidecar <out>.json recording the command, parameters
 and summary values.  Output is deterministic for fixed inputs and seed.
 
-Exit codes: 0 success, 1 invalid input, 2 numerical tolerance failure,
-3 internal error.
+Exit codes: 0 success, 1 invalid input (or input too large for memory),
+2 numerical tolerance failure, 3 internal error.
 """
 
 import argparse
@@ -135,10 +135,10 @@ def _eigen_solve(surface, bundle, k, seed, vectors, n):
 def _eigen_sweep(surface, bundle, ns, k, seed, flag, jobs=1, vectors=True):
     """Yield (disc, rescaled values, eigenvectors) of the k lowest
     eigenpairs on each mesh of ``ns``, in order, solved on demand or by
-    ``jobs`` worker processes; only results not yet taken are held.
-    Without ``vectors`` the mesh and the eigenvectors are dropped where
-    they are solved (None in their place), so workers send back only the
-    values.
+    ``jobs`` worker processes, at most one per mesh; only results not yet
+    taken are held.  Without ``vectors`` the mesh and the eigenvectors are
+    dropped where they are solved (None in their place), so workers send
+    back only the values.
 
     The first ``next()`` rejects a coarsest mesh with at most k unknowns,
     naming the flag at fault: the eigensolver needs k < dim, and meshes
@@ -154,7 +154,7 @@ def _eigen_sweep(surface, bundle, ns, k, seed, flag, jobs=1, vectors=True):
     if jobs > 1:
         from multiprocessing import Pool
 
-        with Pool(jobs) as pool:
+        with Pool(min(jobs, len(ns))) as pool:
             yield from pool.imap(solve, ns)
     else:
         yield from map(solve, ns)
@@ -361,8 +361,9 @@ def cmd_green(args):
     if args.mode == "ball":
         green = potential.green_ball(args.radius)
         resid = green.residual()
-        pairs = [("radius", args.radius), ("points", len(green.points)),
-                 ("residual", resid), ("value_at_source", green((0, 0))),
+        pairs = [("radius", args.radius),
+                 ("points", np.count_nonzero(green.mask)), ("residual", resid),
+                 ("value_at_source", green((0, 0))),
                  ("min_value", float(green.values.min()))]
         summary = {"residual": resid}
     elif args.mode == "constant":
@@ -378,7 +379,8 @@ def cmd_green(args):
         green = potential.green_halfplane(args.source, args.radius)
         resid = green.residual()
         pairs = [("source", "%d %d" % args.source), ("radius", args.radius),
-                 ("points", len(green.points)), ("residual", resid)]
+                 ("points", np.count_nonzero(green.mask)),
+                 ("residual", resid)]
         summary = {"residual": resid}
     _emit_pairs(pairs, args, summary)
     if summary.get("residual", 0.0) > args.tol:
@@ -518,6 +520,10 @@ def main(argv=None):
     except ToleranceFailure as exc:
         sys.stderr.write("tolerance failure: %s\n" % exc)
         return 2
+    except MemoryError:
+        sys.stderr.write("error: the input needs more memory than is "
+                         "available\n")
+        return 1
     except Exception as exc:  # pragma: no cover - defensive
         sys.stderr.write("internal error: %r\n" % exc)
         return 3

@@ -20,25 +20,6 @@ EULER_MASCHERONI = 0.5772156649015329
 STEPS = np.array([(1, 0), (-1, 0), (0, 1), (0, -1)])
 
 
-def _locator(points):
-    """Function mapping integer points (an array ending in an axis of 2)
-    to their row in the (N, 2) array ``points``, -1 where absent."""
-    def key(coords):
-        coords = np.asarray(coords, dtype=np.int64)
-        return coords[..., 0] * (1 << 32) + coords[..., 1]
-
-    keys = key(points)
-    order = np.argsort(keys, kind="stable")
-    ordered = keys[order]
-
-    def locate(coords):
-        wanted = key(coords)
-        pos = np.minimum(np.searchsorted(ordered, wanted), len(ordered) - 1)
-        return np.where(ordered[pos] == wanted, order[pos], -1)
-
-    return locate
-
-
 class GreenFunction:
     """Solution of a lattice Dirichlet problem, Delta G = delta_source on a
     finite domain of Z^2 and G = 0 off it, held on a box grid: G at
@@ -97,39 +78,46 @@ class GreenFunction:
         return float(np.abs(val, out=val).max(initial=0.0, where=self.mask))
 
 
-def _solve_green(points, laplacian_row, sources, weights=1):
-    """Solution u on the (N, 2) integer array ``points`` of Delta u = 1 at
-    each of ``sources`` and 0 elsewhere, with u = 0 off ``points``.
+def _solve_green(mask, degree, sources, weights=1, fold=False):
+    """Solution u, on the cells of the boolean array ``mask`` in row-major
+    order, of Delta u = 1 at each of ``sources`` (grid indices) and 0
+    elsewhere, with u = 0 off the mask.
 
-    W Delta, with W = diag(``weights``) (by default the identity), must
-    be symmetric.  W Delta u = W delta is one banded positive definite
-    system, the points ordered by rows so that neighbours lie about a row
+    ``degree`` and ``weights`` broadcast against the mask.  W Delta, with
+    W = diag(``weights``) (by default the identity), must be symmetric.
+    With ``fold`` the mask is the wedge 0 <= b <= a of a ball's offsets
+    (a, b) and each neighbour is read at its image (max(|a|, |b|),
+    min(|a|, |b|)) under the dihedral group of the square.  W Delta u =
+    W delta is one banded positive definite system, neighbours about a row
     apart, solved by banded Cholesky (`lapack.pbsv`).
     """
-    order = np.lexsort((points[:, 1], points[:, 0]))
-    weights = np.broadcast_to(weights, len(order)).astype(float)[order]
-    points = points[order]
-    locate = _locator(points)
-    deg, nbrs = laplacian_row(points)
-    cols = locate(nbrs)
-    rows, slots = np.nonzero((cols >= 0)
-                             & (cols < np.arange(len(points))[:, None]))
-    cols = cols[rows, slots]
-    width = int((rows - cols).max(initial=0))
+    # cells numbered row by row; the pad of -1 reads "absent" at an index
+    # of -1 or of the shape, so every step off the grid lands on it
+    number = np.full((mask.shape[0] + 1, mask.shape[1] + 1), -1)
+    i, j = np.nonzero(mask)
+    cell = np.arange(len(i))
+    number[:-1, :-1][mask] = cell
+    weights = np.broadcast_to(weights, mask.shape)[mask].astype(float)
+    lower = []
+    for di, dj in STEPS:
+        a, b = i + di, j + dj
+        if fold:
+            a, b = np.abs(a), np.abs(b)
+            a, b = np.maximum(a, b), np.minimum(a, b)
+        cols = number[a, b]
+        rows = np.flatnonzero((cols >= 0) & (cols < cell))
+        lower.append((rows, cols[rows]))
+    width = max(int((rows - cols).max(initial=0)) for rows, cols in lower)
     # lower band storage: entry (i, j), i >= j, at band[j, i - j], which
     # LAPACK reads column-major as its (width + 1, N) array
-    band = np.zeros((len(points), width + 1))
-    band[:, 0] = weights * deg
-    np.add.at(band, (cols, rows - cols), -weights[rows])
-    rhs = weights * np.isin(np.arange(len(points)), locate(sources))
-    return pbsv(band, rhs)[np.argsort(order)]
-
-
-def _fold(offsets):
-    """Image (max(|a|, |b|), min(|a|, |b|)) of each offset (a, b) in the
-    wedge 0 <= b <= a under the dihedral group of the square."""
-    mags = np.abs(offsets)
-    return np.stack([mags.max(axis=-1), mags.min(axis=-1)], axis=-1)
+    band = np.zeros((len(cell), width + 1))
+    band[:, 0] = weights * np.broadcast_to(degree, mask.shape)[mask]
+    for rows, cols in lower:
+        band[cols, rows - cols] -= weights[rows]
+    hit = number[tuple(np.transpose(sources))]
+    rhs = np.zeros(len(cell))
+    rhs[hit] = weights[hit]
+    return pbsv(band, rhs)
 
 
 def green_ball(radius, center=(0, 0)):
@@ -146,17 +134,14 @@ def green_ball(radius, center=(0, 0)):
     rr = int(math.floor(radius))
     fold = np.abs(np.arange(-rr, rr + 1))
     inside = fold[:, None] ** 2 + fold ** 2 <= radius * radius
-    # rows a ascending, b ascending within a row
-    wedge = np.argwhere(np.tril(inside[rr:, rr:]))
-    a, b = wedge.T
+    wedge = np.tril(inside[rr:, rr:])
+    a, b = np.ogrid[:rr + 1, :rr + 1]
     # orbit sizes (1, 4 or 8) make the folded Laplacian symmetric
-    values = _solve_green(
-        wedge, lambda p: (np.full(len(p), 4), _fold(p[:, None, :] + STEPS)),
-        [(0, 0)], weights=np.where(a == 0, 1, np.where((b == 0) | (a == b),
-                                                       4, 8)))
+    values = _solve_green(wedge, 4, [(0, 0)], np.where(
+        a == 0, 1, np.where((b == 0) | (a == b), 4, 8)), fold=True)
     quadrant = np.zeros((rr + 1, rr + 1))
-    quadrant[a, b] = values
-    quadrant[b, a] = values
+    quadrant[wedge] = values
+    quadrant.T[wedge] = values
     return GreenFunction(quadrant[np.ix_(fold, fold)], inside,
                          (center[0] - rr, center[1] - rr), center)
 
@@ -213,25 +198,18 @@ def quasi_ball(radius, source):
     return np.abs((z - zp) * (z - zp.conjugate())) <= r2, origin
 
 
-def halfplane_laplacian_row(points):
-    """Degrees and (N, 4, 2) lattice neighbours of an (N, 2) array of
-    points of the half-plane graph N x Z.  Row 0 has degree 3: its
-    neighbour in row -1 is off the graph, hence outside every domain."""
-    return 3 + (points[:, 0] > 0), points[:, None, :] + STEPS
-
-
 def green_halfplane(source, radius):
     """Green function on the Neumann half-plane graph N x Z, supported in
     the quasi-ball QB(radius, source)."""
     mask, origin = quasi_ball(radius, source)
     rows = np.arange(origin[0], origin[0] + len(mask))
-    # degree 3 in row 0, as in halfplane_laplacian_row
+    # degree 3 in row 0: its neighbour in row -1 is off the graph
     green = GreenFunction(np.zeros(mask.shape), mask, origin, source,
                           (3 + (rows > 0))[:, None])
     if source not in green:
         raise ValueError("source not inside its quasi-ball")
-    green.grid[mask] = _solve_green(green.points, halfplane_laplacian_row,
-                                    [source])
+    green.grid[mask] = _solve_green(mask, green.degree,
+                                    [green._index(source)])
     return green
 
 

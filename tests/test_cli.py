@@ -280,6 +280,50 @@ def test_converge_parallel_matches_serial(capsys):
     assert out1 == out2
 
 
+def test_converge_starts_no_idle_workers(capsys, monkeypatch):
+    # --jobs above the number of meshes asks for one worker per mesh
+    import multiprocessing
+
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, func, items):
+            return map(func, items)
+
+    monkeypatch.setattr(multiprocessing, "Pool", InProcessPool)
+    code, out = run(capsys, "converge", "--surface", "square",
+                    "--ns", "4,8", "--k", "3", "--jobs", "64")
+    assert code == 0
+    assert sizes == [2]
+    assert out == run(capsys, "converge", "--surface", "square",
+                      "--ns", "4,8", "--k", "3")[1]
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--surface", "square", "--n", "10000000"],
+    ["barrier", "--surface", "lshape", "--n", "10000000"],
+    ["flow", "--n", "100000000"],
+    ["green", "--mode", "ball", "--radius", "1e7"],
+    ["green", "--mode", "halfplane", "--radius", "1e7", "--source", "0,0"]])
+def test_oversized_input_exits_1(capsys, argv):
+    # each command's first large array is above 2^47 bytes, the whole
+    # address space, so its allocation fails at once
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: the input needs more memory than is "
+                            "available\n")
+
+
 def test_eigvec_table(capsys):
     code, out = run(capsys, "eigvec", "--surface", "square", "--ns", "8,16")
     assert code == 0

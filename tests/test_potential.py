@@ -14,11 +14,6 @@ from tilelap.discretize import Discretization
 from conftest import make_disc
 
 
-def _ball_row(points):
-    # degrees and (N, 4, 2) neighbours of an (N, 2) array of points of Z^2
-    return np.full(len(points), 4), points[:, None, :] + potential.STEPS
-
-
 def test_green_ball_defining_equation():
     green = potential.green_ball(12)
     assert green.residual() <= 1e-10
@@ -49,7 +44,7 @@ def test_green_ball_wedge_fold_matches_full_solve(radius, center):
     # the wedge solve, unfolded, equals a direct solve over the whole ball;
     # at radius 40 the wedge has 663 points and the ball 5,025
     green = potential.green_ball(radius, center=center)
-    direct = potential._solve_green(green.points, _ball_row, [center])
+    direct = potential._solve_green(green.mask, 4, [green._index(center)])
     scale = green(center)
     assert np.abs(green.values - direct).max() <= 1e-13 * scale
     # and is invariant under the eight symmetries of the square about the
@@ -92,18 +87,19 @@ def _reflected_plane_green(source, radius):
     # delta_P' on Z^2 over the quasi-ball and its mirror image, P' =
     # (-1 - a, b) the mirror of P = (a, b); H restricted to rows a >= 0
     # solves the half-plane problem
-    a0, b0 = source
     mask, origin = potential.quasi_ball(radius, source)
-    upper = np.argwhere(mask) + origin
-    points = np.concatenate([upper, np.column_stack([-1 - upper[:, 0],
-                                                     upper[:, 1]])])
-    sol = potential._solve_green(points, _ball_row,
-                                 [(a0, b0), (-1 - a0, b0)])
-    grid = np.zeros(mask.shape)
-    grid[mask] = sol[:len(upper)]
+    # rows -origin[0] - len(mask) up to origin[0] + len(mask) - 1, the
+    # mirror of row a at -1 - a
+    gap = np.zeros((2 * origin[0], mask.shape[1]), dtype=bool)
+    both = np.concatenate([mask[::-1], gap, mask])
+    shift = origin[0] + len(mask)
+    sol = np.zeros(both.shape)
+    sol[both] = potential._solve_green(
+        both, 4, [(shift + source[0], source[1] - origin[1]),
+                  (shift - 1 - source[0], source[1] - origin[1])])
     # degree 3 in row 0 of N x Z, 4 below it
     rows = np.arange(origin[0], origin[0] + len(mask))
-    return potential.GreenFunction(grid, mask, origin, source,
+    return potential.GreenFunction(sol[-len(mask):], mask, origin, source,
                                    (3 + (rows > 0))[:, None])
 
 
@@ -112,7 +108,7 @@ def _reflected_plane_green(source, radius):
 def test_green_ball_matches_sparse_lu_oracle(radius, center):
     green = potential.green_ball(radius, center=center)
     oracle = _spsolve_green(green.points, [center])
-    direct = potential._solve_green(green.points, _ball_row, [center])
+    direct = potential._solve_green(green.mask, 4, [green._index(center)])
     scale = oracle.max()
     assert np.abs(green.values - oracle).max() <= 1e-12 * scale
     assert np.abs(direct - oracle).max() <= 1e-12 * scale
@@ -139,13 +135,16 @@ def test_orbit_weights_make_the_wedge_laplacian_symmetric(monkeypatch):
     calls = []
     solve = potential._solve_green
 
-    def recording(points, laplacian_row, sources, weights=1):
-        calls.append((points, weights))
-        return solve(points, laplacian_row, sources, weights)
+    def recording(mask, degree, sources, weights=1, fold=False):
+        calls.append((mask, weights, fold))
+        return solve(mask, degree, sources, weights, fold)
 
     monkeypatch.setattr(potential, "_solve_green", recording)
     potential.green_ball(16.5)
-    (wedge, weights), = calls
+    (mask, weights, fold), = calls
+    assert fold
+    wedge = np.argwhere(mask)
+    weights = np.broadcast_to(weights, mask.shape)[mask]
     a, b = wedge.T
     assert np.array_equal(weights, np.where(
         a == 0, 1, np.where((b == 0) | (a == b), 4, 8)))
@@ -159,6 +158,35 @@ def test_orbit_weights_make_the_wedge_laplacian_symmetric(monkeypatch):
     weighted = weights[:, None] * mat
     assert not np.array_equal(mat, mat.T)
     assert np.array_equal(weighted, weighted.T)
+
+
+def _annulus_with_slit():
+    # the annulus 3 <= |z| <= 7 on its box, with a hole, cut open along
+    # the positive column axis
+    r = np.arange(-7, 8)
+    norm = r[:, None] ** 2 + r ** 2
+    mask = (9 <= norm) & (norm <= 49)
+    mask[7, 7:] = False
+    return mask, [(2, 7), (7, 1)]
+
+
+def _random_mask():
+    # about 60 % of a box, touching all four edges, in 5 components
+    rng = np.random.default_rng(5)
+    mask = rng.random((13, 17)) < 0.6
+    return mask, [tuple(p) for p in np.argwhere(mask)[[0, 40, -1]]]
+
+
+@pytest.mark.parametrize("domain", [_annulus_with_slit, _random_mask])
+@pytest.mark.parametrize("halfplane", [False, True])
+def test_solve_green_on_nonconvex_masks(domain, halfplane):
+    # holes, slits and cells on the edges of the box, against the sparse
+    # LU oracle; with halfplane, grid row 0 is row 0 of N x Z (degree 3)
+    mask, sources = domain()
+    degree = (3 + (np.arange(len(mask)) > 0))[:, None] if halfplane else 4
+    got = potential._solve_green(mask, degree, sources)
+    oracle = _spsolve_green(np.argwhere(mask), sources, halfplane=halfplane)
+    assert np.abs(got - oracle).max() <= 1e-12 * oracle.max()
 
 
 def test_fullplane_log_asymptotics():
@@ -229,9 +257,9 @@ def test_halfplane_residual_matches_pointwise(source):
 
 
 def test_green_ball_peak_memory(monkeypatch):
-    # green_ball(128) holds its band and, beyond it, at most a few
-    # grid-sized arrays: the (2r + 1)^2 grid of values and the wedge's
-    # index arrays, about 0.8 of a grid; its residual two more grids
+    # green_ball(128) holds its band and, beyond it, at most two
+    # grid-sized arrays: the (2r + 1)^2 grid of values and quarter-grid
+    # arrays on the wedge's box; its residual two more grids
     radius = 128
     bands = []
     pbsv = potential.pbsv
@@ -253,7 +281,7 @@ def test_green_ball_peak_memory(monkeypatch):
     finally:
         tracemalloc.stop()
     grid = (2 * radius + 1) ** 2 * 8
-    assert (solve_peak - bands[-1]) / grid <= 3.25
+    assert (solve_peak - bands[-1]) / grid <= 2.0
     assert residual_peak / grid <= 2.25
 
 
