@@ -13,13 +13,16 @@ equal byte for byte.
 
 Prints one line per command and a summary; exits 1 when any command
 differs.  Where stdout differs, it also prints the number of lines that
-differ and the first of them from each tree (- first tree, + second).
+differ, the first of them from each tree (- first tree, + second) and
+how many cells of each column differ.
 The twisted and pillowcase bundles are drawn once per seed into a
 temporary directory shared by both trees, so their file paths match too;
 the pillowcase's description is written by this checkout's `tilelap`.
 """
 
 import argparse
+import csv
+import io
 import itertools
 import os
 import subprocess
@@ -125,6 +128,21 @@ def run(src, argv):
     return proc.returncode, proc.stdout, proc.stderr
 
 
+def differing_cells(first, second):
+    """Count of differing cells per column of two CSV tables with one
+    header and as many rows, as text ("column n/rows, ..."), or why the
+    tables cannot be compared cell by cell."""
+    (head, *rows), (head2, *rows2) = (
+        list(csv.reader(io.StringIO(out.decode()))) for out in (first,
+                                                                 second))
+    if head != head2 or len(rows) != len(rows2):
+        return "headers or row counts differ"
+    counts = [sum(r[i] != r2[i] for r, r2 in zip(rows, rows2))
+              for i in range(len(head))]
+    return ", ".join("%s %d/%d" % (col, count, len(rows))
+                     for col, count in zip(head, counts) if count)
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--src", action="append", required=True,
@@ -155,6 +173,7 @@ def main(argv=None):
                     fillvalue="") if x != y]
                 print("    %d lines differ, first:\n    - %s\n    + %s"
                       % (len(lines), *lines[0]))
+                print("    cells differ: %s" % differing_cells(a[1], b[1]))
     print("%d of %d commands byte-identical" % (len(cmds) - len(differ),
                                                 len(cmds)))
     return 1 if differ else 0

@@ -5,13 +5,15 @@ command through ``cli.main`` and reports the seconds of that import, the
 thread count numpy's OpenBLAS started with, its CPU seconds (all threads,
 interpreter start-up included), its peak RSS (``VmHWM``: a spawned
 process's ``ru_maxrss`` would start from this script's own, numpy and
-scipy included) and whether any scipy module was loaded; the parent times
-the run from spawn to exit.  The commands are the `diagnostics` workload's
+scipy included), whether any scipy or numpy.random module was loaded and
+how many tilelap modules the command loaded; the parent times the run
+from spawn to exit.  The commands are the `diagnostics` workload's
 small-mesh ones, whose meshes `spectral.mesh_eigenpairs` sends to LAPACK
-or to block Lanczos one by one, plus its two largest ones and one
-`sweep` command as controls.  Each command runs REPEAT times per source
-tree, the trees alternating run by run; the file records the median
-seconds and the largest peak RSS.
+or to block Lanczos one by one, and its `crsf-check`; a `validate` as the
+`twisted` workload runs it (no eigen module); and as controls the two
+largest `diagnostics` commands and two `sweep` ones.  Each command runs
+REPEAT times per source tree, the trees alternating run by run; the file
+records the median seconds and the largest peak RSS.
 
     python bench/startup.py [--src NAME=DIR ...] [--out BENCH_startup.json]
 
@@ -44,28 +46,34 @@ CASES = {
                            "--ns", "16,32"],
     "green-halfplane": ["green", "--mode", "halfplane", "--radius", "6",
                         "--source", "0,3"],
+    "validate-genus2": ["validate", "--surface", "genus2"],
+    "crsf-check": ["crsf-check"],
     # controls: a sweep up to 12,288 unknowns, all of it by block Lanczos,
-    # a Green ball of radius 128, and one of the `sweep` workload's
+    # a Green ball of radius 128, and two of the `sweep` workload's
     # commands, whose time goes to eigensolves rather than start-up
     "harnack-lshape": ["harnack", "--surface", "lshape",
                        "--ns", "8,16,32,64"],
     "green-ball": ["green", "--mode", "ball", "--radius", "128"],
     "converge-lshape": ["converge", "--surface", "lshape",
                         "--ns", "32,48,64"],
+    "converge-genus2": ["converge", "--surface", "genus2",
+                        "--ns", "32,48,64"],
 }
 
 # run in the child: the command's exit code, import seconds, OpenBLAS
-# threads, CPU seconds, peak RSS and scipy use
+# threads, CPU seconds, peak RSS, scipy and numpy.random use and the
+# tilelap modules loaded (counted before this script loads lapack)
 CHILD = """
 import time
 start = time.perf_counter()
 from tilelap import cli
 import_s = time.perf_counter() - start
 import contextlib, io, json, resource, sys
-from tilelap import lapack
-control = lapack._blas_thread_control()
 with contextlib.redirect_stdout(io.StringIO()):
     code = cli.main(json.loads(sys.argv[1]))
+tilelap = sum(m.split(".")[0] == "tilelap" for m in sys.modules)
+from tilelap import lapack
+control = lapack._blas_thread_control()
 usage = resource.getrusage(resource.RUSAGE_SELF)
 with open("/proc/self/status") as fh:
     peak = next(int(line.split()[1]) for line in fh
@@ -75,7 +83,9 @@ print(json.dumps({"exit": code, "import_s": import_s,
                   "cpu_s": usage.ru_utime + usage.ru_stime,
                   "peak_rss_mb": peak / 1024.0,
                   "scipy": any(m.split(".")[0] == "scipy"
-                               for m in sys.modules)}))
+                               for m in sys.modules),
+                  "numpy_random": "numpy.random" in sys.modules,
+                  "tilelap_modules": tilelap}))
 """
 
 
@@ -116,12 +126,16 @@ def main(argv=None):
                                            for r in got),
                 peak_rss_mb=max(r["peak_rss_mb"] for r in got),
                 scipy_loaded=any(r["scipy"] for r in got),
+                numpy_random_loaded=any(r["numpy_random"] for r in got),
+                tilelap_modules=max(r["tilelap_modules"] for r in got),
                 exit=max(r["exit"] for r in got))
             print("%s %s: %.3f s wall, %.3f s CPU, import %.3f s, %d BLAS "
-                  "threads, %.1f MB, scipy %s"
+                  "threads, %.1f MB, scipy %s, numpy.random %s, %d tilelap "
+                  "modules"
                   % (name, case, *(results[name][case][key] for key in (
                       "wall_s", "cpu_s", "import_s", "blas_threads",
-                      "peak_rss_mb", "scipy_loaded"))), file=sys.stderr)
+                      "peak_rss_mb", "scipy_loaded", "numpy_random_loaded",
+                      "tilelap_modules"))), file=sys.stderr)
     record = {
         "benchmark": "CLI start-up and short commands",
         "wall_s": "median over %d runs, spawn to exit, trees alternating"
@@ -133,6 +147,8 @@ def main(argv=None):
         "blas_threads": "the thread count of numpy's OpenBLAS after that "
                         "import, 0 where numpy bundles none",
         "peak_rss_mb": "largest VmHWM of the child over the runs",
+        "tilelap_modules": "the number of tilelap modules (the package "
+                           "included) loaded after the command ran",
         "machine": {"cpus": os.cpu_count(), "platform": platform.platform(),
                     "python": platform.python_version(),
                     "numpy": numpy.__version__, "scipy": scipy.__version__},

@@ -6,11 +6,16 @@ and summary values.  Output is deterministic for fixed inputs and seed.
 
 Exit codes: 0 success, 1 invalid input (or input too large for memory),
 2 numerical tolerance failure, 3 internal error.
+
+Each command loads only what it runs: this module imports the standard
+library and numpy, and every handler and helper below imports the tilelap
+modules it calls inside its body.
 """
 
 import argparse
 import csv
 import functools
+import gc
 import io
 import json
 import operator
@@ -24,12 +29,6 @@ import sys
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np  # noqa: E402
-
-from . import (catalog, crsf, interp, operators, potential,  # noqa: E402
-               spectral)
-from .bundle import FlatUnitaryBundle  # noqa: E402
-from .discretize import Discretization  # noqa: E402
-from .surface import SurfaceFormatError  # noqa: E402
 
 
 class ToleranceFailure(Exception):
@@ -83,6 +82,9 @@ def _emit_pairs(pairs, args, summary):
 def _load(name, check=True):
     """Surface and bundle by built-in name or file path.  The bundle must
     be unitary and flat (ValueError otherwise) unless ``check`` is False."""
+    from . import catalog
+    from .bundle import FlatUnitaryBundle
+
     surface, spec = catalog.load(name)
     bundle = FlatUnitaryBundle.from_spec(surface, spec)
     if check:
@@ -127,6 +129,9 @@ def _source(text):
 
 
 def _eigen_solve(surface, bundle, k, seed, vectors, n):
+    from . import spectral
+    from .discretize import Discretization
+
     disc = Discretization(surface, bundle, n)
     vals, vecs = spectral.rescaled_spectrum(disc, k, seed=seed)
     return (disc, vals, vecs) if vectors else (None, vals, None)
@@ -147,9 +152,8 @@ def _eigen_sweep(surface, bundle, ns, k, seed, flag, jobs=1, vectors=True):
     """
     dim = surface.n_squares * ns[0] ** 2 * bundle.rank
     if k >= dim:
-        raise SurfaceFormatError("%s: the n = %d mesh has dimension %d, "
-                                 "too small for %d eigenpairs"
-                                 % (flag, ns[0], dim, k))
+        raise ValueError("%s: the n = %d mesh has dimension %d, too small "
+                         "for %d eigenpairs" % (flag, ns[0], dim, k))
     solve = functools.partial(_eigen_solve, surface, bundle, k, seed, vectors)
     if jobs > 1:
         from multiprocessing import Pool
@@ -165,13 +169,13 @@ def _rectangle(surface, command):
     every outer side free.  ``command`` compares against the Neumann modes
     of that a x b box, which describe no other surface."""
     if surface.layout is None:
-        raise SurfaceFormatError("%s needs a planar surface with a layout"
-                                 % command)
+        raise ValueError("%s needs a planar surface with a layout"
+                         % command)
     cells = sorted(surface.layout.values())
     a, b = (max(c) + 1 for c in zip(*cells))
     if (cells != [(x, y) for x in range(a) for y in range(b)]
             or len(surface.free_sides) != 2 * (a + b)):
-        raise SurfaceFormatError(
+        raise ValueError(
             "%s compares with the Neumann modes of the layout's %d x %d "
             "bounding box, so it needs a surface that fills that box with "
             "every outer side free" % (command, a, b))
@@ -182,6 +186,8 @@ def _rectangle(surface, command):
 
 
 def cmd_validate(args):
+    from .discretize import Discretization
+
     surface, bundle = _load(args.surface, check=False)
     bundle_defect = max(bundle.unitarity_defect(),
                         bundle.cone_monodromy_defect())
@@ -210,6 +216,8 @@ def cmd_spectrum(args):
 def _parse_reference(text, k):
     """Continuum reference of --reference: finite parameters, of which the
     first two (rectangle sides, torus periods) are > 0."""
+    from . import spectral
+
     kind, _, params = text.partition(":")
     try:
         params = tuple(float(p) for p in params.split(",")) if params else ()
@@ -222,6 +230,8 @@ def _parse_reference(text, k):
 
 
 def cmd_converge(args):
+    from . import spectral
+
     ns = args.ns
     reference = (_parse_reference(args.reference, args.k)
                  if args.reference else None)
@@ -252,14 +262,16 @@ def cmd_converge(args):
 
 
 def cmd_eigvec(args):
+    from . import interp, spectral
+
     surface, bundle = _load(args.surface)
     a, b = _rectangle(surface, "eigvec")
     modes = spectral.rectangle_modes(a, b, args.k)
     groups = spectral.eigenvalue_groups([m[0] for m in modes])
     if args.group >= len(groups):
-        raise SurfaceFormatError("--group must be < %d, the number of "
-                                 "eigenvalue groups among the first --k %d "
-                                 "modes" % (len(groups), args.k))
+        raise ValueError("--group must be < %d, the number of eigenvalue "
+                         "groups among the first --k %d modes"
+                         % (len(groups), args.k))
     group = groups[args.group]
     while group[-1] == len(modes) - 1:  # the group may go on past --k
         modes = spectral.rectangle_modes(a, b, len(modes) + 1)
@@ -282,9 +294,13 @@ def cmd_eigvec(args):
 
 
 def cmd_interp_check(args):
+    from . import interp, operators
+    from .stream import SplitMix64
+
     surface, bundle = _load(args.surface)
     sweep = _eigen_sweep(surface, bundle, args.ns, 2, args.seed, "--ns")
-    rng = np.random.default_rng(args.seed)
+    # fields of uniform complex values, real and imaginary parts in [-1, 1)
+    stream = SplitMix64(args.seed)
     rows = []
     worst = 0.0
     scale = 1.0
@@ -292,10 +308,8 @@ def cmd_interp_check(args):
         n = disc.n
         size = disc.n_vertices * bundle.rank
         for trial in range(args.trials):
-            f = interp.average(disc, rng.standard_normal(size)
-                               + 1j * rng.standard_normal(size))
-            g = interp.average(disc, rng.standard_normal(size)
-                               + 1j * rng.standard_normal(size))
+            f, g = (interp.average(disc, row)
+                    for row in stream.rows(2, size, complex))
             graph_energy = operators.dirichlet_form(disc, f, g)
             field_energy = interp.linearize(disc, f).dirichlet_energy(
                 interp.linearize(disc, g))
@@ -320,6 +334,9 @@ def cmd_interp_check(args):
 
 
 def cmd_consistency(args):
+    from . import interp, spectral
+    from .discretize import Discretization
+
     surface, bundle = _load(args.surface)
     a, b = _rectangle(surface, "consistency")
     func = spectral.rectangle_eigenfunction(surface.layout, a, b, 1, 1)
@@ -347,6 +364,8 @@ def cmd_consistency(args):
 
 
 def cmd_harnack(args):
+    from . import potential
+
     surface, bundle = _load(args.surface)
     rows = []
     for disc, _, vecs in _eigen_sweep(surface, bundle, args.ns,
@@ -358,6 +377,8 @@ def cmd_harnack(args):
 
 
 def cmd_green(args):
+    from . import potential
+
     if args.mode == "ball":
         green = potential.green_ball(args.radius)
         resid = green.residual()
@@ -376,7 +397,10 @@ def cmd_green(args):
                   -(2 * potential.EULER_MASCHERONI + np.log(8)) / (4 * np.pi))]
         summary = {"fitted_constant": c}
     else:  # halfplane
-        green = potential.green_halfplane(args.source, args.radius)
+        try:
+            green = potential.green_halfplane(args.source, args.radius)
+        except ValueError as exc:
+            raise ValueError("--source: %s" % exc) from None
         resid = green.residual()
         pairs = [("source", "%d %d" % args.source), ("radius", args.radius),
                  ("points", np.count_nonzero(green.mask)),
@@ -388,6 +412,8 @@ def cmd_green(args):
 
 
 def cmd_flow(args):
+    from . import potential
+
     n = args.n
     div = potential.corner_flow_divergence(n)
     norm_sq = potential.corner_flow_norm_sq(n)
@@ -404,11 +430,14 @@ def cmd_flow(args):
 
 
 def cmd_barrier(args):
+    from . import potential
+    from .discretize import Discretization
+
     surface, bundle = _load(args.surface)
     disc = Discretization(surface, bundle, args.n)
     points = disc.singular_points()
     if not points:
-        raise SurfaceFormatError("surface has no singular points")
+        raise ValueError("surface has no singular points")
     rows = []
     bad = 0
     for k, point in enumerate(points):
@@ -425,12 +454,15 @@ def cmd_barrier(args):
 
 
 def cmd_crsf_check(args):
-    rng = np.random.default_rng(args.seed)
+    from . import crsf
+    from .stream import SplitMix64
+
+    stream = SplitMix64(args.seed)
     rows = []
     worst = 0.0
     fails = 0
     for trial in range(args.count):
-        graph = crsf.random_connection_graph(rng)
+        graph = crsf.random_connection_graph(stream)
         det = graph.determinant()
         forest = graph.forest_sum()
         scale = max(1.0, abs(det), abs(forest))
@@ -507,6 +539,9 @@ def build_parser():
 
 
 def main(argv=None):
+    # what is loaded by now (numpy, this module) lives until exit: frozen,
+    # the collection at interpreter exit walks only what the command made
+    gc.freeze()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -514,7 +549,7 @@ def main(argv=None):
         return exc.code if isinstance(exc.code, int) else 1
     try:
         args.func(args)
-    except (SurfaceFormatError, FileNotFoundError, ValueError) as exc:
+    except (FileNotFoundError, ValueError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 1
     except ToleranceFailure as exc:

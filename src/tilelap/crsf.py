@@ -87,14 +87,17 @@ class ConnectionGraph:
         return total
 
 
-def random_connection_graph(rng, max_vertices=7, max_edges=12):
-    """Random small multigraph with unit weights, for identity testing."""
-    n = int(rng.integers(1, max_vertices + 1))
-    m = int(rng.integers(0, max_edges + 1))
-    edges = []
-    for _ in range(m):
-        u = int(rng.integers(n))
-        v = int(rng.integers(n))
-        theta = float(rng.uniform(0, 2 * np.pi))
-        edges.append((u, v, np.exp(1j * theta)))
-    return ConnectionGraph(n, edges)
+def random_connection_graph(stream, max_vertices=7, max_edges=12):
+    """Random small multigraph with unit weights, for identity testing,
+    drawn from ``stream`` (a :class:`~tilelap.stream.SplitMix64`): 1 to
+    ``max_vertices`` vertices, 0 to ``max_edges`` edges, each with uniform
+    ends and a uniform phase."""
+    # each value in [-1, 1) as a fraction u in [0, 1), and floor(u * count)
+    # as an integer below count
+    (nu, mu), = (stream.rows(1, 2) + 1) / 2
+    n, m = 1 + int(nu * max_vertices), int(mu * (max_edges + 1))
+    draws = (stream.rows(m, 3) + 1) / 2
+    ends = (draws[:, :2] * n).astype(int)
+    weights = np.exp(2j * np.pi * draws[:, 2])
+    return ConnectionGraph(n, [(int(u), int(v), w)
+                               for (u, v), w in zip(ends, weights)])

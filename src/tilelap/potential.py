@@ -52,11 +52,6 @@ class GreenFunction:
         rows, cols = self.grid.shape
         return (i, j) if 0 <= i < rows and 0 <= j < cols else None
 
-    def __contains__(self, p):
-        """Whether the lattice point p lies in the domain."""
-        k = self._index(p)
-        return k is not None and bool(self.mask[k])
-
     def __call__(self, p):
         """Value at a lattice point (0 outside the domain)."""
         k = self._index(p)
@@ -200,14 +195,15 @@ def quasi_ball(radius, source):
 
 def green_halfplane(source, radius):
     """Green function on the Neumann half-plane graph N x Z, supported in
-    the quasi-ball QB(radius, source)."""
+    the quasi-ball QB(radius, source); the source's row a must be >= 0."""
+    if source[0] < 0:  # any other source lies in its own quasi-ball
+        raise ValueError("row a of the source (a, b) must be >= 0 in "
+                         "N x Z, got %d" % source[0])
     mask, origin = quasi_ball(radius, source)
     rows = np.arange(origin[0], origin[0] + len(mask))
     # degree 3 in row 0: its neighbour in row -1 is off the graph
     green = GreenFunction(np.zeros(mask.shape), mask, origin, source,
                           (3 + (rows > 0))[:, None])
-    if source not in green:
-        raise ValueError("source not inside its quasi-ball")
     green.grid[mask] = _solve_green(mask, green.degree,
                                     [green._index(source)])
     return green

@@ -14,6 +14,7 @@ import math
 import numpy as np
 
 from . import lapack
+from .stream import SplitMix64
 
 # shift of the mesh solver's shift-invert, below the (nonnegative)
 # spectrum, in units of the rescaled spectrum n^2 Spec(Delta_n): the solver
@@ -73,40 +74,6 @@ def lowest_eigenpairs(mat, k):
     residuals = np.linalg.norm(mat @ vecs - vecs * vals, axis=0)
     _check_residuals(vals, residuals, np.abs(mat).sum(axis=0).max())
     return vals, vecs, residuals
-
-
-class SplitMix64:
-    """A seeded stream of values in [-1, 1), drawn by counter: value i
-    (from 1) is splitmix64's i-th output (Steele, Lea & Flood, OOPSLA
-    2014) from the state ``seed`` mod 2^64, z_i = seed + i GAMMA mixed,
-    its top 53 bits scaled.  It draws the Lanczos start block and the rows
-    that replace spent directions, without importing numpy.random (5 MB
-    of RSS).  Each call to :meth:`rows` continues where the last one
-    stopped."""
-
-    GAMMA = 0x9E3779B97F4A7C15
-    MIX = (0xBF58476D1CE4E5B9, 0x94D049BB133111EB)
-
-    def __init__(self, seed):
-        self.state, self.drawn = seed % 2 ** 64, 0
-
-    def rows(self, count, dim, dtype=float):
-        """The next (count, dim) values, as ``dtype``; a complex value
-        takes its real and imaginary parts from two values in turn."""
-        size = count * dim * (2 if np.dtype(dtype).kind == "c" else 1)
-        z = np.arange(self.drawn + 1, self.drawn + size + 1, dtype=np.uint64)
-        self.drawn += size
-        z *= np.uint64(self.GAMMA)  # unsigned arrays wrap mod 2^64
-        z += np.uint64(self.state)
-        for shift, mult in zip((30, 27), self.MIX):
-            z ^= z >> np.uint64(shift)
-            z *= np.uint64(mult)
-        z ^= z >> np.uint64(31)
-        z >>= np.uint64(11)
-        # the values overwrite their own integers
-        values = np.multiply(z, 2.0 ** -52, out=z.view(float))
-        values -= 1.0
-        return values.view(dtype).reshape(count, dim)
 
 
 def _conj(a):

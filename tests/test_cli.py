@@ -93,6 +93,9 @@ def test_bad_arguments_exit_1(capsys):
             (["green", "--mode", "halfplane", "--source", "1"], "--source"),
             (["green", "--mode", "halfplane", "--source=0,0,1"], "--source"),
             (["green", "--mode", "halfplane", "--source", "a,1"], "--source"),
+            # the half-plane N x Z has rows a >= 0 only
+            (["green", "--mode", "halfplane", "--source=-2,0"],
+             "--source: row a of the source (a, b) must be >= 0"),
             (["eigvec", "--surface", "square", "--ns", "8", "--group", "-1"],
              "--group"),
             (["converge", "--surface", "square", "--ns", "4,4,8"],
@@ -449,16 +452,27 @@ def test_out_files_and_determinism(tmp_path, capsys):
 
 
 def test_interp_check_tolerance_relative_to_energy(capsys):
-    # round-off of ~1e-12 on energies of size ~100 failed an absolute
-    # 1e-12 tolerance here
+    # round-off above 1e-12 on energies of size ~100 would fail an
+    # absolute 1e-12 tolerance here
     code, out = run(capsys, "interp-check", "--surface", "lshape",
-                    "--ns", "16", "--trials", "5", "--seed", "8")
+                    "--ns", "32", "--trials", "5", "--seed", "3")
     assert code == 0
     header, rows = read_csv(out)
     trials = [r for r in rows if r[header.index("trial")] != "-1"]
     scale = max(abs(float(r[header.index("graph")])) for r in trials)
-    assert max(float(r[header.index("error")]) for r in trials) \
-        <= 1e-12 * scale
+    worst = max(float(r[header.index("error")]) for r in trials)
+    assert 1e-12 < worst <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("argv", [
+    ["interp-check", "--surface", "lshape", "--ns", "4,8", "--trials", "3"],
+    ["crsf-check", "--count", "10"]], ids=["interp-check", "crsf-check"])
+def test_seed_draws_the_random_inputs(capsys, argv):
+    # the random fields and graphs come from the stream seeded by --seed:
+    # one seed repeats its table byte for byte, another seed changes it
+    outs = [run(capsys, *argv, "--seed", seed) for seed in ("4", "4", "5")]
+    assert [code for code, _ in outs] == [0, 0, 0]
+    assert outs[0][1] == outs[1][1] != outs[2][1]
 
 
 def test_invalid_input_exits_1(capsys):
@@ -474,10 +488,11 @@ def test_invalid_input_exits_1(capsys):
 def _in_fresh_interpreter(argvs, setup="", report=""):
     """Run the commands in a fresh interpreter, after ``setup``, and
     return what the ``report`` expression prints, followed by the loaded
-    scipy modules and the loaded numpy.random modules."""
+    scipy modules, the loaded numpy.random modules and the loaded tilelap
+    modules (sorted, without "tilelap.")."""
     script = textwrap.dedent("""
         import contextlib, io, sys
-        from tilelap import cli, spectral
+        from tilelap import cli
         %s
         for argv in %r:
             with contextlib.redirect_stdout(io.StringIO()):
@@ -486,13 +501,15 @@ def _in_fresh_interpreter(argvs, setup="", report=""):
         print(" ".join(m for m in sys.modules if m.split(".")[0] == "scipy"))
         print(" ".join(m for m in sys.modules
                        if m.split(".")[:2] == ["numpy", "random"]))
+        print(" ".join(sorted(m.split(".", 1)[1] for m in sys.modules
+                              if m.startswith("tilelap."))))
     """) % (setup, argvs, report or '""')
     src = os.path.dirname(os.path.dirname(os.path.abspath(tilelap.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    return proc.stdout.split("\n")[:3]
+    return proc.stdout.split("\n")[:4]
 
 
 @pytest.mark.parametrize("preset, threads", [(None, 1), ("2", 2)])
@@ -541,7 +558,7 @@ def test_numpy_only_commands_leave_scipy_unloaded(tmp_path):
     # no command loads scipy: eigen systems are solved by LAPACK or by
     # the mesh solver, Green functions by a banded Cholesky; the eigen
     # commands run here on meshes that take either route
-    _, modules, _ = _in_fresh_interpreter([
+    _, modules, _, _ = _in_fresh_interpreter([
         ["validate", "--surface", "genus2"],
         ["crsf-check", "--count", "20"],
         ["barrier", "--surface", "lshape", "--n", "8"],
@@ -565,12 +582,13 @@ def test_numpy_only_commands_leave_scipy_unloaded(tmp_path):
 
 def test_eigen_commands_leave_numpy_random_unloaded(tmp_path):
     # the Lanczos start block and its replacement rows come from
-    # spectral.SplitMix64, so no eigen command imports numpy.random, on
+    # stream.SplitMix64, so no eigen command imports numpy.random, on
     # either route: LAPACK (D) or block Lanczos (B), listed per command;
     # the sweeps take LAPACK on their coarse meshes and Lanczos on their
     # fine ones, the rank-2 torus file included
     rank2 = _rank2_torus_file(tmp_path)
     setup = textwrap.dedent("""
+        from tilelap import spectral
         routes, main = [], cli.main
         def traced(argv):
             routes.append(set())
@@ -584,7 +602,7 @@ def test_eigen_commands_leave_numpy_random_unloaded(tmp_path):
         spectral.lowest_eigenpairs = route("D", spectral.lowest_eigenpairs)
         spectral._block_lanczos = route("B", spectral._block_lanczos)
     """)
-    report, _, modules = _in_fresh_interpreter([
+    report, _, modules, _ = _in_fresh_interpreter([
         ["spectrum", "--surface", "torus", "--n", "8"],
         ["spectrum", "--surface", "torus", "--n", "32"],
         ["spectrum", "--surface", rank2, "--n", "8"],
@@ -597,6 +615,44 @@ def test_eigen_commands_leave_numpy_random_unloaded(tmp_path):
     assert report == "D B D B BD BD BD BD" and modules == ""
 
 
+# what every eigen command loads, on either route (both take the kernel
+# from capacitance.square_kernel)
+EIGEN_MODULES = ("bundle capacitance catalog cli discretize lapack operators "
+                 "spectral stream surface")
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    ([], "cli"),
+    (["validate", "--surface", "genus2"],
+     "bundle catalog cli discretize surface"),
+    (["spectrum", "--surface", "torus", "--n", "8"], EIGEN_MODULES),
+    (["converge", "--surface", "genus2", "--ns", "8,16,32"], EIGEN_MODULES),
+    (["eigvec", "--surface", "square", "--ns", "8,16,32"],
+     EIGEN_MODULES.replace("discretize", "discretize interp")),
+    (["interp-check", "--surface", "genus2", "--ns", "4,8,16"],
+     EIGEN_MODULES.replace("discretize", "discretize interp")),
+    (["consistency", "--surface", "square", "--ns", "16,32"],
+     "bundle catalog cli discretize interp lapack operators spectral stream "
+     "surface"),
+    (["harnack", "--surface", "lshape", "--ns", "8,16"],
+     EIGEN_MODULES.replace("operators", "operators potential")),
+    (["green", "--mode", "halfplane", "--radius", "6", "--source", "0,3"],
+     "cli lapack potential"),
+    (["flow", "--n", "8"], "cli lapack potential"),
+    (["barrier", "--surface", "lshape", "--n", "8"],
+     "bundle catalog cli discretize lapack potential surface"),
+    (["crsf-check", "--count", "20"], "cli crsf operators stream")],
+    ids=["import", "validate", "spectrum", "converge", "eigvec",
+         "interp-check", "consistency", "harnack", "green", "flow", "barrier",
+         "crsf-check"])
+def test_each_command_loads_only_what_it_runs(argv, loaded):
+    # importing tilelap.cli loads no other tilelap module; each subcommand
+    # loads the ones it calls, and none loads scipy or numpy.random (every
+    # random input comes from stream.SplitMix64)
+    _, scipy, random, modules = _in_fresh_interpreter([argv] if argv else [])
+    assert (scipy, random, modules) == ("", "", loaded)
+
+
 @pytest.mark.parametrize("argv", [
     ["harnack", "--surface", "lshape", "--ns", "8,16,32,64"]],
     ids=["harnack"])
@@ -605,6 +661,7 @@ def test_large_systems_take_the_mesh_path(argv):
     # unknowns), is solved through spectral.mesh_eigenpairs, in a process
     # that never loads scipy
     setup = textwrap.dedent("""
+        from tilelap import spectral
         calls = []
         solve = spectral.mesh_eigenpairs
         def counted(disc, *args, **kwargs):
@@ -612,7 +669,7 @@ def test_large_systems_take_the_mesh_path(argv):
             return solve(disc, *args, **kwargs)
         spectral.mesh_eigenpairs = counted
     """)
-    calls, modules, _ = _in_fresh_interpreter([argv], setup, "calls")
+    calls, modules, _, _ = _in_fresh_interpreter([argv], setup, "calls")
     assert calls == "[8, 16, 32, 64]" and modules == ""
 
 

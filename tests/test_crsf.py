@@ -8,6 +8,7 @@ from tilelap import catalog, operators
 from tilelap.bundle import FlatUnitaryBundle
 from tilelap.crsf import ConnectionGraph, random_connection_graph
 from tilelap.discretize import Discretization
+from tilelap.stream import SplitMix64
 
 
 def w(theta):
@@ -106,10 +107,19 @@ def test_edge_validation():
         ConnectionGraph(2, [(0, 1, 2.0)])
 
 
+def test_random_graphs_fill_their_ranges():
+    # uniform draws from the stream reach every vertex and edge count, and
+    # every end lies on the graph (ConnectionGraph checks it)
+    stream = SplitMix64(0)
+    graphs = [random_connection_graph(stream) for _ in range(500)]
+    assert {g.n_vertices for g in graphs} == set(range(1, 8))
+    assert {len(g.edges) for g in graphs} == set(range(13))
+    assert {u for g in graphs for u, _, _ in g.edges} == set(range(7))
+
+
 def test_gauge_invariance():
-    rng = np.random.default_rng(11)
-    g = random_connection_graph(rng, max_vertices=5, max_edges=9)
-    phases = rng.uniform(0, 2 * np.pi, g.n_vertices)
+    g = random_connection_graph(SplitMix64(11), max_vertices=5, max_edges=9)
+    phases = np.random.default_rng(11).uniform(0, 2 * np.pi, g.n_vertices)
     # weight w on (u, v) becomes e^{i phi_v} w e^{-i phi_u}
     h = ConnectionGraph(g.n_vertices, [
         (u, v, np.exp(1j * (phases[v] - phases[u])) * w)
@@ -121,8 +131,7 @@ def test_gauge_invariance():
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=0, max_value=10 ** 9))
 def test_identity_on_random_graphs(seed):
-    rng = np.random.default_rng(seed)
-    g = random_connection_graph(rng)
+    g = random_connection_graph(SplitMix64(seed))
     det = g.determinant()
     forest = g.forest_sum()
     scale = max(1.0, abs(det), abs(forest))

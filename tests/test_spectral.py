@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from tilelap import capacitance, catalog, lapack, operators, spectral
+from tilelap.stream import SplitMix64
 from tilelap.bundle import FlatUnitaryBundle
 from tilelap.discretize import Discretization
 
@@ -357,25 +358,25 @@ def test_start_stream():
     # second draw continues the stream rather than repeating the start
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        rows = spectral.SplitMix64(7).rows(4, 500)
+        rows = SplitMix64(7).rows(4, 500)
         assert np.array_equal(rows.ravel()[:50], _splitmix64(7, 50))
-        assert np.array_equal(rows, spectral.SplitMix64(7).rows(4, 500))
+        assert np.array_equal(rows, SplitMix64(7).rows(4, 500))
         assert np.array_equal(rows,
-                              spectral.SplitMix64(7 + 2 ** 64).rows(4, 500))
+                              SplitMix64(7 + 2 ** 64).rows(4, 500))
         for seed in (0, 6, 8, 2 ** 63, 2 ** 64 - 1):
-            other = spectral.SplitMix64(seed).rows(4, 500)
+            other = SplitMix64(seed).rows(4, 500)
             assert np.array_equal(other.ravel()[:50], _splitmix64(seed, 50))
             assert not np.isin(other, rows).any()
-        stream = spectral.SplitMix64(7)
+        stream = SplitMix64(7)
         first, more = stream.rows(4, 500), stream.rows(8, 500)
         assert np.array_equal(first, rows)
         assert not np.isin(more, rows).any()
         assert np.array_equal(np.concatenate([first, more]).ravel(),
-                              spectral.SplitMix64(7).rows(1, 6000)[0])
+                              SplitMix64(7).rows(1, 6000)[0])
         # a complex value takes two values of the stream in turn
-        pairs = spectral.SplitMix64(7).rows(2, 250, complex)
+        pairs = SplitMix64(7).rows(2, 250, complex)
         assert np.array_equal(pairs.view(float).ravel(), rows[:2].ravel())
-        every = spectral.SplitMix64(3).rows(100, 1000)
+        every = SplitMix64(3).rows(100, 1000)
     assert every.min() >= -1.0 and every.max() < 1.0
     assert abs(every.mean()) < 0.01 and abs(np.mean(every ** 2) - 1 / 3) < 0.01
 
