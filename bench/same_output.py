@@ -117,6 +117,13 @@ def commands(directory):
     pillowcase = pillowcase_gauge(PILLOWCASE_SEED, directory)
     cmds += [("%s-pillowcase-gauge" % argv[0],
               argv + ["--surface", pillowcase]) for argv in PILLOWCASE_EXTRA]
+    # a nan transport entry, which the parser rejects
+    nan = os.path.join(directory, "pillowcase-nan.txt")
+    with open(nan, "w") as fh:
+        fh.write(catalog.pillowcase().to_text()
+                 + "rank: 1\ntransport: 2 nan\n")
+    cmds.append(("spectrum-pillowcase-nan",
+                 ["spectrum", "--n", "4", "--surface", nan]))
     return cmds + list(EXTRA.items())
 
 

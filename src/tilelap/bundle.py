@@ -82,34 +82,32 @@ class FlatUnitaryBundle:
         return acc
 
     def unitarity_defect(self):
-        """Largest deviation of any seam transport from unitarity."""
-        worst = 0.0
+        """Largest deviation of any seam transport from unitarity; not
+        finite when a transport has a non-finite entry."""
         eye = np.eye(self.rank)
-        for mat in self.transports:
-            worst = max(worst, float(np.max(np.abs(mat.conj().T @ mat - eye))))
-        return worst
+        return float(np.max([np.abs(mat.conj().T @ mat - eye).max()
+                             for mat in self.transports], initial=0.0))
 
     def cone_monodromy_defect(self):
         """Largest deviation from identity of the monodromy around any
-        interior vertex class (cone points and regular interior points)."""
+        interior vertex class (cone points and regular interior points);
+        not finite when a transport on the way has a non-finite entry."""
         eye = np.eye(self.rank)
-        worst = 0.0
-        for cycle in self.surface.vertex_cycles():
-            if not cycle.interior:
-                continue
-            mon = self.monodromy(cycle.seam_steps)
-            worst = max(worst, float(np.max(np.abs(mon - eye))))
-        return worst
+        return float(np.max([
+            np.abs(self.monodromy(cycle.seam_steps) - eye).max()
+            for cycle in self.surface.vertex_cycles() if cycle.interior],
+            initial=0.0))
 
     def validate(self):
         """Raise ValueError if transports are non-unitary or the monodromy
-        around some interior point is nontrivial (tolerance FLAT_TOL)."""
+        around some interior point is nontrivial (tolerance FLAT_TOL); a
+        nan defect fails too."""
         defect = self.unitarity_defect()
-        if defect > FLAT_TOL:
+        if not defect <= FLAT_TOL:
             raise ValueError(
                 "seam transport fails unitarity by %.3e" % defect)
         defect = self.cone_monodromy_defect()
-        if defect > FLAT_TOL:
+        if not defect <= FLAT_TOL:
             raise ValueError(
                 "nontrivial monodromy around an interior point: "
                 "defect %.3e" % defect)

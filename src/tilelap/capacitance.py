@@ -27,13 +27,7 @@ import numpy as np
 
 from .lapack import lower_inverse
 from .operators import _block_matrix, laplacian_blocks
-from .surface import SIDES
 
-# side slots of a square, in the order rows (N at j = n - 1, S at j = 0),
-# then columns (E at i = n - 1, W at i = 0)
-SLOTS = ("N", "S", "E", "W")
-# slot of each side of ``surface.SIDES``
-SIDE_SLOT = [SLOTS.index(side) for side in SIDES]
 # the kernel of the square graph: eigenvalues below this count as zero
 KERNEL_TOL = 1e-10
 
@@ -91,11 +85,8 @@ class SeamCapacitance:
         kernel = np.zeros(self.shape + null.shape[1:], null.dtype)
         kernel[:, :, 0, 0] = null.reshape(squares, rank, -1)
         self.kernel = kernel.reshape(self.dim, -1)
-        # the seam table's ends, as flat indices into (S, 4, n) slots
-        to_slot = np.arange(squares * 4 * n).reshape(squares, 4, n)[
-            :, SIDE_SLOT].ravel()
-        self.tail_slots = to_slot[disc.seam_tails]
-        self.head_slots = to_slot[disc.seam_heads]
+        # the seam table's ends, flat indices into (S, 4, n) side slots
+        self.tail_slots, self.head_slots = disc.seam_tails, disc.seam_heads
         self.transports = disc.seam_transports
         # K^-1 = L^-* L^-1 from the Cholesky factor L of K: an explicit
         # inverse of K would cost its condition number in accuracy
@@ -103,49 +94,44 @@ class SeamCapacitance:
 
     # ---- setup ---------------------------------------------------------
 
-    def _side_green(self):
-        """M^-1 between the side cells of one square, (4 n, 4 n) in slot
-        order.  The Green value sum_{q,p} Phi[j,q] Phi[i,p] H[q,p]
-        Phi[j',q] Phi[i',p] of two rows (or two columns) is
-        Phi diag(g) Phi^T with g summed over the fixed direction; of a row
-        and a column it is Phi X Phi^T with X = H scaled by the two fixed
-        rows of Phi.  H is symmetric, so columns behave as rows."""
-        phi, h, n = self.phi, self.inv_m, len(self.phi)
-        fixed = [self.ends[0], self.ends[1], self.ends[0], self.ends[1]]
-        green = np.empty((4, n, 4, n))
-        for a in range(4):
-            for b in range(a, 4):
-                if (a < 2) == (b < 2):
-                    block = (phi * ((fixed[a] * fixed[b]) @ h)) @ phi.T
-                else:  # a row a, a column b
-                    block = phi @ (fixed[b][:, None] * h * fixed[a]) @ phi.T
-                green[a, :, b] = block
-                green[b, :, a] = block.T
-        return green.reshape(4 * n, 4 * n)
-
     def _capacitance(self):
         """K = I + W* M^-1 W, (m r) square: for edges e, f and ends x of e,
         y of f, the side Green value G(x, y) times C_x* C_y, with C = I at
         a tail and -U* at a head.  Ends in different squares see 0, and the
-        n edges of a seam have their tails on one side and their heads on
-        another, so each of the four tail/head pairings adds, in place, an
-        n x n block of edges for each two seam ends in one square."""
-        green = self._side_green()
+        n tails of a seam lie on one side, as do its n heads; so each two
+        such end groups in one square add, in place, an n x n block of
+        edges, tails before heads at both ends.
+
+        The Green value sum_{q,p} Phi[j,q] Phi[i,p] H[q,p] Phi[j',q]
+        Phi[i',p] of two rows (or two columns) is Phi diag(g) Phi^T with g
+        summed over the fixed direction; of a row and a column it is
+        Phi X Phi^T with X = H scaled by the two fixed rows of Phi.  H is
+        symmetric, so columns behave as rows.  Each block of sides a <= b
+        is made once; sides a >= b read its transpose."""
+        phi, h = self.phi, self.inv_m
         count, rank, n = len(self.tail_slots), self.shape[1], self.shape[2]
-        local = 4 * n
         eye = np.broadcast_to(np.eye(rank), self.transports.shape)
-        ends = [(self.tail_slots, eye),
-                (self.head_slots, -self.transports.conj().transpose(0, 2, 1))]
+        heads = -self.transports.conj().transpose(0, 2, 1)
+        ends = [(slots[x], c[x], x) for slots, c in ((self.tail_slots, eye),
+                                                    (self.head_slots, heads))
+                for x in (slice(i, i + n) for i in range(0, count, n))]
         cap = np.zeros((count, rank, count, rank), self.dtype)
-        for sx, cx in ends:
-            for sy, cy in ends:
-                same = sx[::n, None] // local == sy[::n] // local
-                for i, j in zip(*np.nonzero(same)):
-                    x, y = slice(i * n, i * n + n), slice(j * n, j * n + n)
-                    cap[x, :, y] += np.einsum(
-                        "xy,xca,ycb->xayb",
-                        green[sx[x, None] % local, sy[y] % local],
-                        cx[x].conj(), cy[y])
+        green = {}
+        for sx, cx, x in ends:
+            for sy, cy, y in ends:
+                if sx[0] // (4 * n) != sy[0] // (4 * n):
+                    continue
+                a, b = sx[0] // n % 4, sy[0] // n % 4
+                side = min(a, b), max(a, b)
+                if side not in green:
+                    fa, fb = self.ends[side[0] % 2], self.ends[side[1] % 2]
+                    green[side] = (
+                        (phi * ((fa * fb) @ h)) @ phi.T if a // 2 == b // 2
+                        else phi @ (fb[:, None] * h * fa) @ phi.T)
+                block = green[side].T if a >= b else green[side]
+                cap[x, :, y] += np.einsum(
+                    "xy,xca,ycb->xayb", block[sx[:, None] % n, sy % n],
+                    cx.conj(), cy)
         cap = cap.reshape(count * rank, count * rank)
         cap[np.diag_indices_from(cap)] += 1
         return cap

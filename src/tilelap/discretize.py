@@ -93,7 +93,7 @@ class Discretization:
         """
         n, rank = self.n, self.bundle.rank
         v = np.arange(self.n_vertices).reshape(-1, n, n)  # [square, j, i]
-        self.side_vertex = np.stack([v[:, -1], v[:, :, -1], v[:, 0],
+        self.side_vertex = np.stack([v[:, -1], v[:, 0], v[:, :, -1],
                                      v[:, :, 0]], axis=1)
         # per seam: square and side index of its first and second side,
         # and whether it is a half-turn

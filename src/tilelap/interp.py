@@ -192,8 +192,8 @@ def linearize(disc, f):
     cells = g.reshape(-1, n, n, rank).swapaxes(1, 2)  # [square, i, j]
     ring = np.zeros((len(cells), n + 2, n + 2, rank), dtype=complex)
     ring[:, 1:-1, 1:-1] = cells
-    (ring[:, 1:-1, -1], ring[:, -1, 1:-1], ring[:, 1:-1, 0],
-     ring[:, 0, 1:-1]) = ghosts.swapaxes(0, 1)  # N E S W
+    (ring[:, 1:-1, -1], ring[:, 1:-1, 0], ring[:, -1, 1:-1],
+     ring[:, 0, 1:-1]) = ghosts.swapaxes(0, 1)  # N S E W
     grid = np.empty((len(cells), 2 * n + 1, 2 * n + 1, rank), dtype=complex)
     grid[:, 1::2, 1::2] = cells
     grid[:, ::2, 1::2] = 0.5 * (ring[:, :-1, 1:-1] + ring[:, 1:, 1:-1])

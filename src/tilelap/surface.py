@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-SIDES = ("N", "E", "S", "W")
+# rows (N at the top, S at the bottom), then columns (E, W)
+SIDES = ("N", "S", "E", "W")
 OPPOSITE = {"N": "S", "S": "N", "E": "W", "W": "E"}
 # chart position of each square corner, in the corners' scan order
 CORNER_XY = {"SW": (0, 0), "SE": (1, 0), "NE": (1, 1), "NW": (0, 1)}
@@ -262,12 +263,15 @@ def _parse_complex(token, lineno):
     if not t:
         raise SurfaceFormatError("line %d: empty complex entry" % lineno)
     try:
-        if t.endswith(("i", "I")):
-            return complex(t[:-1].replace("I", "j") + "j")
-        return complex(t)
+        value = complex(t[:-1].replace("I", "j") + "j"
+                        if t.endswith(("i", "I")) else t)
     except ValueError:
         raise SurfaceFormatError(
             "line %d: bad complex entry %r" % (lineno, token))
+    if not np.isfinite(value):
+        raise SurfaceFormatError(
+            "line %d: complex entry %r is not finite" % (lineno, token))
+    return value
 
 
 def parse_surface(text):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from tilelap import catalog
-from tilelap.bundle import FlatUnitaryBundle
+from tilelap.bundle import FLAT_TOL, FlatUnitaryBundle
 
 from conftest import random_unitary
 
@@ -50,6 +50,17 @@ def test_twisted_torus_is_flat():
 def test_nonunitary_transport_rejected():
     surf = catalog.torus()
     bundle = FlatUnitaryBundle(surf, 1, {0: np.array([[2.0]])})
+    with pytest.raises(ValueError):
+        bundle.validate()
+
+
+@pytest.mark.parametrize("entry", [np.nan, 1j * np.nan, np.inf])
+def test_non_finite_transport_fails_validate(entry):
+    # max(0.0, nan) is 0.0: a defect folded that way read 0 here
+    bundle = FlatUnitaryBundle(catalog.pillowcase(), 1,
+                               {2: np.array([[entry]])})
+    assert not bundle.unitarity_defect() <= FLAT_TOL
+    assert not bundle.cone_monodromy_defect() <= FLAT_TOL
     with pytest.raises(ValueError):
         bundle.validate()
 

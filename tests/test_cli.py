@@ -60,6 +60,23 @@ def test_validate_nonflat_bundle_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("entry", ["nan", "nanj", "1+nani", "-inf"])
+def test_non_finite_transport_exits_1(tmp_path, capsys, entry):
+    # a nan defect once passed validate's tolerance test, and LAPACK
+    # failed on it later; the parser names the line and the entry
+    text = catalog.pillowcase().to_text() + "rank: 1\n"
+    path = tmp_path / "nan.surf"
+    path.write_text(text + "transport: 2 %s\n" % entry)
+    for argv in (["validate"], ["barrier", "--n", "8"],
+                 ["spectrum", "--n", "4"], ["interp-check", "--ns", "4"]):
+        code = main(argv + ["--surface", str(path)])
+        captured = capsys.readouterr()
+        assert code == 1, argv
+        assert captured.out == ""
+        assert ("line %d: complex entry %r is not finite"
+                % (text.count("\n") + 1, entry)) in captured.err
+
+
 def test_nonflat_bundle_rejected_outside_validate(tmp_path, capsys):
     # only validate reports a bad bundle; every other command refuses it
     for name, text, message in (

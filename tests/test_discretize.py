@@ -6,7 +6,7 @@ import pytest
 from tilelap import catalog
 from tilelap.bundle import FlatUnitaryBundle
 from tilelap.discretize import Discretization
-from tilelap.surface import CORNER_XY
+from tilelap.surface import CORNER_XY, SIDES
 
 from conftest import halo, make_disc
 
@@ -49,7 +49,7 @@ def test_halfturn_seam_reverses_segments():
     rows = slice(2 * 4, 3 * 4)
     tails = sides[disc.seam_tails[rows]]
     heads = sides[disc.seam_heads[rows]]
-    south = halo(disc)[0][0, 2]
+    south = halo(disc)[0][0, SIDES.index("S")]
     for i in range(4):
         assert disc.vertex_cell(int(tails[i])) == (0, i, 0)
         assert disc.vertex_cell(int(heads[i])) == (1, 4 - 1 - i, 0)

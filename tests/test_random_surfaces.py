@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from tilelap import catalog, spectral
 from tilelap.bundle import FlatUnitaryBundle
 from tilelap.discretize import Discretization
 from tilelap.surface import (CCW_EXIT, OPPOSITE, SIDE_ENDS, SIDES,
@@ -19,7 +20,8 @@ def random_surface(rng):
     side: by a translation to an opposite label or by a half-turn to the
     same label (free when no such side is left)."""
     m = int(rng.integers(1, 6))
-    sides = [(q, s) for q in range(m) for s in SIDES]
+    # this listing order fixes which surface each seed draws
+    sides = [(q, s) for q in range(m) for s in "NESW"]
     used, gluings = set(), []
     for idx in rng.permutation(len(sides)):
         a = sides[idx]
@@ -174,3 +176,49 @@ def test_corner_table_matches_halo(block):
                         transports[at],
                         point.transports[k].conj().T
                         @ point.transports[k + 1], atol=1e-14), seed
+
+
+def origami_cover(rng):
+    """A translation origami of S = 1-5 squares from random permutations
+    r, u: (q, E) glued to (r(q), W) and (q, N) to (u(q), S); and the
+    one-square torus with the rank-S bundle of permutation matrices
+    P(r), P(u) across its E-W and N-S seams.  The origami's mesh is an
+    unbranched cover of the torus grid, so the two Laplacians have one
+    spectrum (Sunada, Ann. Math. 121, 1985)."""
+    squares = int(rng.integers(1, 6))
+    perm = {"E": rng.permutation(squares), "N": rng.permutation(squares)}
+    origami = SquareTiledSurface(squares, [
+        ((q, side), (int(perm[side][q]), OPPOSITE[side]), "translation")
+        for side in ("E", "N") for q in range(squares)])
+    torus = catalog.torus()
+    bundle = FlatUnitaryBundle(torus, squares, {
+        seam.index: np.eye(squares)[:, perm[seam.first[1]]]
+        for seam in torus.seams})
+    return FlatUnitaryBundle.trivial(origami), bundle
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_origami_spectrum_is_its_torus_bundle_lapack(n):
+    # the LAPACK route, all but one pair of the spectrum
+    for seed in SEEDS[:30]:
+        sides = []
+        for bundle in origami_cover(np.random.default_rng(seed)):
+            disc = Discretization(bundle.surface, bundle, n)
+            sides.append(spectral.mesh_eigenpairs(
+                disc, disc.n_vertices * bundle.rank - 1)[0])
+        assert np.abs(sides[0] - sides[1]).max() <= 1e-12, seed
+
+
+@pytest.mark.parametrize("n", [6, 7, 8])
+def test_origami_spectrum_is_its_torus_bundle_lanczos(n, lanczos_runs):
+    # the Lanczos route: many seam end groups in K on the origami side, a
+    # rank-S K on the torus side, and repeated values, up to 4 S-fold
+    for seed in SEEDS[n::10]:
+        sides = []
+        for bundle in origami_cover(np.random.default_rng(seed)):
+            runs = len(lanczos_runs)
+            disc = Discretization(bundle.surface, bundle, n)
+            sides.append(spectral.mesh_eigenpairs(disc, 8)[0])
+            assert len(lanczos_runs) > runs, seed
+        assert np.abs(sides[0] - sides[1]).max() <= 1e-10 * sides[0][-1], \
+            seed
