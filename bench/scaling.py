@@ -22,6 +22,12 @@ outside:
                 slows the timed call): the solver's own memory, which
                 the imports' share of peak RSS does not hide
 
+One more eigen case chains meshes of genus2 (``--chain``, default n = 64,
+128, 256, 512) in one interpreter: each mesh is handed the Ritz rows of
+the one before (the ``chain`` of ``spectral.mesh_eigenpairs``; a tree
+without it solves each mesh cold), and each reports its own eigen_s,
+solves and values.
+
 Every case reports its own peak RSS (``VmHWM``, before the traced call;
 a spawned process's ``ru_maxrss`` would start from this script's peak)
 and whether any scipy module was loaded.  Each case runs three
@@ -33,6 +39,7 @@ largest peak RSS, rounded up to a whole MB.
     python bench/scaling.py [--radii 64,128,256,512] [--src NAME=DIR ...]
                             [--out BENCH_scaling.json]
     python bench/scaling.py --mode eigen [--ns 32,64,128,256]
+                            [--chain 64,128,256,512]
                             [--src NAME=DIR ...] [--out BENCH_eigen.json]
 
 ``--src`` (repeatable) names the source trees to import tilelap from
@@ -139,22 +146,17 @@ def _eigen_input(name, transports):
                                       dict(enumerate(unitaries))), 12
 
 
-def run_eigen_case(name, n, transports):
-    """Measure one eigen case in this process; returns a dict."""
-    start = time.perf_counter()
+def _instrument(table, rank):
+    """Wrap the mesh solver's layers so that they add their seconds, and
+    the solves, to ``table``; returns the tilelap modules used."""
     from tilelap import capacitance, operators, spectral
-    from tilelap.discretize import Discretization
 
-    import_s = time.perf_counter() - start
-    surface, bundle, k = _eigen_input(name, transports)
-    table = dict.fromkeys(("setup_s", "solve_s", "post_s"), 0.0)
-    table.update(solves=0, size=0)
     cls = capacitance.SeamCapacitance
     init = cls.__init__
 
     def setup(self, disc, shift):
         init(self, disc, shift)
-        table["size"] = len(self.tail_slots) * bundle.rank
+        table["size"] = len(self.tail_slots) * rank
         table["shift"] = shift
 
     cls.__init__ = _timed(table, "setup_s", setup)
@@ -162,6 +164,20 @@ def run_eigen_case(name, n, transports):
     cls.to_vertices = _timed(table, "post_s", cls.to_vertices)
     operators.apply_laplacian = _timed(table, "post_s",
                                        operators.apply_laplacian)
+    return spectral
+
+
+def run_eigen_case(name, n, transports):
+    """Measure one eigen case in this process; returns a dict."""
+    start = time.perf_counter()
+    from tilelap import spectral
+    from tilelap.discretize import Discretization
+
+    import_s = time.perf_counter() - start
+    surface, bundle, k = _eigen_input(name, transports)
+    table = dict.fromkeys(("setup_s", "solve_s", "post_s"), 0.0)
+    table.update(solves=0, size=0)
+    _instrument(table, bundle.rank)
     start = time.perf_counter()
     disc = Discretization(surface, bundle, n)
     discretize_s = time.perf_counter() - start
@@ -181,6 +197,34 @@ def run_eigen_case(name, n, transports):
     result["eigen_peak_mb"] = tracemalloc.get_traced_memory()[1] / 2 ** 20
     tracemalloc.stop()
     return result
+
+
+def run_chain_case(surface, chain):
+    """Measure the chained eigen case in this process: the meshes of
+    ``chain`` solved in turn, each handed the Ritz rows of the one before
+    where the tree's mesh solver takes them; returns a dict."""
+    import inspect
+
+    from tilelap.discretize import Discretization
+
+    mesh_surface, bundle, k = _eigen_input(surface, None)
+    table = {"solve_s": 0.0, "setup_s": 0.0, "post_s": 0.0, "solves": 0}
+    spectral = _instrument(table, bundle.rank)
+    warm = "chain" in inspect.signature(spectral.mesh_eigenpairs).parameters
+    rows, meshes = [], []
+    for n in chain:
+        disc = Discretization(mesh_surface, bundle, n)
+        table["solves"] = 0
+        start = time.perf_counter()
+        vals, _ = (spectral.rescaled_spectrum(disc, k, chain=rows) if warm
+                   else spectral.rescaled_spectrum(disc, k))
+        meshes.append({"n": n, "eigen_s": time.perf_counter() - start,
+                       "solves": table["solves"],
+                       "values": [float(v) for v in vals]})
+    return {"surface": surface, "chain": chain, "k": k, "warm": warm,
+            "meshes": meshes, "eigen_s": sum(m["eigen_s"] for m in meshes),
+            "solves": sum(m["solves"] for m in meshes),
+            "peak_rss_mb": _peak_rss_mb(), "scipy": _scipy_loaded()}
 
 
 def _spawn(src, case):
@@ -207,6 +251,9 @@ def _measure(trees, cases, seconds, maxima, describe):
                 row[key] = statistics.median(r[key] for r in got)
             for key in maxima:
                 row[key] = max(r[key] for r in got)
+            for i, mesh in enumerate(row.get("meshes", ())):  # chained
+                mesh["eigen_s"] = statistics.median(
+                    r["meshes"][i]["eigen_s"] for r in got)
             row["scipy"] = any(r["scipy"] for r in got)
             row["runs"] = len(got)
             results[name].append(row)
@@ -219,6 +266,9 @@ def main(argv=None):
     parser.add_argument("--mode", choices=("green", "eigen"), default="green")
     parser.add_argument("--radii", default="64,128,256,512")
     parser.add_argument("--ns", default="32,64,128,256")
+    parser.add_argument("--chain", default="64,128,256,512",
+                        help="mesh sizes of the chained genus2 case ('' "
+                        "for none)")
     parser.add_argument("--src", action="append", metavar="NAME=DIR",
                         help="a source tree to measure (repeatable)")
     parser.add_argument("--out")
@@ -226,8 +276,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.case is not None:
         case = json.loads(args.case)
-        result = (run_case(case) if not isinstance(case, list)
-                  else run_eigen_case(*case))
+        result = (run_eigen_case(*case) if isinstance(case, list)
+                  else run_chain_case(**case) if isinstance(case, dict)
+                  else run_case(case))
         json.dump(result, sys.stdout)
         return
     trees = dict(s.split("=", 1) for s in args.src or
@@ -292,10 +343,24 @@ def main(argv=None):
                      "of the rescaled spectrum (a tree whose SHIFT is the "
                      "fixed sigma -0.01 uses that); each case records its "
                      "own sigma as shift"}
+        record["chained"] = "genus2, k = 6, the meshes of `chain` solved "\
+            "in turn in one interpreter, each handed the Ritz rows of the "\
+            "one before (warm) where the tree's mesh solver takes them; "\
+            "eigen_s and solves per mesh, eigen_s the median over runs"
+        chained = _measure(
+            trees, [{"surface": "genus2", "chain": [
+                int(n) for n in args.chain.split(",")]}] if args.chain
+            else [], ("eigen_s",), ("peak_rss_mb",),
+            lambda c: "%s chain %s, %s: %s; peak RSS %.1f MB" % (
+                c["surface"], c["chain"], "warm" if c["warm"] else "cold",
+                ", ".join("n = %d %d solves %.3f s" % (
+                    m["n"], m["solves"], m["eigen_s"]) for m in c["meshes"]),
+                c["peak_rss_mb"]))
         last = results[list(trees)[-1]]
         record["peak_rss_ceiling_mb"] = {
             "%s n=%d" % (c["surface"], c["n"]):
             math.ceil(1.1 * c["peak_rss_mb"]) for c in last}
+        record["chain_results"] = chained
     record["machine"] = machine
     record["results"] = results
     out = args.out or os.path.join(ROOT, "BENCH_scaling.json"

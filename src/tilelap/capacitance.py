@@ -25,7 +25,7 @@ and m = (number of seams) n r.
 
 import numpy as np
 
-from .lapack import lower_inverse
+from .lapack import lower_inverse, negative_count
 from .operators import _block_matrix, laplacian_blocks
 
 # the kernel of the square graph: eigenvalues below this count as zero
@@ -63,7 +63,8 @@ class SeamCapacitance:
     ``apply`` takes and returns (b, dim) blocks of such coordinates, and
     ``shifted`` applies A - shift I itself; ``to_vertices`` converts them
     to the Laplacian's vertex ordering (an orthogonal map, so its
-    transpose converts back).  ``kernel`` is a (dim, kernel size)
+    transpose converts back).  ``count_below`` counts the eigenvalues of
+    A below a point.  ``kernel`` is a (dim, kernel size)
     orthonormal basis of the kernel of A, supported on the constant mode
     (q, p) = (0, 0) of each square.
     """
@@ -75,8 +76,8 @@ class SeamCapacitance:
         self.dim = squares * rank * n * n
         self.dtype = disc.transports.dtype
         self.shift = shift
-        self.phi, lam = dct_basis(n)
-        self.inv_m = 1.0 / (lam[:, None] + lam - shift)
+        self.phi, self.lam = dct_basis(n)
+        self.inv_m = 1.0 / (self.lam[:, None] + self.lam - shift)
         # rows of Phi at the two ends, cells n - 1 and 0
         self.ends = self.phi[[n - 1, 0]]
         # a flat section with constant c_q on square q has cosine
@@ -90,14 +91,17 @@ class SeamCapacitance:
         self.transports = disc.seam_transports
         # K^-1 = L^-* L^-1 from the Cholesky factor L of K: an explicit
         # inverse of K would cost its condition number in accuracy
-        self.half_inv = lower_inverse(np.linalg.cholesky(self._capacitance()))
+        self.half_inv = lower_inverse(np.linalg.cholesky(
+            self._capacitance(self.inv_m)))
 
     # ---- setup ---------------------------------------------------------
 
-    def _capacitance(self):
-        """K = I + W* M^-1 W, (m r) square: for edges e, f and ends x of e,
-        y of f, the side Green value G(x, y) times C_x* C_y, with C = I at
-        a tail and -U* at a head.  Ends in different squares see 0, and the
+    def _capacitance(self, h):
+        """K = I + W* M^-1 W, (m r) square, for M = D - s I at a shift s
+        off the spectrum of D, given as the factors ``h`` = H[q, p] =
+        1/(lambda_q + lambda_p - s) of M^-1: for edges e, f and ends x of
+        e, y of f, the side Green value G(x, y) times C_x* C_y, with C = I
+        at a tail and -U* at a head.  Ends in different squares see 0, and the
         n tails of a seam lie on one side, as do its n heads; so each two
         such end groups in one square add, in place, an n x n block of
         edges, tails before heads at both ends.
@@ -108,7 +112,7 @@ class SeamCapacitance:
         Phi X Phi^T with X = H scaled by the two fixed rows of Phi.  H is
         symmetric, so columns behave as rows.  Each block of sides a <= b
         is made once; sides a >= b read its transpose."""
-        phi, h = self.phi, self.inv_m
+        phi = self.phi
         count, rank, n = len(self.tail_slots), self.shape[1], self.shape[2]
         eye = np.broadcast_to(np.eye(rank), self.transports.shape)
         heads = -self.transports.conj().transpose(0, 2, 1)
@@ -135,6 +139,18 @@ class SeamCapacitance:
         cap = cap.reshape(count * rank, count * rank)
         cap[np.diag_indices_from(cap)] += 1
         return cap
+
+    def count_below(self, tau):
+        """The number of eigenvalues of A below ``tau``, a point off the
+        spectra of A and D, by Haynsworth's inertia additivity (Linear
+        Algebra Appl. 1, 1968): [[M, W], [W*, -I]], M = D - tau I, has
+        the Schur complements A - tau I and -K_tau, K_tau = I + W* M^-1 W
+        (built by the code that builds K), so that neg(A - tau I) =
+        neg(M) - neg(K_tau), and neg(M) is S r times the count of
+        lambda_q + lambda_p below tau."""
+        modes = self.lam[:, None] + self.lam
+        below = self.shape[0] * self.shape[1] * np.count_nonzero(modes < tau)
+        return below - negative_count(self._capacitance(1.0 / (modes - tau)))
 
     # ---- coordinates ---------------------------------------------------
 

@@ -128,12 +128,16 @@ def _source(text):
     return a, b
 
 
-def _eigen_solve(surface, bundle, k, seed, vectors, n):
+def _eigen_solve(surface, bundle, k, seed, vectors, n, chain=None):
     from . import spectral
     from .discretize import Discretization
 
     disc = Discretization(surface, bundle, n)
-    vals, vecs = spectral.rescaled_spectrum(disc, k, seed=seed)
+    try:
+        vals, vecs = spectral.rescaled_spectrum(disc, k, seed=seed,
+                                                chain=chain)
+    except spectral.InertiaMismatch as exc:
+        raise ToleranceFailure(str(exc)) from None
     return (disc, vals, vecs) if vectors else (None, vals, None)
 
 
@@ -149,6 +153,8 @@ def _eigen_sweep(surface, bundle, ns, k, seed, flag, jobs=1, vectors=True):
     naming the flag at fault: the eigensolver needs k < dim, and meshes
     only grow along --ns.  Each mesh is solved by
     ``spectral.mesh_eigenpairs``, which picks LAPACK or Lanczos for it.
+    Solved in order, each mesh hands its Ritz rows to the next (the
+    ``chain`` of ``mesh_eigenpairs``); the workers' meshes start cold.
     """
     dim = surface.n_squares * ns[0] ** 2 * bundle.rank
     if k >= dim:
@@ -161,7 +167,12 @@ def _eigen_sweep(surface, bundle, ns, k, seed, flag, jobs=1, vectors=True):
         with Pool(min(jobs, len(ns))) as pool:
             yield from pool.imap(solve, ns)
     else:
-        yield from map(solve, ns)
+        chain = []
+        for n in ns:
+            solved = solve(n, chain=chain)
+            if n == ns[-1]:
+                chain.clear()  # no mesh follows
+            yield solved
 
 
 def _rectangle(surface, command):

@@ -14,7 +14,7 @@ import numpy as np
 # LAPACKE routines, without the precision letter, by argument kinds after
 # the matrix layout: c char, i 64-bit integer, d double, p array pointer
 PROTOTYPES = {"syevr": "cccipiddiidpppip", "heevr": "cccipiddiidpppip",
-              "pbsv": "ciiipipi", "trtri": "ccipi"}
+              "pbsv": "ciiipipi", "trtri": "ccipi", "sytrf": "cipip"}
 KINDS = {"c": ctypes.c_char, "i": ctypes.c_int64, "d": ctypes.c_double,
          "p": ctypes.c_void_p}
 COL_MAJOR = 102  # the matrix layout argument for column-major arrays
@@ -138,3 +138,39 @@ def lower_inverse(lower):
              max(1, len(inv))):
         raise RuntimeError("LAPACK ?trtri failed")
     return inv
+
+
+def negative_count(sym):
+    """The number of negative eigenvalues of a real symmetric or complex
+    Hermitian array, by Sylvester's law of inertia from the D of its
+    Bunch-Kaufman factorization P L D L^T P^T (?sytrf, in the place of a
+    C-contiguous float ``sym``): its 1 x 1 blocks and the eigenvalues of
+    its 2 x 2 blocks.  A Hermitian X + iY is counted as the real
+    symmetric [[X, -Y], [Y, X]], whose eigenvalues are its own, each
+    twice.  numpy's ``eigvalsh`` where numpy has no OpenBLAS."""
+    sytrf = _lapacke("dsytrf")
+    if sytrf is None:
+        return int(np.count_nonzero(np.linalg.eigvalsh(sym) < 0))
+    twice = np.iscomplexobj(sym)
+    if twice:
+        sym = np.block([[sym.real, -sym.imag], [sym.imag, sym.real]])
+    sym = np.ascontiguousarray(sym, float)
+    dim = len(sym)
+    pivots = np.empty(dim, np.int64)
+    # the column-major reading is sym^T = sym; its lower triangle holds L
+    # and D, whose (k + 1, k) entry is sym[k, k + 1] here
+    with one_blas_thread():
+        if sytrf(COL_MAJOR, b"L", dim, sym.ctypes.data, max(1, dim),
+                 pivots.ctypes.data):
+            raise RuntimeError("LAPACK dsytrf failed")
+    diag, off = sym.diagonal().tolist(), sym.diagonal(1).tolist()
+    pivots, count, k = pivots.tolist(), 0, 0
+    while k < dim:
+        if pivots[k] > 0:  # a 1 x 1 block
+            count += diag[k] < 0
+            k += 1
+        else:  # a 2 x 2 block, rows k and k + 1
+            det = diag[k] * diag[k + 1] - off[k] ** 2
+            count += 1 if det < 0 else 2 * (diag[k] < 0)
+            k += 2
+    return count // 2 if twice else count

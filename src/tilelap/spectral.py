@@ -42,10 +42,18 @@ GATE_MARGIN = 1e-3
 # round-off) is judged against the matrix scale
 RESIDUAL_TOL = 1e-8
 ZERO_SCALE = 1e-6
+# the inertia count of a warm-started mesh slices the spectrum at most
+# this share below the last cluster of values that block Lanczos returned
+CERTIFY_GAP = 1e-6
 # eigenvalue_groups joins values closer than these
 GROUP_REL_TOL, GROUP_ABS_TOL = 1e-6, 1e-9
 # richardson_extrapolate looks for the convergence order in this interval
 ORDER_BRACKET = (0.5, 8.0)
+
+
+class InertiaMismatch(RuntimeError):
+    """An inertia count that finds an eigenvalue which the mesh solver
+    missed, also after its cold repair."""
 
 
 def _check_residuals(vals, residuals, norm1):
@@ -95,10 +103,10 @@ def _orthonormalize(w, against, floor, stream):
     column form W = Q B, and the number of rows in q drawn from
     ``stream``.  Two Cholesky QR passes (Fukaya, Nakatsukasa, Yanagisawa
     & Yamamoto, 2014) when the Gram matrix is well conditioned; the
-    second writes q over ``w``.  Otherwise rows are taken one by one,
-    projected twice: a row left below ``floor``, or below 1e-8 of the
-    largest row, spans nothing reliable (an invariant subspace was found)
-    and gives way to a row of the stream, as long as the space has
+    second writes q over ``w``.  Otherwise rows are taken one by one into
+    one block, projected twice: a row left below ``floor``, or below 1e-8
+    of the largest row, spans nothing reliable (an invariant subspace was
+    found) and gives way to a row of the stream, as long as the space has
     room."""
     q, lower = w, np.eye(len(w))
     for second in (False, True):  # W = Q R, R = (L1 L2)*, L the factors
@@ -115,29 +123,36 @@ def _orthonormalize(w, against, floor, stream):
         lower = lower @ chol
     else:
         return q, _conj(lower).T, 0
-    found = np.empty((0, w.shape[1]), w.dtype)
+    del q  # the first pass's rows, if any: the fallback starts from w
+    found = np.empty(w.shape, w.dtype)
     small = max(floor, 1e-8 * np.linalg.norm(w, axis=1).max())
+    spanned = 0
     for x in w:
-        found = _grow(found, x, against, small)
-    spanned = len(found)
-    for _ in range(len(w) - spanned):
+        spanned = _grow(found, spanned, x, against, small)
+    count = spanned
+    while count < len(w):
         x = stream.rows(1, w.shape[1], w.dtype)[0]
-        grown = _grow(found, x, against, 1e-8 * np.linalg.norm(x))
-        if len(grown) == len(found):  # the space is spanned
-            break
-        found = grown
-    return found, _conj(found) @ w.T, len(found) - spanned
+        if _grow(found, count, x, against, 1e-8 * np.linalg.norm(x)) == count:
+            break  # the space is spanned
+        count += 1
+    found = found[:count]
+    return found, _conj(found) @ w.T, count - spanned
 
 
-def _grow(found, x, against, small):
-    """``found`` and one more orthonormal row: x projected twice off
-    ``against`` and ``found``, if more than ``small`` of it is left."""
-    x = x[None].astype(found.dtype)
+def _grow(found, count, x, against, small):
+    """Write x, projected twice off ``against`` and the first ``count``
+    (orthonormal) rows of ``found``, as row ``count``, normalized, if more
+    than ``small`` of it is left; returns the new count of rows."""
+    row = found[count:count + 1]
+    row[0] = x
     for _ in range(2):
-        for rows in against + [found]:
-            _project_off(x, rows)
-    norm = np.linalg.norm(x)
-    return np.concatenate([found, x / norm]) if norm > small else found
+        for rows in against + [found[:count]]:
+            _project_off(row, rows)
+    norm = np.linalg.norm(row)
+    if norm <= small:
+        return count
+    row /= norm
+    return count + 1
 
 
 def _norms_within(coef, rows, bounds):
@@ -156,7 +171,30 @@ def _rotate(rows, coef, hi):
         rows[:len(coef), cols] = coef @ rows[:hi, cols]
 
 
-def _block_lanczos(solver, k, block, gate, stream):
+def _start_block(solver, block, chain, stream):
+    """The first Lanczos block, (block, dim): the leading rows that
+    ``chain`` holds, cosine coordinates of a mesh of the same surface and
+    bundle, as many as fit, then rows of ``stream``.  The rows are taken
+    out of ``chain``, so that they are freed once copied.  DCT-II mode p
+    samples cos(pi p x) at the cell centres of every n, so a row's (q, p)
+    modes of each square and component go to the low corner of this
+    mesh's, cut where this mesh is the smaller."""
+    if not chain:
+        return stream.rows(block, solver.dim, solver.dtype)
+    warm = chain.pop()
+    count = min(block, len(warm))
+    start = np.zeros((block,) + solver.shape, solver.dtype)
+    squares, rank, n, _ = solver.shape
+    side = math.isqrt(warm.shape[1] // (squares * rank))
+    coarse = warm[:count].reshape(count, squares, rank, side, side)
+    cut = min(n, coarse.shape[-1])
+    start[:count, :, :, :cut, :cut] = coarse[..., :cut, :cut]
+    start = start.reshape(block, -1)
+    start[count:] = stream.rows(block - count, solver.dim, solver.dtype)
+    return start
+
+
+def _block_lanczos(solver, k, block, gate, stream, chain=None):
     """The k lowest eigenpairs of A off its kernel, by block Lanczos on
     the shift-inverted operator T = (A - sigma I)^-1 of ``solver`` (a
     `capacitance.SeamCapacitance`, sigma its ``shift``), with full
@@ -173,6 +211,8 @@ def _block_lanczos(solver, k, block, gate, stream):
     BLAS-3 products) and off the kernel; :func:`_orthonormalize` makes
     the next block of the rest.  When that block would not fit, the
     k + LANCZOS_KEEP blocks of leading Ritz vectors become the basis.
+    The first block is the rows that ``chain`` holds, as many as fit,
+    then rows of ``stream`` (:func:`_start_block`).
 
     A Ritz pair (theta, y) has T-residual Q B s, for the next block Q,
     the coupling B and the newest block s of y's coefficients, so its
@@ -191,7 +231,7 @@ def _block_lanczos(solver, k, block, gate, stream):
     proj = np.zeros((cap, cap), solver.dtype)
     # |T| is at most 1 / |sigma|: directions below this are round-off
     floor = 1e-14 / -shift
-    start = stream.rows(block, dim, solver.dtype)
+    start = _start_block(solver, block, chain, stream)
     _project_off(start, kernel)
     q, _, _ = _orthonormalize(start, [kernel], floor, stream)
     # the image of block lo:hi is coupled to rows near:hi only
@@ -219,7 +259,7 @@ def _block_lanczos(solver, k, block, gate, stream):
                     or (-shift * resid <= target).all() and _norms_within(
                         coef.T, solver.shifted(q), target)):
                 ritz = vecs[:, :k].T @ rows[:hi]
-                del basis, rows  # freed before the refinement's solves
+                del basis, rows, q  # freed before the refinement's solves
                 return _refine(solver, ritz, stream)
             if hi + len(q) > cap:  # thick restart
                 keep = k + LANCZOS_KEEP * block
@@ -251,7 +291,49 @@ def _refine(solver, ritz, stream):
     return solver.shift + vals, vecs.T @ q
 
 
-def mesh_eigenpairs(disc, k, seed=0):
+def _lanczos_pairs(solver, k, gate, seed, chain=None):
+    """The k lowest eigenvalues of A (the exact kernel's zeros first) and
+    the rows, in cosine coordinates, of the vectors past the kernel: by
+    :func:`_block_lanczos` from the rows that ``chain`` holds and a stream
+    of ``seed``, block LANCZOS_BLOCK, run again with the block doubled
+    (and the stream's start) while a group of equal values fills a block
+    smaller than the count wanted."""
+    size, block = min(k, solver.kernel.shape[1]), LANCZOS_BLOCK
+    vals = np.zeros(k)
+    while k > size:
+        vals[size:], rows = _block_lanczos(solver, k - size, block, gate,
+                                           SplitMix64(seed), chain)
+        # the Krylov space of a block holds at most that many members of
+        # a multiple eigenvalue: a group as large may have more, unless
+        # the block holds as many vectors as values are wanted
+        if block >= k - size or max(map(
+                len, eigenvalue_groups(vals[size:]))) < block:
+            return vals, rows
+        del rows
+        block *= 2
+    return vals, np.empty((0, solver.dim), solver.dtype)
+
+
+def _certified(solver, vals):
+    """Whether A has no eigenvalue below the last cluster of ``vals``
+    (ascending; clusters of the rescaled values n^2 lambda, as
+    :func:`eigenvalue_groups` finds them) that ``vals`` lacks.
+    `capacitance.SeamCapacitance.count_below` counts A's eigenvalues
+    below a point tau under that cluster, at most CERTIFY_GAP of its
+    least value and half the gap to the value below it: the middle of
+    the widest gap that D's spectrum leaves there, so that D - tau I is
+    as far from singular as the interval allows."""
+    first = eigenvalue_groups(solver.shape[-1] ** 2 * vals)[-1][0]
+    low = max(vals[first - 1] if first else 0.0,
+              vals[first] * (1 - 2 * CERTIFY_GAP))
+    modes = np.add.outer(solver.lam, solver.lam).ravel()  # D's spectrum
+    cuts = np.sort(np.concatenate([
+        [low, vals[first]], modes[(low < modes) & (modes < vals[first])]]))
+    widest = np.argmax(np.diff(cuts))
+    return solver.count_below(cuts[widest:widest + 2].mean()) == first
+
+
+def mesh_eigenpairs(disc, k, seed=0, chain=None):
     """The k smallest eigenpairs of a discretization's Laplacian A: the
     exact kernel, then the rest by LAPACK or by block Lanczos, whichever
     is faster for the mesh.
@@ -263,17 +345,26 @@ def mesh_eigenpairs(disc, k, seed=0):
     min(LANCZOS_BLOCK, k) vectors, would fill LANCZOS_SHARE of the
     dimension or more, :func:`lowest_eigenpairs` solves the dense
     Laplacian and its round-off kernel pairs give way to the exact ones.
-    Otherwise, on the kernel's complement, :func:`_block_lanczos` (block
-    LANCZOS_BLOCK, seeded start; run again with the block doubled while a
-    group of equal values fills a block smaller than the count wanted)
-    runs on (A - sigma I)^-1, sigma = SHIFT / n^2, applied by
+    Otherwise, on the kernel's complement, :func:`_lanczos_pairs` runs
+    block Lanczos on (A - sigma I)^-1, sigma = SHIFT / n^2, applied by
     `capacitance.SeamCapacitance` in cosine coordinates, until its
     residuals pass GATE_MARGIN times the gate of :func:`_check_residuals`;
-    only the k vectors return to vertex order.  Returns (values, vectors,
-    residuals) as :func:`lowest_eigenpairs` does, with the same gate, the
-    residuals taken by `operators.apply_laplacian`: of every pair on the
-    Lanczos route, of the exact kernel pairs only on the LAPACK route,
-    where :func:`lowest_eigenpairs` has taken the others.
+    only the k vectors return to vertex order.
+
+    ``chain``, a list that the meshes of one sweep share in increasing n,
+    hands Ritz rows on (nested iteration: Brandt, Math. Comp. 31, 1977):
+    a mesh takes the rows that the mesh before it left there, and a
+    Lanczos mesh leaves its own, the cosine coordinates of its vectors
+    past the kernel.  A Lanczos mesh that takes rows starts from them,
+    and its values must pass :func:`_certified`; if they do not, the mesh
+    is solved again from the stream alone, and a second failure raises
+    InertiaMismatch.  Without ``chain`` every start is the stream's.
+
+    Returns (values, vectors, residuals) as :func:`lowest_eigenpairs`
+    does, with the same gate, the residuals taken by
+    `operators.apply_laplacian`: of every pair on the Lanczos route, of
+    the exact kernel pairs only on the LAPACK route, where
+    :func:`lowest_eigenpairs` has taken the others.
     """
     from .capacitance import SeamCapacitance, square_kernel
     from .operators import apply_laplacian, laplacian
@@ -289,9 +380,14 @@ def mesh_eigenpairs(disc, k, seed=0):
         return np.array([np.linalg.norm(apply_laplacian(disc, v) - lam * v)
                          for lam, v in zip(vals, vecs.T)])
 
+    def gate(lam):
+        return GATE_MARGIN * RESIDUAL_TOL * max(lam.max(), ZERO_SCALE * norm1)
+
     if k + LANCZOS_BASIS * min(LANCZOS_BLOCK, k) >= LANCZOS_SHARE * dim:
         # lowest_eigenpairs has checked its residuals; only the exact
         # kernel vectors put in for its round-off ones need theirs
+        if chain is not None:
+            chain.clear()  # the mesh before's rows: this route takes none
         vals, vecs, res = lowest_eigenpairs(laplacian(disc), k)
         # the constant c_q of square q on each of its n^2 vertices
         null = square_kernel(disc)[:, :k] / disc.n
@@ -303,34 +399,30 @@ def mesh_eigenpairs(disc, k, seed=0):
     else:
         with lapack.one_blas_thread():
             solver = SeamCapacitance(disc, SHIFT / disc.n ** 2)
-            vecs = solver.kernel[:, :k].T
-            vals = np.zeros(k)
-            block = LANCZOS_BLOCK
-            while k > len(vecs):
-                wanted = k - len(vecs)
-                vals[len(vecs):], ritz = _block_lanczos(
-                    solver, wanted, block,
-                    lambda lam: GATE_MARGIN * RESIDUAL_TOL * max(
-                        lam.max(), ZERO_SCALE * norm1),
-                    SplitMix64(seed))
-                # the Krylov space of a block holds at most that many
-                # members of a multiple eigenvalue: a group as large may
-                # have more, unless the block holds as many vectors as
-                # values are wanted
-                if block >= wanted or max(map(
-                        len, eigenvalue_groups(vals[len(vecs):]))) < block:
-                    vecs = np.concatenate([vecs, ritz])
-                block *= 2
-            vecs = solver.to_vertices(vecs)
+            warm = bool(chain)
+            vals, rows = _lanczos_pairs(solver, k, gate, seed, chain)
+            if warm and len(rows) and not _certified(solver, vals):
+                del rows  # freed before the repair
+                vals, rows = _lanczos_pairs(solver, k, gate, seed)
+                if not _certified(solver, vals):
+                    raise InertiaMismatch(
+                        "the n = %d mesh has eigenvalues below its last "
+                        "returned cluster that block Lanczos missed"
+                        % disc.n)
+            if chain is not None:  # a start needs directions, not digits
+                chain[:] = [rows.astype(np.complex64 if np.iscomplexobj(rows)
+                                        else np.float32)]
+            vecs = solver.to_vertices(np.concatenate(
+                [solver.kernel[:, :k].T, rows]))
         res = residuals(vals, vecs)
     _check_residuals(vals, res, norm1)
     return vals, vecs, res
 
 
-def rescaled_spectrum(disc, k, seed=0):
+def rescaled_spectrum(disc, k, seed=0, chain=None):
     """First k eigenvalues of n^2 * Delta_n, plus the eigenvectors, by
     :func:`mesh_eigenpairs`."""
-    vals, vecs, _ = mesh_eigenpairs(disc, k, seed=seed)
+    vals, vecs, _ = mesh_eigenpairs(disc, k, seed=seed, chain=chain)
     return disc.n ** 2 * vals, vecs
 
 

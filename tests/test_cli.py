@@ -300,6 +300,39 @@ def test_converge_parallel_matches_serial(capsys):
     assert out1 == out2
 
 
+def test_parallel_sweep_starts_cold_and_matches_serial(monkeypatch):
+    # the serial sweep starts each Lanczos mesh from the one below and
+    # certifies it; the workers of --jobs 2 start cold; the values agree
+    # to 1e-12 relative
+    from tilelap import cli, spectral
+
+    certified, count = [], spectral._certified
+
+    def counted(*args):
+        certified.append(count(*args))
+        return certified[-1]
+
+    monkeypatch.setattr(spectral, "_certified", counted)
+    surface, bundle = cli._load("genus2")
+    found = []
+    for jobs in (1, 2):
+        found.append([vals for _, vals, _ in cli._eigen_sweep(
+            surface, bundle, [32, 48, 64], 6, 0, "--k", jobs, False)])
+    assert certified == [True, True]
+    for serial, parallel in zip(*found):
+        assert np.all(np.abs(serial - parallel) <= 1e-12 * parallel)
+
+
+def test_inertia_mismatch_exits_2(capsys, monkeypatch):
+    # a warm mesh whose inertia count fails, also after the cold repair,
+    # is a tolerance failure
+    from tilelap import spectral
+
+    monkeypatch.setattr(spectral, "_certified", lambda *args: False)
+    assert main(["converge", "--surface", "genus2", "--ns", "16,24"]) == 2
+    assert "n = 24 mesh has eigenvalues below" in capsys.readouterr().err
+
+
 def test_converge_starts_no_idle_workers(capsys, monkeypatch):
     # --jobs above the number of meshes asks for one worker per mesh
     import multiprocessing

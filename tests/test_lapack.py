@@ -46,18 +46,39 @@ def _same_inverses(found, again):
         assert np.abs(again_inv - inv).max() <= 1e-12 * np.abs(inv).max()
 
 
+def _inertias():
+    # the negative count of K_tau for each mesh at three shifts tau, and
+    # of its dense eigenvalues
+    found = []
+    for disc in _meshes():
+        solver = capacitance.SeamCapacitance(disc, -1 / 64)
+        for tau in (0.05, 0.2, 0.6):
+            cap = solver._capacitance(1 / (
+                solver.lam[:, None] + solver.lam - tau))
+            found.append((lapack.negative_count(cap.copy()),
+                          np.count_nonzero(np.linalg.eigvalsh(cap) < 0)))
+    return found
+
+
+def _same_inertias(found, again):
+    assert found == again
+    assert all(count == dense for count, dense in found)
+    assert len({dense for _, dense in found}) > 1
+
+
 # routine: its LAPACKE names, a computation that calls it, and the check
 # that the computation's results with and without LAPACK agree
 FALLBACKS = {"syevr": (("dsyevr", "zheevr"), _eigenpairs, _same_eigenpairs),
              "pbsv": (("dpbsv",), _greens, _same_greens),
              "lower_inverse": (("dtrtri", "ztrtri"), _half_inverses,
-                               _same_inverses)}
+                               _same_inverses),
+             "sytrf": (("dsytrf",), _inertias, _same_inertias)}
 
 
 @pytest.mark.parametrize("routine", list(FALLBACKS))
 def test_fallback_matches_lapack(monkeypatch, routine):
     # where numpy bundles no OpenBLAS, each routine takes its fallback:
-    # numpy's eigh, scipy's solveh_banded, numpy's inv
+    # numpy's eigh, scipy's solveh_banded, numpy's inv, numpy's eigvalsh
     if lapack._openblas() is None:
         pytest.skip("numpy does not bundle OpenBLAS")
     names, compute, check = FALLBACKS[routine]
@@ -73,3 +94,20 @@ def test_lapacke_binds_only_listed_routines():
     # routine would be called with the wrong arguments
     with pytest.raises(KeyError):
         lapack._lapacke("dpotrf")
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_negative_count_of_known_spectra(dtype):
+    # Q diag(d) Q* for a random unitary Q and entries |d| in (1e-9, 3),
+    # none to all of them negative: the Bunch-Kaufman count is exact
+    rng = np.random.default_rng(4)
+    for size in (1, 2, 7, 40):
+        for negative in sorted({0, 1, size // 2, size}):
+            d = rng.uniform(1e-9, 3.0, size)
+            d[:negative] *= -1
+            q = np.linalg.qr(rng.standard_normal((size, size))
+                             + (1j * rng.standard_normal((size, size))
+                                if dtype is complex else 0))[0]
+            sym = (q * d) @ q.conj().T
+            sym = (sym + sym.conj().T) / 2
+            assert lapack.negative_count(sym.astype(dtype)) == negative

@@ -437,3 +437,161 @@ def test_mesh_solver_peak_memory(case, n, k):
             < spectral.LANCZOS_SHARE * dim)
     blocks = (peak - basis - factor) / (block * dim * item)
     assert blocks <= PEAK_BLOCKS, blocks
+
+
+@pytest.mark.parametrize("case", ["genus2", "pillowcase", "lshape", "rank2"])
+def test_inertia_count_matches_dense_count(case):
+    # Haynsworth's count of eigenvalues below tau, from K_tau, against a
+    # dense eigvalsh count: at random tau, and at tau 1e-4 and 1e-8 of a
+    # value away from it on either side; real meshes and a complex one
+    rng = np.random.default_rng(1)
+    for n in (8, 12, 16):
+        disc = (twisted_rank2_torus(n, seed=0) if case == "rank2"
+                else make_disc(case, n))
+        vals = np.linalg.eigvalsh(np.asarray(operators.laplacian(disc)))
+        solver = capacitance.SeamCapacitance(disc, spectral.SHIFT / n ** 2)
+        near = np.outer(vals[[1, 3, 7]], 1 + np.array([-1e-4, 1e-4, -1e-8,
+                                                        1e-8]))
+        for tau in np.concatenate([rng.uniform(0.003, 0.4, 8), near.ravel()]):
+            assert solver.count_below(tau) == np.count_nonzero(vals < tau)
+
+
+def _twisted_tori(seed):
+    """The seeded rank-1 and rank-2 flat bundles on the torus that the
+    benchmark's `twisted` workload draws for ``seed``: commuting
+    holonomies V diag(e^{i alpha}) V*, V diag(e^{i beta}) V*, and a
+    rank-1 twist."""
+    rng = np.random.default_rng(seed)
+    angles = rng.uniform(0.0, 2 * np.pi, size=(3, 2))
+    q, r = np.linalg.qr(rng.standard_normal((2, 2))
+                        + 1j * rng.standard_normal((2, 2)))
+    v = q * (np.diag(r) / np.abs(np.diag(r)))
+    surf = catalog.torus()
+    rank2 = FlatUnitaryBundle(surf, 2, {
+        0: v @ np.diag(np.exp(1j * angles[:2, 0])) @ v.conj().T,
+        1: v @ np.diag(np.exp(1j * angles[:2, 1])) @ v.conj().T})
+    rank1 = FlatUnitaryBundle.twisted_torus(surf, *angles[2])
+    return rank1, rank2
+
+
+def _certificates(monkeypatch):
+    """A list to which each inertia count of a warm-started mesh appends
+    whether the mesh passed it."""
+    found, certified = [], spectral._certified
+
+    def counted(*args):
+        found.append(bool(certified(*args)))
+        return found[-1]
+
+    monkeypatch.setattr(spectral, "_certified", counted)
+    return found
+
+
+@pytest.mark.parametrize("case, ns, k, warm", [
+    ("genus2", (32, 48, 64), 6, 2), ("pillowcase", (32, 48, 64), 6, 2),
+    ("lshape", (32, 48, 64), 6, 2), ("rectangle2x1", (32, 48, 64), 6, 2),
+    *[("%s-seed%d" % (rank, seed), ns, 12, 1) for seed in (1, 2, 5)
+      for rank, ns in (("rank1", (16, 32, 48)), ("rank2", (12, 16, 20)))]])
+def test_chained_values_equal_cold_values(monkeypatch, case, ns, k, warm):
+    # a sweep whose Lanczos meshes start from the mesh below returns the
+    # values of cold starts: the `sweep` surfaces, and the `twisted`
+    # tori, whose first mesh takes LAPACK (and the next one starts cold)
+    if "-seed" in case:
+        rank, seed = case.split("-seed")
+        bundle = _twisted_tori(int(seed))[rank == "rank2"]
+        discs = [Discretization(bundle.surface, bundle, n) for n in ns]
+    else:
+        discs = [make_disc(case, n) for n in ns]
+    certified, chain = _certificates(monkeypatch), []
+    for disc in discs:
+        chained = spectral.mesh_eigenpairs(disc, k, chain=chain)[0]
+        cold = spectral.mesh_eigenpairs(disc, k)[0]
+        assert np.all(np.abs(chained - cold) <= 1e-12 * np.abs(cold))
+    assert certified == [True] * warm
+
+
+class _Blind:
+    """A shift-invert solver whose inverse neither sees nor gives the
+    direction of the unit row ``hidden``: block Lanczos on it skips that
+    eigenvector's value."""
+
+    def __init__(self, solver, hidden):
+        self.solver, self.hidden = solver, hidden
+
+    def __getattr__(self, name):
+        return getattr(self.solver, name)
+
+    def _off(self, z):
+        return z - np.outer(z @ self.hidden.conj(), self.hidden)
+
+    def apply(self, z):
+        return self._off(self.solver.apply(self._off(z)))
+
+
+@pytest.mark.parametrize("name", ["genus2", "pillowcase"])
+def test_warm_start_that_skips_a_value_is_repaired(monkeypatch, name):
+    # the warm start block of the n = 32 mesh is the n = 16 mesh's rows
+    # with the lowest wanted eigenvector v of the n = 32 mesh projected
+    # out (on the pillowcase, v is one member of the 2-fold 9.8617).  That
+    # alone does not make block Lanczos skip v: round-off brings it back
+    # within the run, so the warm run's inverse is also made blind to v.
+    # The inertia count finds the skipped value, and the repair, a cold
+    # run, returns the cold values.
+    disc, k = make_disc(name, 32), 6
+    cold, chain = spectral.mesh_eigenpairs(disc, k)[0], []
+    spectral.mesh_eigenpairs(disc, k, chain=chain)
+    hidden = chain.pop()[0]
+    spectral.mesh_eigenpairs(make_disc(name, 16), k, chain=chain)
+    squares = disc.surface.n_squares
+    coarse = chain[0].reshape(-1, squares, 16, 16)
+    warm = np.zeros((len(coarse), squares, 32, 32))
+    warm[..., :16, :16] = coarse
+    warm = warm.reshape(len(coarse), -1)
+    warm -= np.outer(warm @ hidden, hidden)
+    lanczos, runs = spectral._block_lanczos, []
+
+    def blind(solver, *args):
+        runs.append(bool(args[-1]))  # whether the run starts warm
+        if runs[-1]:
+            solver = _Blind(solver, hidden)
+        return lanczos(solver, *args)
+
+    monkeypatch.setattr(spectral, "_block_lanczos", blind)
+    certified = _certificates(monkeypatch)
+    vals = spectral.mesh_eigenpairs(disc, k, chain=[warm])[0]
+    assert runs == [True, False] and certified == [False, True]
+    assert np.all(np.abs(vals - cold) <= 1e-12 * cold)
+    # unchecked, the warm run returns the cold values without v's
+    monkeypatch.setattr(spectral, "_certified", lambda *args: True)
+    skipped = spectral.mesh_eigenpairs(disc, k, chain=[warm])[0]
+    assert np.allclose(skipped[:-1], np.delete(cold, 1), rtol=1e-10)
+
+
+def test_inertia_mismatch_after_repair_raises(monkeypatch):
+    # a warm mesh that fails the count, and again after its cold repair,
+    # raises
+    chain = []
+    spectral.mesh_eigenpairs(make_disc("genus2", 16), 6, chain=chain)
+    monkeypatch.setattr(spectral, "_certified", lambda *args: False)
+    with pytest.raises(spectral.InertiaMismatch):
+        spectral.mesh_eigenpairs(make_disc("genus2", 24), 6, chain=chain)
+
+
+def test_warm_mesh_peak_memory():
+    # the tracemalloc peak of a warm-started mesh, the coarse rows it
+    # takes included, is no higher than that of a cold start
+    disc, k, chain = make_disc("genus2", 64), 6, []
+    spectral.mesh_eigenpairs(make_disc("genus2", 48), k, chain=chain)
+    coarse = chain.pop()
+    spectral.mesh_eigenpairs(disc, k)  # imports and caches
+    peaks = []
+    for warm in (False, True):
+        tracemalloc.start()
+        try:
+            chain = [coarse.copy()] if warm else None
+            spectral.mesh_eigenpairs(disc, k, chain=chain)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    cold, warm = peaks
+    assert warm <= cold, (warm, cold)
