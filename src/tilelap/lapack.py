@@ -1,7 +1,7 @@
 """LAPACK from the OpenBLAS bundled with numpy, through the LAPACKE C
 interface of its 64-bit integer build, opened with ctypes: one function
 per routine, each with its fallback where numpy bundles none (a conda
-build, for one), and the BLAS thread count."""
+build, for one), and the BLAS thread count; and the C heap's trim."""
 
 import contextlib
 import ctypes
@@ -60,6 +60,24 @@ def _lapacke(name):
         func.restype = ctypes.c_int64
         func.argtypes = [ctypes.c_int] + [KINDS[kind] for kind in kinds]
     return func
+
+
+@functools.cache
+def _malloc_trim():
+    """glibc's malloc_trim, or None under a C library without it."""
+    return getattr(ctypes.CDLL(None), "malloc_trim", None)
+
+
+def release_free_heap():
+    """Hand the C heap's free pages back to the system (glibc's
+    malloc_trim(0)).  Arrays below malloc's mmap threshold, which glibc
+    raises to the size of each larger mapped block freed, are freed into
+    the heap, whose pages stay resident and add to the peak RSS of
+    whatever runs next; nothing happens where the C library has no
+    malloc_trim."""
+    trim = _malloc_trim()
+    if trim is not None:
+        trim(0)
 
 
 @contextlib.contextmanager

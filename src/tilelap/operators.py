@@ -63,10 +63,12 @@ def laplacian(disc):
 
 
 def _edge_values(disc, f):
-    """Per-edge tail-frame differences f(t) - U_{h->t} f(h), (m, rank)."""
+    """Per-edge tail-frame differences f(t) - U_{h->t} f(h), (m, rank),
+    written over the transported head values, so that no more than two
+    edge-sized arrays are held at once."""
     f = np.asarray(f).reshape(disc.n_vertices, disc.bundle.rank)
-    return f[disc.tails] - np.einsum("mij,mj->mi", disc.transports,
-                                     f[disc.heads])
+    diff = np.einsum("mij,mj->mi", disc.transports, f[disc.heads])
+    return np.subtract(f[disc.tails], diff, out=diff)
 
 
 def apply_laplacian(disc, f):
@@ -82,8 +84,14 @@ def apply_laplacian(disc, f):
 
 
 def edge_differences(disc, f):
-    """Per-edge norms |f(t) - U_{h->t} f(h)| of a section."""
-    return np.linalg.norm(_edge_values(disc, f), axis=1)
+    """Per-edge norms |f(t) - U_{h->t} f(h)| of a section: numpy's norm
+    along rows, the square root of the summed conj(d) d, with the product
+    written over the conjugate (over d itself where d is real)."""
+    diff = _edge_values(disc, f)
+    squares = diff.conj()
+    np.multiply(squares, diff, out=squares)
+    del diff
+    return np.sqrt(np.add.reduce(squares.real, axis=1))
 
 
 def dirichlet_form(disc, f, g):

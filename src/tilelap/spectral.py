@@ -124,8 +124,9 @@ def _orthonormalize(w, against, floor, stream):
     else:
         return q, _conj(lower).T, 0
     del q  # the first pass's rows, if any: the fallback starts from w
-    found = np.empty(w.shape, w.dtype)
+    # the norms' squares, a block of their own, are freed before the rows
     small = max(floor, 1e-8 * np.linalg.norm(w, axis=1).max())
+    found = np.empty(w.shape, w.dtype)
     spanned = 0
     for x in w:
         spanned = _grow(found, spanned, x, against, small)
@@ -324,13 +325,14 @@ def _certified(solver, vals):
     the widest gap that D's spectrum leaves there, so that D - tau I is
     as far from singular as the interval allows."""
     first = eigenvalue_groups(solver.shape[-1] ** 2 * vals)[-1][0]
-    low = max(vals[first - 1] if first else 0.0,
-              vals[first] * (1 - 2 * CERTIFY_GAP))
+    top = vals[first]
+    low = max(vals[first - 1] if first else 0.0, top * (1 - 2 * CERTIFY_GAP))
     modes = np.add.outer(solver.lam, solver.lam).ravel()  # D's spectrum
-    cuts = np.sort(np.concatenate([
-        [low, vals[first]], modes[(low < modes) & (modes < vals[first])]]))
-    widest = np.argmax(np.diff(cuts))
-    return solver.count_below(cuts[widest:widest + 2].mean()) == first
+    # a handful of points, sorted as a list: numpy's sort and argmax
+    # would page in code that nothing else in a sweep runs
+    cuts = sorted([low, top, *modes[(low < modes) & (modes < top)].tolist()])
+    _, tau = max((b - a, (a + b) / 2) for a, b in zip(cuts, cuts[1:]))
+    return solver.count_below(tau) == first
 
 
 def mesh_eigenpairs(disc, k, seed=0, chain=None):
@@ -399,6 +401,8 @@ def mesh_eigenpairs(disc, k, seed=0, chain=None):
     else:
         with lapack.one_blas_thread():
             solver = SeamCapacitance(disc, SHIFT / disc.n ** 2)
+            # K and its factor, freed by the setup, leave before the basis
+            lapack.release_free_heap()
             warm = bool(chain)
             vals, rows = _lanczos_pairs(solver, k, gate, seed, chain)
             if warm and len(rows) and not _certified(solver, vals):
@@ -414,7 +418,10 @@ def mesh_eigenpairs(disc, k, seed=0, chain=None):
                                         else np.float32)]
             vecs = solver.to_vertices(np.concatenate(
                 [solver.kernel[:, :k].T, rows]))
+            del solver, rows
         res = residuals(vals, vecs)
+        # and the solver's arrays before the caller's next step
+        lapack.release_free_heap()
     _check_residuals(vals, res, norm1)
     return vals, vecs, res
 

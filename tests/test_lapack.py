@@ -111,3 +111,28 @@ def test_negative_count_of_known_spectra(dtype):
             sym = (q * d) @ q.conj().T
             sym = (sym + sym.conj().T) / 2
             assert lapack.negative_count(sym.astype(dtype)) == negative
+
+
+def _anonymous_rss_mb():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh
+                    if line.startswith("RssAnon:")) / 1024
+
+
+def test_release_free_heap_hands_back_freed_pages(monkeypatch):
+    # 64 blocks of 64 kB, below any mmap threshold, are freed into the
+    # heap, where a later block holds them below its top: their pages
+    # stay resident until release_free_heap; without malloc_trim the
+    # call does nothing
+    if lapack._malloc_trim() is None:
+        pytest.skip("the C library has no malloc_trim")
+    for trim, released in ((None, False), (lapack._malloc_trim(), True)):
+        monkeypatch.setattr(lapack, "_malloc_trim", lambda: trim)
+        blocks = [np.ones(8192) for _ in range(64)]
+        pin = np.ones(8192)
+        del blocks
+        before = _anonymous_rss_mb()
+        lapack.release_free_heap()
+        assert (before - _anonymous_rss_mb() > 2) == released
+        del pin
+

@@ -439,6 +439,28 @@ def test_mesh_solver_peak_memory(case, n, k):
     assert blocks <= PEAK_BLOCKS, blocks
 
 
+def test_orthonormalize_fallback_peak_memory():
+    # a block whose Gram matrix fails the Cholesky test is taken row by
+    # row into one new block: its rows and the count of stream rows that
+    # replace a dependent row are right, and the traced peak above the
+    # input is that one block and a few rows (the row norms' squares, a
+    # block of their own, are freed before it is made)
+    stream = SplitMix64(3)
+    w = stream.rows(6, 20000)
+    w[-1] = w[1] + 1e-12 * w[0]
+    base = w.copy()
+    tracemalloc.start()
+    try:
+        q, coupling, fresh = spectral._orthonormalize(w, [], 0.0, stream)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fresh == 1 and q.shape == w.shape
+    assert np.abs(q @ q.T - np.eye(len(q))).max() <= 1e-13
+    assert np.abs(q[:-1].T @ coupling[:-1] - base.T).max() <= 1e-9
+    assert peak - q.nbytes <= 4 * w.nbytes // len(w), peak / q.nbytes
+
+
 @pytest.mark.parametrize("case", ["genus2", "pillowcase", "lshape", "rank2"])
 def test_inertia_count_matches_dense_count(case):
     # Haynsworth's count of eigenvalues below tau, from K_tau, against a
@@ -583,7 +605,8 @@ def test_warm_mesh_peak_memory():
     disc, k, chain = make_disc("genus2", 64), 6, []
     spectral.mesh_eigenpairs(make_disc("genus2", 48), k, chain=chain)
     coarse = chain.pop()
-    spectral.mesh_eigenpairs(disc, k)  # imports and caches
+    # imports and caches, the inertia count's LAPACK binding among them
+    spectral.mesh_eigenpairs(disc, k, chain=[coarse.copy()])
     peaks = []
     for warm in (False, True):
         tracemalloc.start()
