@@ -64,8 +64,13 @@ def _lapacke(name):
 
 @functools.cache
 def _malloc_trim():
-    """glibc's malloc_trim, or None under a C library without it."""
-    return getattr(ctypes.CDLL(None), "malloc_trim", None)
+    """glibc's malloc_trim, or None under a C library without it or where
+    the process's own symbols cannot be opened."""
+    try:
+        libc = ctypes.CDLL(None)
+    except (OSError, TypeError):
+        return None
+    return getattr(libc, "malloc_trim", None)
 
 
 def release_free_heap():
