@@ -22,9 +22,9 @@ outside:
                 slows the timed call): the solver's own memory, which
                 the imports' share of peak RSS does not hide
 
-One more eigen case chains meshes of genus2 (``--chain``, default n = 64,
-128, 256, 512) in one interpreter: each mesh is handed the Ritz rows of
-the one before (the ``chain`` of ``spectral.mesh_eigenpairs``; a tree
+One more eigen case chains the genus2 meshes of ``CHAIN`` (n = 64, 128,
+256, 512) in one interpreter: each mesh is handed the Ritz rows of the
+one before (the ``chain`` of ``spectral.mesh_eigenpairs``; a tree
 without it solves each mesh cold), and each reports its own eigen_s,
 solves and values.
 
@@ -39,7 +39,6 @@ largest peak RSS, rounded up to a whole MB.
     python bench/scaling.py [--radii 64,128,256,512] [--src NAME=DIR ...]
                             [--out BENCH_scaling.json]
     python bench/scaling.py --mode eigen [--ns 32,64,128,256]
-                            [--chain 64,128,256,512]
                             [--src NAME=DIR ...] [--out BENCH_eigen.json]
 
 ``--src`` (repeatable) names the source trees to import tilelap from
@@ -62,6 +61,8 @@ import tracemalloc
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 REPEAT = 3
 EIGEN_SURFACES = ("genus2", "pillowcase", "lshape", "torus-rank2")
+# the mesh sizes of the chained genus2 case, solved in turn
+CHAIN = (64, 128, 256, 512)
 
 
 def _peak_rss_mb():
@@ -266,9 +267,6 @@ def main(argv=None):
     parser.add_argument("--mode", choices=("green", "eigen"), default="green")
     parser.add_argument("--radii", default="64,128,256,512")
     parser.add_argument("--ns", default="32,64,128,256")
-    parser.add_argument("--chain", default="64,128,256,512",
-                        help="mesh sizes of the chained genus2 case ('' "
-                        "for none)")
     parser.add_argument("--src", action="append", metavar="NAME=DIR",
                         help="a source tree to measure (repeatable)")
     parser.add_argument("--out")
@@ -348,9 +346,8 @@ def main(argv=None):
             "one before (warm) where the tree's mesh solver takes them; "\
             "eigen_s and solves per mesh, eigen_s the median over runs"
         chained = _measure(
-            trees, [{"surface": "genus2", "chain": [
-                int(n) for n in args.chain.split(",")]}] if args.chain
-            else [], ("eigen_s",), ("peak_rss_mb",),
+            trees, [{"surface": "genus2", "chain": list(CHAIN)}],
+            ("eigen_s",), ("peak_rss_mb",),
             lambda c: "%s chain %s, %s: %s; peak RSS %.1f MB" % (
                 c["surface"], c["chain"], "warm" if c["warm"] else "cold",
                 ", ".join("n = %d %d solves %.3f s" % (

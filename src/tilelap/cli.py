@@ -169,10 +169,7 @@ def _eigen_sweep(surface, bundle, ns, k, seed, flag, jobs=1, vectors=True):
     else:
         chain = []
         for n in ns:
-            solved = solve(n, chain=chain)
-            if n == ns[-1]:
-                chain.clear()  # no mesh follows
-            yield solved
+            yield solve(n, chain=chain)
 
 
 def _rectangle(surface, command):

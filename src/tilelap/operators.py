@@ -84,14 +84,8 @@ def apply_laplacian(disc, f):
 
 
 def edge_differences(disc, f):
-    """Per-edge norms |f(t) - U_{h->t} f(h)| of a section: numpy's norm
-    along rows, the square root of the summed conj(d) d, with the product
-    written over the conjugate (over d itself where d is real)."""
-    diff = _edge_values(disc, f)
-    squares = diff.conj()
-    np.multiply(squares, diff, out=squares)
-    del diff
-    return np.sqrt(np.add.reduce(squares.real, axis=1))
+    """Per-edge norms |f(t) - U_{h->t} f(h)| of a section."""
+    return np.linalg.norm(_edge_values(disc, f), axis=1)
 
 
 def dirichlet_form(disc, f, g):
