@@ -4,9 +4,9 @@ Runs every command of the benchmark's workload lists (perfbench's
 `sweep`, `diagnostics` at seed 1 and `twisted` at seeds 1, 2 and 5), plus
 `interp-check` and `harnack` on each twisted seed's rank-1 and rank-2 tori,
 those two and `spectrum` on a pillowcase with a gauge-trivial rank-2
-bundle, `converge --jobs 2`, six more `green` commands and a few
-rejected inputs, once under each tree, each in a fresh `python -B`
-process with the tree first on PYTHONPATH.  The exit code, stdout and stderr of the two runs must be
+bundle, six more `green` commands and a few rejected inputs, once under
+each tree, each in a fresh `python -B` process with the tree first on
+PYTHONPATH.  The exit code, stdout and stderr of the two runs must be
 equal byte for byte.
 
     python bench/same_output.py --src PARENT/src --src CHANGE/src
@@ -43,9 +43,6 @@ TWISTED_SEEDS = (1, 2, 5)
 
 # edge cases of the commands that the workloads do not reach
 EXTRA = {
-    "converge-rectangle2x1-jobs2": [
-        "converge", "--surface", "rectangle2x1", "--ns",
-        workloads.SWEEP_NS, "--reference", "rectangle:2,1", "--jobs", "2"],
     "eigvec-square-group2": ["eigvec", "--surface", "square",
                              "--ns", "8,16", "--group", "2"],
     "spectrum-k-too-large": ["spectrum", "--surface", "square", "--n", "2",

@@ -14,7 +14,6 @@ modules it calls inside its body.
 
 import argparse
 import csv
-import functools
 import gc
 import io
 import json
@@ -128,48 +127,35 @@ def _source(text):
     return a, b
 
 
-def _eigen_solve(surface, bundle, k, seed, vectors, n, chain=None):
-    from . import spectral
-    from .discretize import Discretization
-
-    disc = Discretization(surface, bundle, n)
-    try:
-        vals, vecs = spectral.rescaled_spectrum(disc, k, seed=seed,
-                                                chain=chain)
-    except spectral.InertiaMismatch as exc:
-        raise ToleranceFailure(str(exc)) from None
-    return (disc, vals, vecs) if vectors else (None, vals, None)
-
-
-def _eigen_sweep(surface, bundle, ns, k, seed, flag, jobs=1, vectors=True):
-    """Yield (disc, rescaled values, eigenvectors) of the k lowest
-    eigenpairs on each mesh of ``ns``, in order, solved on demand or by
-    ``jobs`` worker processes, at most one per mesh; only results not yet
-    taken are held.  Without ``vectors`` the mesh and the eigenvectors are
-    dropped where they are solved (None in their place), so workers send
-    back only the values.
+def _eigen_sweep(surface, bundle, ns, k, seed, flag):
+    """Yield (disc, rescaled values, eigenvector columns) of the k lowest
+    eigenpairs on each mesh of ``ns``, in order, each solved when it is
+    asked for; the sweep keeps no mesh past its ``yield``.
 
     The first ``next()`` rejects a coarsest mesh with at most k unknowns,
     naming the flag at fault: the eigensolver needs k < dim, and meshes
     only grow along --ns.  Each mesh is solved by
-    ``spectral.mesh_eigenpairs``, which picks LAPACK or Lanczos for it.
-    Solved in order, each mesh hands its Ritz rows to the next (the
-    ``chain`` of ``mesh_eigenpairs``); the workers' meshes start cold.
+    ``spectral.mesh_eigenpairs``, which picks LAPACK or Lanczos for it,
+    and hands its Ritz rows to the next (the ``chain`` of
+    ``mesh_eigenpairs``).
     """
+    from . import spectral
+    from .discretize import Discretization
+
     dim = surface.n_squares * ns[0] ** 2 * bundle.rank
     if k >= dim:
         raise ValueError("%s: the n = %d mesh has dimension %d, too small "
                          "for %d eigenpairs" % (flag, ns[0], dim, k))
-    solve = functools.partial(_eigen_solve, surface, bundle, k, seed, vectors)
-    if jobs > 1:
-        from multiprocessing import Pool
-
-        with Pool(min(jobs, len(ns))) as pool:
-            yield from pool.imap(solve, ns)
-    else:
-        chain = []
-        for n in ns:
-            yield solve(n, chain=chain)
+    chain = []
+    for n in ns:
+        disc = Discretization(surface, bundle, n)
+        try:
+            vals, vecs = spectral.rescaled_spectrum(disc, k, seed=seed,
+                                                    chain=chain)
+        except spectral.InertiaMismatch as exc:
+            raise ToleranceFailure(str(exc)) from None
+        yield disc, vals, vecs
+        del disc, vecs  # the caller decides how long a mesh lives
 
 
 def _rectangle(surface, command):
@@ -244,9 +230,9 @@ def cmd_converge(args):
     reference = (_parse_reference(args.reference, args.k)
                  if args.reference else None)
     surface, bundle = _load(args.surface)
-    sweep = _eigen_sweep(surface, bundle, ns, args.k, args.seed, "--k",
-                         args.jobs, vectors=False)
-    computed = dict(zip(ns, map(operator.itemgetter(1), sweep)))
+    sweep = _eigen_sweep(surface, bundle, ns, args.k, args.seed, "--k")
+    # values only, and the sweep run to its end: it lets go of every mesh
+    computed = dict(zip(ns, list(map(operator.itemgetter(1), sweep))))
     summary = {}
     if reference is not None:
         rows = spectral.convergence_table(ns, computed, reference)
@@ -501,8 +487,6 @@ def build_parser():
         "surface": {}, "ns": {"type": _mesh_sizes},
         "n": {"type": count}, "k": {"type": count},
         "trials": {"type": count}, "count": {"type": count},
-        "jobs": {"type": count, "help": "worker processes for the mesh "
-                                        "sweep"},
         "group": {"type": index}, "index": {"type": index},
         "seed": {"type": index},
         "radius": {"type": amount}, "source": {"type": _source},
@@ -528,7 +512,7 @@ def build_parser():
     add("spectrum", cmd_spectrum, "rescaled Laplacian spectrum", "surface",
         "n", k=6, seed=0)
     add("converge", cmd_converge, "eigenvalue convergence table", "surface",
-        "ns", k=6, reference=None, jobs=1, seed=0)
+        "ns", k=6, reference=None, seed=0)
     add("eigvec", cmd_eigvec, "eigenvector subspace convergence", "surface",
         "ns", k=8, group=1, seed=0)
     add("interp-check", cmd_interp_check, "exact Dirichlet energy identity",

@@ -271,13 +271,19 @@ def graph_distances(disc, sources):
                       slots.max(initial=0) + 1, axis=1)
     table[ends, slots] = np.concatenate([disc.heads, disc.tails])[order]
     dist = np.full(disc.n_vertices, -1, dtype=np.int64)
-    front = np.unique(np.asarray(sources, dtype=np.int64))
+    # the next frontier, marked: flatnonzero lists it sorted and once, as
+    # np.unique would without importing numpy.ma
+    reached = np.zeros(disc.n_vertices, dtype=bool)
+    reached[np.asarray(sources, dtype=np.int64)] = True
+    front = np.flatnonzero(reached)
     level = 0
     while len(front):
         dist[front] = level
         level += 1
-        reached = table[front].ravel()
-        front = np.unique(reached[dist[reached] < 0])
+        reached[front] = False
+        near = table[front].ravel()
+        reached[near[dist[near] < 0]] = True
+        front = np.flatnonzero(reached)
     return dist
 
 

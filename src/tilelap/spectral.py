@@ -306,9 +306,11 @@ def _lanczos_pairs(solver, k, gate, seed, chain=None):
                                            SplitMix64(seed), chain)
         # the Krylov space of a block holds at most that many members of
         # a multiple eigenvalue: a group as large may have more, unless
-        # the block holds as many vectors as values are wanted
-        if block >= k - size or max(map(
-                len, eigenvalue_groups(vals[size:]))) < block:
+        # the block holds as many vectors as values are wanted; groups of
+        # the rescaled values n^2 lambda, as in _certified, since the raw
+        # values of a fine mesh lie within the groups' absolute tolerance
+        if block >= k - size or max(map(len, eigenvalue_groups(
+                solver.shape[-1] ** 2 * vals[size:]))) < block:
             return vals, rows
         del rows
         block *= 2

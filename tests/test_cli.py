@@ -146,8 +146,6 @@ def test_bad_arguments_exit_1(capsys):
              "--k"),
             (["eigvec", "--surface", "square", "--ns", "8", "--k", "-1",
               "--group", "0"], "--k"),
-            (["converge", "--surface", "square", "--ns", "4,8", "--jobs",
-              "0"], "--jobs"),
             (["crsf-check", "--tol", "-1"], "--tol"),
             # eigvec and consistency compare against the Neumann modes of a
             # rectangle, which describe no other surface
@@ -225,15 +223,17 @@ def test_every_numeric_flag_is_bounded(capsys):
                 assert captured.out == ""
                 assert "argument %s:" % flag in captured.err, (name, flag)
                 checked += 1
-    assert checked >= 30
+    assert checked >= 29
 
 
-def test_jobs_only_on_converge(capsys):
-    # only converge runs a parallel sweep; elsewhere --jobs is rejected
-    code = main(["spectrum", "--surface", "torus", "--n", "4", "--jobs",
+def test_converge_rejects_jobs(capsys):
+    # every sweep runs in one process, each mesh started from the one
+    # below; no command takes a worker count
+    code = main(["converge", "--surface", "square", "--ns", "4,8", "--jobs",
                  "2"])
-    assert code == 1
-    assert "--jobs" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert "--jobs" in captured.err
 
 
 def test_spectrum_values(capsys):
@@ -291,20 +291,10 @@ def test_converge_with_reference(capsys):
     assert errs[("16", "1")] < errs[("8", "1")]
 
 
-def test_converge_parallel_matches_serial(capsys):
-    code1, out1 = run(capsys, "converge", "--surface", "square",
-                      "--ns", "4,8", "--k", "3", "--jobs", "1")
-    code2, out2 = run(capsys, "converge", "--surface", "square",
-                      "--ns", "4,8", "--k", "3", "--jobs", "2")
-    assert code1 == code2 == 0
-    assert out1 == out2
-
-
-def test_parallel_sweep_starts_cold_and_matches_serial(monkeypatch):
-    # the serial sweep starts each Lanczos mesh from the one below and
-    # certifies it; the workers of --jobs 2 start cold; the values agree
-    # to 1e-12 relative
-    from tilelap import cli, spectral
+def test_converge_certifies_every_warm_mesh(capsys, monkeypatch):
+    # converge starts each Lanczos mesh after the first from the one below,
+    # and every such mesh passes its inertia count
+    from tilelap import spectral
 
     certified, count = [], spectral._certified
 
@@ -313,14 +303,39 @@ def test_parallel_sweep_starts_cold_and_matches_serial(monkeypatch):
         return certified[-1]
 
     monkeypatch.setattr(spectral, "_certified", counted)
-    surface, bundle = cli._load("genus2")
-    found = []
-    for jobs in (1, 2):
-        found.append([vals for _, vals, _ in cli._eigen_sweep(
-            surface, bundle, [32, 48, 64], 6, 0, "--k", jobs, False)])
+    code, _ = run(capsys, "converge", "--surface", "genus2",
+                  "--ns", "32,48,64")
+    assert code == 0
     assert certified == [True, True]
-    for serial, parallel in zip(*found):
-        assert np.all(np.abs(serial - parallel) <= 1e-12 * parallel)
+
+
+def test_converge_holds_no_mesh_past_its_solve(capsys, monkeypatch):
+    # converge takes the sweep's values only: it has let go of each mesh
+    # and of its eigenvectors before the next mesh is solved, and of the
+    # last one before the table is written
+    import weakref
+
+    from tilelap import cli, spectral
+
+    solved, held = [], []  # weakrefs; how many were alive at each step
+    solve, emit = spectral.rescaled_spectrum, cli._emit
+
+    def tracked(disc, *args, **kwargs):
+        held.append(sum(ref() is not None for ref in solved))
+        vals, vecs = solve(disc, *args, **kwargs)
+        solved.extend([weakref.ref(disc), weakref.ref(vecs)])
+        return vals, vecs
+
+    def emitted(*args):
+        held.append(sum(ref() is not None for ref in solved))
+        emit(*args)
+
+    monkeypatch.setattr(spectral, "rescaled_spectrum", tracked)
+    monkeypatch.setattr(cli, "_emit", emitted)
+    code, _ = run(capsys, "converge", "--surface", "genus2",
+                  "--ns", "16,32,48")
+    assert code == 0 and len(solved) == 6
+    assert held == [0, 0, 0, 0]
 
 
 def test_inertia_mismatch_exits_2(capsys, monkeypatch):
@@ -331,34 +346,6 @@ def test_inertia_mismatch_exits_2(capsys, monkeypatch):
     monkeypatch.setattr(spectral, "_certified", lambda *args: False)
     assert main(["converge", "--surface", "genus2", "--ns", "16,24"]) == 2
     assert "n = 24 mesh has eigenvalues below" in capsys.readouterr().err
-
-
-def test_converge_starts_no_idle_workers(capsys, monkeypatch):
-    # --jobs above the number of meshes asks for one worker per mesh
-    import multiprocessing
-
-    sizes = []
-
-    class InProcessPool:
-        def __init__(self, processes):
-            sizes.append(processes)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def imap(self, func, items):
-            return map(func, items)
-
-    monkeypatch.setattr(multiprocessing, "Pool", InProcessPool)
-    code, out = run(capsys, "converge", "--surface", "square",
-                    "--ns", "4,8", "--k", "3", "--jobs", "64")
-    assert code == 0
-    assert sizes == [2]
-    assert out == run(capsys, "converge", "--surface", "square",
-                      "--ns", "4,8", "--k", "3")[1]
 
 
 @pytest.mark.parametrize("argv", [
@@ -628,6 +615,15 @@ def test_numpy_only_commands_leave_scipy_unloaded(tmp_path):
         ["green", "--mode", "ball", "--radius", "128"],
         ["green", "--mode", "constant", "--radius", "64"]])
     assert modules == ""
+
+
+def test_barrier_leaves_numpy_ma_unloaded():
+    # the barrier check's breadth-first search lists each frontier from a
+    # mask of the vertices it reached; np.unique would import numpy.ma
+    report, _, _, _ = _in_fresh_interpreter(
+        [["barrier", "--surface", "lshape", "--n", "32"]],
+        report="'numpy.ma' in sys.modules")
+    assert report == "False"
 
 
 def test_eigen_commands_leave_numpy_random_unloaded(tmp_path):

@@ -1,6 +1,7 @@
 """Eigenvalue machinery against closed-form lattice oracles."""
 
 import tracemalloc
+import types
 import warnings
 
 import numpy as np
@@ -318,6 +319,26 @@ def test_k_dim_minus_one_takes_dense_path(monkeypatch):
     oracle = spectral.discrete_torus_spectrum(3)
     assert np.allclose(vals, oracle[:8], atol=1e-12)
     assert vecs.shape == (9, 8)
+
+
+def test_block_doubling_groups_rescaled_values(monkeypatch):
+    # at n = 1024, twelve rescaled values 0.1 apart lie 1e-7 apart raw,
+    # within eigenvalue_groups' absolute 1e-6: grouped raw they would look
+    # like one 12-fold value and double the block of 8; grouped rescaled
+    # they are distinct, and the first run stands
+    n, k = 1024, 13
+    solver = types.SimpleNamespace(kernel=np.zeros((4, 1)), dim=4,
+                                   dtype=np.float64, shape=(1, 1, n, n))
+    blocks = []
+
+    def fixed(solver, count, block, *args):
+        blocks.append(block)
+        return (10 + 0.1 * np.arange(count)) / n ** 2, np.zeros((count, 4))
+
+    monkeypatch.setattr(spectral, "_block_lanczos", fixed)
+    vals, rows = spectral._lanczos_pairs(solver, k, None, 0)
+    assert max(map(len, spectral.eigenvalue_groups(vals[1:]))) == k - 1
+    assert blocks == [spectral.LANCZOS_BLOCK] and len(rows) == k - 1
 
 
 def test_residual_gate_rejects_perturbed_pair(monkeypatch):
