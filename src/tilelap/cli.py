@@ -283,6 +283,7 @@ def cmd_eigvec(args):
                      "error": err, "decreasing":
                      None if prev is None else err < prev})
         prev = err
+        del disc, vecs  # freed before the next mesh is solved
     _emit(rows, ["n", "group", "size", "error", "decreasing"], args,
           {"final_error": rows[-1]["error"]})
 
@@ -319,6 +320,7 @@ def cmd_interp_check(args):
                      "error": None,
                      "pairing_ratio": interp.pairing_ratio(disc,
                                                            vecs[:, 1])})
+        del disc, vecs  # freed before the next mesh is solved
     _emit(rows, ["n", "trial", "graph", "field", "error", "pairing_ratio"],
           args, {"max_error": worst})
     if worst > args.tol * scale:
@@ -366,6 +368,7 @@ def cmd_harnack(args):
                                       args.index + 1, args.seed, "--index"):
         diag = potential.harnack_diagnostics(disc, vecs[:, args.index])
         rows.append({"n": disc.n, **diag})
+        del disc, vecs  # freed before the next mesh is solved
     _emit(rows, ["n", "max_edge_gap", "sup_over_sqrt_log", "interior_sup",
                  "sup"], args, {})
 

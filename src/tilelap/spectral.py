@@ -21,9 +21,8 @@ from .stream import SplitMix64
 # of an n-mesh uses sigma = SHIFT / n^2, at the scale of the wanted values
 SHIFT = -1.0
 # mesh solver: Lanczos block (the torus's largest multiplicity; no larger
-# than the count wanted; doubled while a returned group fills a smaller
-# block), step limit, and the share of the residual gate that its Ritz
-# pairs must meet
+# than the count wanted; doubled after a failed inertia count), step
+# limit, and the share of the residual gate that its Ritz pairs must meet
 LANCZOS_BLOCK = 8
 # the basis holds k + LANCZOS_BASIS blocks; a restart keeps k + LANCZOS_KEEP
 LANCZOS_BASIS, LANCZOS_KEEP = 6, 2
@@ -42,8 +41,8 @@ GATE_MARGIN = 1e-3
 # round-off) is judged against the matrix scale
 RESIDUAL_TOL = 1e-8
 ZERO_SCALE = 1e-6
-# the inertia count of a warm-started mesh slices the spectrum at most
-# this share below the last cluster of values that block Lanczos returned
+# the inertia count of a Lanczos mesh slices the spectrum at most this
+# share below the last cluster of values that block Lanczos returned
 CERTIFY_GAP = 1e-6
 # eigenvalue_groups joins values closer than these
 GROUP_REL_TOL, GROUP_ABS_TOL = 1e-6, 1e-9
@@ -52,8 +51,8 @@ ORDER_BRACKET = (0.5, 8.0)
 
 
 class InertiaMismatch(RuntimeError):
-    """An inertia count that finds an eigenvalue which the mesh solver
-    missed, also after its cold repair."""
+    """An inertia count that finds an eigenvalue which block Lanczos
+    missed from the stream alone with a block of every wanted value."""
 
 
 def _check_residuals(vals, residuals, norm1):
@@ -292,31 +291,6 @@ def _refine(solver, ritz, stream):
     return solver.shift + vals, vecs.T @ q
 
 
-def _lanczos_pairs(solver, k, gate, seed, chain=None):
-    """The k lowest eigenvalues of A (the exact kernel's zeros first) and
-    the rows, in cosine coordinates, of the vectors past the kernel: by
-    :func:`_block_lanczos` from the rows that ``chain`` holds and a stream
-    of ``seed``, block LANCZOS_BLOCK, run again with the block doubled
-    (and the stream's start) while a group of equal values fills a block
-    smaller than the count wanted."""
-    size, block = min(k, solver.kernel.shape[1]), LANCZOS_BLOCK
-    vals = np.zeros(k)
-    while k > size:
-        vals[size:], rows = _block_lanczos(solver, k - size, block, gate,
-                                           SplitMix64(seed), chain)
-        # the Krylov space of a block holds at most that many members of
-        # a multiple eigenvalue: a group as large may have more, unless
-        # the block holds as many vectors as values are wanted; groups of
-        # the rescaled values n^2 lambda, as in _certified, since the raw
-        # values of a fine mesh lie within the groups' absolute tolerance
-        if block >= k - size or max(map(len, eigenvalue_groups(
-                solver.shape[-1] ** 2 * vals[size:]))) < block:
-            return vals, rows
-        del rows
-        block *= 2
-    return vals, np.empty((0, solver.dim), solver.dtype)
-
-
 def _certified(solver, vals):
     """Whether A has no eigenvalue below the last cluster of ``vals``
     (ascending; clusters of the rescaled values n^2 lambda, as
@@ -349,20 +323,26 @@ def mesh_eigenpairs(disc, k, seed=0, chain=None):
     min(LANCZOS_BLOCK, k) vectors, would fill LANCZOS_SHARE of the
     dimension or more, :func:`lowest_eigenpairs` solves the dense
     Laplacian and its round-off kernel pairs give way to the exact ones.
-    Otherwise, on the kernel's complement, :func:`_lanczos_pairs` runs
-    block Lanczos on (A - sigma I)^-1, sigma = SHIFT / n^2, applied by
-    `capacitance.SeamCapacitance` in cosine coordinates, until its
-    residuals pass GATE_MARGIN times the gate of :func:`_check_residuals`;
-    only the k vectors return to vertex order.
+    Otherwise, on the kernel's complement, :func:`_block_lanczos` runs
+    on (A - sigma I)^-1, sigma = SHIFT / n^2, applied by
+    `capacitance.SeamCapacitance` in cosine coordinates, with a block of
+    LANCZOS_BLOCK and a stream of ``seed``, until its residuals pass
+    GATE_MARGIN times the gate of :func:`_check_residuals`; only the k
+    vectors return to vertex order.
+
+    A block of b finds at most b members of a multiple eigenvalue
+    (Golub & Underwood, 1977), so every Lanczos mesh that returns values
+    past the kernel must pass the inertia count of :func:`_certified`.
+    A mesh that fails it is solved again from the stream alone with the
+    block doubled; a run from the stream whose block held every wanted
+    value and still fails raises InertiaMismatch.
 
     ``chain``, a list that the meshes of one sweep share in increasing n,
     hands Ritz rows on (nested iteration: Brandt, Math. Comp. 31, 1977):
     a mesh takes the rows that the mesh before it left there, and a
     Lanczos mesh leaves its own, the cosine coordinates of its vectors
-    past the kernel.  A Lanczos mesh that takes rows starts from them,
-    and its values must pass :func:`_certified`; if they do not, the mesh
-    is solved again from the stream alone, and a second failure raises
-    InertiaMismatch.  Without ``chain`` every start is the stream's.
+    past the kernel.  A Lanczos mesh that takes rows starts from them.
+    Without ``chain`` every start is the stream's.
 
     Returns (values, vectors, residuals) as :func:`lowest_eigenpairs`
     does, with the same gate, the residuals taken by
@@ -405,16 +385,21 @@ def mesh_eigenpairs(disc, k, seed=0, chain=None):
             solver = SeamCapacitance(disc, SHIFT / disc.n ** 2)
             # K and its factor, freed by the setup, leave before the basis
             lapack.release_free_heap()
-            warm = bool(chain)
-            vals, rows = _lanczos_pairs(solver, k, gate, seed, chain)
-            if warm and len(rows) and not _certified(solver, vals):
-                del rows  # freed before the repair
-                vals, rows = _lanczos_pairs(solver, k, gate, seed)
-                if not _certified(solver, vals):
+            size, block = min(k, solver.kernel.shape[1]), LANCZOS_BLOCK
+            vals, rows = np.zeros(k), np.empty((0, solver.dim), solver.dtype)
+            cold = not chain  # before _start_block takes the rows out
+            while k > size:
+                vals[size:], rows = _block_lanczos(
+                    solver, k - size, block, gate, SplitMix64(seed), chain)
+                if _certified(solver, vals):
+                    break
+                if cold and block >= k - size:
                     raise InertiaMismatch(
                         "the n = %d mesh has eigenvalues below its last "
                         "returned cluster that block Lanczos missed"
                         % disc.n)
+                del rows  # freed before the run again from the stream
+                block, cold = 2 * block, True
             if chain is not None:  # a start needs directions, not digits
                 chain[:] = [rows.astype(np.complex64 if np.iscomplexobj(rows)
                                         else np.float32)]

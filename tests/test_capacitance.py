@@ -185,8 +185,10 @@ def test_eigenvalues_match_dense_eigvalsh(lanczos_runs):
 @pytest.mark.parametrize("seed", range(4))
 def test_block_lanczos_respects_multiplicity(seed):
     # the rank-2 trivial torus repeats every torus eigenvalue twice, so
-    # 4- and 8-fold values become 8- and 16-fold, past the block of 8:
-    # the block doubles while a returned group fills it
+    # 4- and 8-fold values become 8- and 16-fold; past the kernel, k = 26
+    # asks for three 8-fold values, each a group as large as the block of
+    # 8.  The inertia count, not the group size, decides whether a run
+    # missed a member and the block must double
     torus = catalog.torus()
     disc = Discretization(torus, FlatUnitaryBundle.trivial(torus, 2), 24)
     oracle = np.repeat(spectral.discrete_torus_spectrum(24), 2)

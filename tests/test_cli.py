@@ -291,9 +291,9 @@ def test_converge_with_reference(capsys):
     assert errs[("16", "1")] < errs[("8", "1")]
 
 
-def test_converge_certifies_every_warm_mesh(capsys, monkeypatch):
-    # converge starts each Lanczos mesh after the first from the one below,
-    # and every such mesh passes its inertia count
+def test_converge_certifies_every_lanczos_mesh(capsys, monkeypatch):
+    # converge starts each Lanczos mesh after the first from the one below;
+    # every Lanczos mesh, the cold first one too, passes its inertia count
     from tilelap import spectral
 
     certified, count = [], spectral._certified
@@ -306,13 +306,19 @@ def test_converge_certifies_every_warm_mesh(capsys, monkeypatch):
     code, _ = run(capsys, "converge", "--surface", "genus2",
                   "--ns", "32,48,64")
     assert code == 0
-    assert certified == [True, True]
+    assert certified == [True, True, True]
 
 
-def test_converge_holds_no_mesh_past_its_solve(capsys, monkeypatch):
-    # converge takes the sweep's values only: it has let go of each mesh
-    # and of its eigenvectors before the next mesh is solved, and of the
-    # last one before the table is written
+@pytest.mark.parametrize("argv", [
+    ["converge", "--surface", "genus2", "--ns", "16,32,48"],
+    ["eigvec", "--surface", "square", "--ns", "8,16,32"],
+    ["interp-check", "--surface", "genus2", "--ns", "4,8,16"],
+    ["harnack", "--surface", "lshape", "--ns", "8,16,32"]],
+    ids=lambda argv: argv[0])
+def test_sweep_holds_no_mesh_past_its_solve(capsys, monkeypatch, argv):
+    # each command that sweeps meshes has let go of each mesh and of its
+    # eigenvectors before the next mesh is solved, and of the last one
+    # before the table is written
     import weakref
 
     from tilelap import cli, spectral
@@ -332,20 +338,20 @@ def test_converge_holds_no_mesh_past_its_solve(capsys, monkeypatch):
 
     monkeypatch.setattr(spectral, "rescaled_spectrum", tracked)
     monkeypatch.setattr(cli, "_emit", emitted)
-    code, _ = run(capsys, "converge", "--surface", "genus2",
-                  "--ns", "16,32,48")
+    code, _ = run(capsys, *argv)
     assert code == 0 and len(solved) == 6
     assert held == [0, 0, 0, 0]
 
 
 def test_inertia_mismatch_exits_2(capsys, monkeypatch):
-    # a warm mesh whose inertia count fails, also after the cold repair,
-    # is a tolerance failure
+    # a mesh whose inertia count fails, also when solved again from the
+    # stream with a block of every wanted value, is a tolerance failure:
+    # the first, cold, mesh is counted too
     from tilelap import spectral
 
     monkeypatch.setattr(spectral, "_certified", lambda *args: False)
     assert main(["converge", "--surface", "genus2", "--ns", "16,24"]) == 2
-    assert "n = 24 mesh has eigenvalues below" in capsys.readouterr().err
+    assert "n = 16 mesh has eigenvalues below" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [

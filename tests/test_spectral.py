@@ -321,24 +321,44 @@ def test_k_dim_minus_one_takes_dense_path(monkeypatch):
     assert vecs.shape == (9, 8)
 
 
-def test_block_doubling_groups_rescaled_values(monkeypatch):
+def test_count_groups_rescaled_values():
     # at n = 1024, twelve rescaled values 0.1 apart lie 1e-7 apart raw,
     # within eigenvalue_groups' absolute 1e-6: grouped raw they would look
-    # like one 12-fold value and double the block of 8; grouped rescaled
-    # they are distinct, and the first run stands
-    n, k = 1024, 13
-    solver = types.SimpleNamespace(kernel=np.zeros((4, 1)), dim=4,
-                                   dtype=np.float64, shape=(1, 1, n, n))
-    blocks = []
+    # like one 12-fold value, and the count would fall below the first;
+    # grouped rescaled they are distinct, and the count falls between the
+    # last two
+    n, taus = 1024, []
+    vals = np.r_[0.0, (10 + 0.1 * np.arange(12)) / n ** 2]
 
-    def fixed(solver, count, block, *args):
+    def count_below(tau):
+        taus.append(tau)
+        return len(vals) - 1
+
+    solver = types.SimpleNamespace(shape=(1, 1, n, n), lam=np.zeros(1),
+                                   count_below=count_below)
+    assert max(map(len, spectral.eigenvalue_groups(vals[1:]))) == 12
+    assert spectral._certified(solver, vals)
+    assert len(taus) == 1 and vals[-2] < taus[0] < vals[-1]
+
+
+def test_rank2_torus_takes_one_lanczos_run(monkeypatch):
+    # the trivial rank-2 torus repeats each 4-fold torus value twice, so
+    # past its 2-dimensional kernel k = 12 asks for one 8-fold value and
+    # two members of the next: a group that fills the block of 8, which
+    # the inertia count finds complete, so the block is not doubled
+    n, blocks, lanczos = 32, [], spectral._block_lanczos
+
+    def recorded(solver, k, block, *args):
         blocks.append(block)
-        return (10 + 0.1 * np.arange(count)) / n ** 2, np.zeros((count, 4))
+        return lanczos(solver, k, block, *args)
 
-    monkeypatch.setattr(spectral, "_block_lanczos", fixed)
-    vals, rows = spectral._lanczos_pairs(solver, k, None, 0)
-    assert max(map(len, spectral.eigenvalue_groups(vals[1:]))) == k - 1
-    assert blocks == [spectral.LANCZOS_BLOCK] and len(rows) == k - 1
+    monkeypatch.setattr(spectral, "_block_lanczos", recorded)
+    torus = catalog.torus()
+    disc = Discretization(torus, FlatUnitaryBundle.trivial(torus, 2), n)
+    vals, _, _ = spectral.mesh_eigenpairs(disc, 12)
+    oracle = np.repeat(spectral.discrete_torus_spectrum(n), 2)[:12]
+    assert blocks == [spectral.LANCZOS_BLOCK]
+    assert np.all(np.abs(vals - oracle) <= 1e-12 * oracle[-1])
 
 
 def test_residual_gate_rejects_perturbed_pair(monkeypatch):
@@ -518,7 +538,7 @@ def _twisted_tori(seed):
 
 
 def _certificates(monkeypatch):
-    """A list to which each inertia count of a warm-started mesh appends
+    """A list to which each inertia count of a Lanczos mesh appends
     whether the mesh passed it."""
     found, certified = [], spectral._certified
 
@@ -538,7 +558,9 @@ def _certificates(monkeypatch):
 def test_chained_values_equal_cold_values(monkeypatch, case, ns, k, warm):
     # a sweep whose Lanczos meshes start from the mesh below returns the
     # values of cold starts: the `sweep` surfaces, and the `twisted`
-    # tori, whose first mesh takes LAPACK (and the next one starts cold)
+    # tori, whose first mesh takes LAPACK (and the next one starts cold).
+    # Every Lanczos mesh, the warm ones and the cold one before them,
+    # passes its inertia count, in the sweep and solved alone
     if "-seed" in case:
         rank, seed = case.split("-seed")
         bundle = _twisted_tori(int(seed))[rank == "rank2"]
@@ -550,7 +572,7 @@ def test_chained_values_equal_cold_values(monkeypatch, case, ns, k, warm):
         chained = spectral.mesh_eigenpairs(disc, k, chain=chain)[0]
         cold = spectral.mesh_eigenpairs(disc, k)[0]
         assert np.all(np.abs(chained - cold) <= 1e-12 * np.abs(cold))
-    assert certified == [True] * warm
+    assert certified == [True] * 2 * (warm + 1)
 
 
 class _Blind:
@@ -571,6 +593,14 @@ class _Blind:
         return self._off(self.solver.apply(self._off(z)))
 
 
+def _hidden(name, n, k):
+    """The cosine-coordinate row of the lowest eigenvector past the
+    kernel of the ``name`` mesh at n, as a sweep hands it on."""
+    chain = []
+    spectral.mesh_eigenpairs(make_disc(name, n), k, chain=chain)
+    return chain.pop()[0]
+
+
 @pytest.mark.parametrize("name", ["genus2", "pillowcase"])
 def test_warm_start_that_skips_a_value_is_repaired(monkeypatch, name):
     # the warm start block of the n = 32 mesh is the n = 16 mesh's rows
@@ -582,8 +612,7 @@ def test_warm_start_that_skips_a_value_is_repaired(monkeypatch, name):
     # run, returns the cold values.
     disc, k = make_disc(name, 32), 6
     cold, chain = spectral.mesh_eigenpairs(disc, k)[0], []
-    spectral.mesh_eigenpairs(disc, k, chain=chain)
-    hidden = chain.pop()[0]
+    hidden = _hidden(name, 32, k)
     spectral.mesh_eigenpairs(make_disc(name, 16), k, chain=chain)
     squares = disc.surface.n_squares
     coarse = chain[0].reshape(-1, squares, 16, 16)
@@ -608,6 +637,46 @@ def test_warm_start_that_skips_a_value_is_repaired(monkeypatch, name):
     monkeypatch.setattr(spectral, "_certified", lambda *args: True)
     skipped = spectral.mesh_eigenpairs(disc, k, chain=[warm])[0]
     assert np.allclose(skipped[:-1], np.delete(cold, 1), rtol=1e-10)
+
+
+def _blind_runs(monkeypatch, hidden, runs):
+    """Make the first ``runs`` block Lanczos runs blind to ``hidden``;
+    returns the list of every run's block."""
+    lanczos, blocks = spectral._block_lanczos, []
+
+    def blind(solver, k, block, *args):
+        blocks.append(block)
+        if len(blocks) <= runs:
+            solver = _Blind(solver, hidden)
+        return lanczos(solver, k, block, *args)
+
+    monkeypatch.setattr(spectral, "_block_lanczos", blind)
+    return blocks
+
+
+def test_cold_run_that_skips_a_value_is_repaired(monkeypatch):
+    # a cold run blind to the lowest wanted eigenvector, with a block of 8
+    # for 11 wanted values, fails the count; the mesh is solved again
+    # from the stream with the block doubled and returns the cold values
+    disc, k = make_disc("genus2", 32), 12
+    cold = spectral.mesh_eigenpairs(disc, k)[0]
+    blocks = _blind_runs(monkeypatch, _hidden("genus2", 32, k), 1)
+    certified = _certificates(monkeypatch)
+    vals = spectral.mesh_eigenpairs(disc, k)[0]
+    assert blocks == [spectral.LANCZOS_BLOCK, 2 * spectral.LANCZOS_BLOCK]
+    assert certified == [False, True]
+    assert np.all(np.abs(vals - cold) <= 1e-12 * cold)
+
+
+def test_cold_run_with_every_value_in_its_block_raises(monkeypatch):
+    # a block of 8 holds all 5 wanted values, so a cold run that fails
+    # the count is not run again: doubling the block adds nothing
+    disc, k = make_disc("genus2", 32), 6
+    blocks = _blind_runs(monkeypatch, _hidden("genus2", 32, k), 2)
+    certified = _certificates(monkeypatch)
+    with pytest.raises(spectral.InertiaMismatch, match="n = 32"):
+        spectral.mesh_eigenpairs(disc, k)
+    assert blocks == [spectral.LANCZOS_BLOCK] and certified == [False]
 
 
 def test_inertia_mismatch_after_repair_raises(monkeypatch):
