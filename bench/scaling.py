@@ -14,6 +14,9 @@ outside:
                 Cholesky factor
     solves      shift-inverted vectors solved; solve_s their time
     post_s      the return to vertex order and the residual check
+    count_s     the inertia counts that certify the values
+                (``SeamCapacitance.count_below``: K_tau and its
+                Bunch-Kaufman factorization)
     lanczos_s   the rest of the eigen call: the Lanczos iteration itself
     size        m, the capacitance matrix's order
     shift       the shift sigma of the shift-invert
@@ -163,6 +166,7 @@ def _instrument(table, rank):
     cls.__init__ = _timed(table, "setup_s", setup)
     cls.apply = _timed(table, "solve_s", cls.apply, count=True)
     cls.to_vertices = _timed(table, "post_s", cls.to_vertices)
+    cls.count_below = _timed(table, "count_s", cls.count_below)
     operators.apply_laplacian = _timed(table, "post_s",
                                        operators.apply_laplacian)
     return spectral
@@ -176,7 +180,7 @@ def run_eigen_case(name, n, transports):
 
     import_s = time.perf_counter() - start
     surface, bundle, k = _eigen_input(name, transports)
-    table = dict.fromkeys(("setup_s", "solve_s", "post_s"), 0.0)
+    table = dict.fromkeys(("setup_s", "solve_s", "post_s", "count_s"), 0.0)
     table.update(solves=0, size=0)
     _instrument(table, bundle.rank)
     start = time.perf_counter()
@@ -186,7 +190,7 @@ def run_eigen_case(name, n, transports):
     vals, _ = spectral.rescaled_spectrum(disc, k)
     eigen_s = time.perf_counter() - start
     table["lanczos_s"] = eigen_s - sum(table[key] for key in (
-        "setup_s", "solve_s", "post_s"))
+        "setup_s", "solve_s", "post_s", "count_s"))
     result = {"surface": name, "n": n, "k": k,
               "unknowns": disc.n_vertices * bundle.rank,
               "import_s": import_s, "discretize_s": discretize_s,
@@ -209,7 +213,8 @@ def run_chain_case(surface, chain):
     from tilelap.discretize import Discretization
 
     mesh_surface, bundle, k = _eigen_input(surface, None)
-    table = {"solve_s": 0.0, "setup_s": 0.0, "post_s": 0.0, "solves": 0}
+    table = dict.fromkeys(("setup_s", "solve_s", "post_s", "count_s"), 0.0)
+    table["solves"] = 0
     spectral = _instrument(table, bundle.rank)
     warm = "chain" in inspect.signature(spectral.mesh_eigenpairs).parameters
     rows, meshes = [], []
@@ -316,14 +321,15 @@ def main(argv=None):
                      else None]
                     for name in EIGEN_SURFACES for n in args.ns.split(",")],
             ("import_s", "discretize_s", "eigen_s", "setup_s", "solve_s",
-             "post_s", "lanczos_s"),
+             "post_s", "count_s", "lanczos_s"),
             ("peak_rss_mb", "eigen_peak_mb"),
             lambda c: "%s n = %d: eigen %.3f s = setup %.3f + %d "
-            "solves %.3f + lanczos %.3f + post %.3f; size %d, peak RSS "
-            "%.1f MB, eigen peak %.1f MB, scipy %s"
+            "solves %.3f + lanczos %.3f + post %.3f + count %.3f; size %d, "
+            "peak RSS %.1f MB, eigen peak %.1f MB, scipy %s"
             % (c["surface"], c["n"], c["eigen_s"], c["setup_s"],
                c["solves"], c["solve_s"], c["lanczos_s"], c["post_s"],
-               c["size"], c["peak_rss_mb"], c["eigen_peak_mb"], c["scipy"]))
+               c["count_s"], c["size"], c["peak_rss_mb"],
+               c["eigen_peak_mb"], c["scipy"]))
         record = {
             "benchmark": "mesh eigensolve scaling",
             "seconds": "median over runs, each in a fresh interpreter, "

@@ -146,8 +146,9 @@ class SeamCapacitance:
         Algebra Appl. 1, 1968): [[M, W], [W*, -I]], M = D - tau I, has
         the Schur complements A - tau I and -K_tau, K_tau = I + W* M^-1 W
         (built by the code that builds K), so that neg(A - tau I) =
-        neg(M) - neg(K_tau), and neg(M) is S r times the count of
-        lambda_q + lambda_p below tau."""
+        neg(M) - neg(K_tau): neg(M) is S r times the count of lambda_q +
+        lambda_p below tau, and `lapack.negative_count` factors K_tau in
+        its own place, by ?sytrf if it is real and ?hetrf if complex."""
         modes = self.lam[:, None] + self.lam
         below = self.shape[0] * self.shape[1] * np.count_nonzero(modes < tau)
         return below - negative_count(self._capacitance(1.0 / (modes - tau)))

@@ -99,6 +99,16 @@ def twisted_rank2_torus(n, seed):
     return Discretization(surf, bundle, n)
 
 
+def rank2_torus_spectrum(n, seed):
+    """All 2 n^2 eigenvalues of ``twisted_rank2_torus(n, seed)``: the
+    bundle splits along the columns of V into two rank-1 twisted tori,
+    with holonomies (a[j], b[j]), redrawn here from the seed."""
+    rng = np.random.default_rng(seed)
+    a, b = rng.uniform(0, 2 * np.pi, size=(2, 2))
+    return np.sort(np.concatenate([
+        spectral.discrete_torus_spectrum(n, a[j], b[j]) for j in range(2)]))
+
+
 def assert_lowest_pairs(mat, vals, vecs):
     """The values, and the projectors onto whole eigenvalue clusters, equal
     those of numpy's full eigh within 1e-10."""

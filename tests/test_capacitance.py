@@ -1,6 +1,8 @@
 """The mesh eigensolver: capacitance solves, exact kernel, block Lanczos,
 against dense numpy on the built-in and seeded random surfaces."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,8 @@ from tilelap.bundle import FlatUnitaryBundle
 from tilelap.capacitance import SeamCapacitance, dct_basis
 from tilelap.discretize import Discretization
 
-from conftest import SURFACE_NAMES, make_disc, random_flat_bundle
+from conftest import (SURFACE_NAMES, make_disc, random_flat_bundle,
+                      twisted_rank2_torus)
 from test_random_surfaces import random_surface
 
 # the module's own share of the dimension for the Lanczos basis, read
@@ -218,3 +221,23 @@ def test_block_is_cut_to_the_count_wanted(monkeypatch):
     assert runs == [4]
     assert rows[0] == 4 and max(rows) == 4
     assert np.abs(vals - oracle).max() <= 1e-10 * oracle[-1]
+
+
+def test_count_below_peak_memory():
+    # the tracemalloc peak of an inertia count on a complex mesh, in units
+    # of its K_tau: K_tau, factored in its own place, and the n x n Green
+    # blocks that build it.  Measured: 1.9; 5.5 when a Hermitian K_tau was
+    # counted as its real symmetric double [[X, -Y], [Y, X]]
+    n = 64
+    solver = SeamCapacitance(twisted_rank2_torus(n, seed=0),
+                             spectral.SHIFT / n ** 2)
+    solver.count_below(20.3 / n ** 2)  # imports and caches
+    tracemalloc.start()
+    try:
+        solver.count_below(20.3 / n ** 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    cap = (len(solver.tail_slots) * solver.shape[1]) ** 2 * 16
+    assert solver.dtype == complex
+    assert peak <= 2.5 * cap, peak / cap

@@ -72,7 +72,7 @@ FALLBACKS = {"syevr": (("dsyevr", "zheevr"), _eigenpairs, _same_eigenpairs),
              "pbsv": (("dpbsv",), _greens, _same_greens),
              "lower_inverse": (("dtrtri", "ztrtri"), _half_inverses,
                                _same_inverses),
-             "sytrf": (("dsytrf",), _inertias, _same_inertias)}
+             "sytrf": (("dsytrf", "zhetrf"), _inertias, _same_inertias)}
 
 
 @pytest.mark.parametrize("routine", list(FALLBACKS))
@@ -111,6 +111,24 @@ def test_negative_count_of_known_spectra(dtype):
             sym = (q * d) @ q.conj().T
             sym = (sym + sym.conj().T) / 2
             assert lapack.negative_count(sym.astype(dtype)) == negative
+    # a symmetrically permuted block diagonal of [[a, z*], [z, c]] with
+    # |a|, |c| < |z| / 10, so that each block has one negative eigenvalue
+    # and is a 2 x 2 pivot, and of 1 x 1 entries: a block's determinant
+    # reads |z|^2, not Re(z)^2, for a complex z
+    for pairs, singles in ((1, 0), (3, 2), (20, 5), (60, 0)):
+        z = rng.uniform(1e-3, 3.0, pairs) * (
+            np.exp(2j * np.pi * rng.random(pairs)) if dtype is complex
+            else rng.choice([-1.0, 1.0], pairs))
+        ends = np.abs(z) * rng.uniform(-0.1, 0.1, (2, pairs))
+        d = rng.uniform(1e-3, 3.0, singles) * rng.choice([-1, 1], singles)
+        sym = np.zeros((2 * pairs + singles,) * 2, dtype)
+        rows = 2 * np.arange(pairs)
+        sym[rows, rows], sym[rows + 1, rows + 1] = ends
+        sym[rows + 1, rows], sym[rows, rows + 1] = z, z.conj()
+        sym[2 * pairs:, 2 * pairs:] = np.diag(d)
+        order = rng.permutation(len(sym))
+        want = pairs + np.count_nonzero(d < 0)
+        assert lapack.negative_count(sym[np.ix_(order, order)]) == want
 
 
 def _anonymous_rss_mb():

@@ -13,7 +13,8 @@ from tilelap.bundle import FlatUnitaryBundle
 from tilelap.discretize import Discretization
 
 from conftest import (SURFACE_NAMES, assert_lowest_pairs, make_disc,
-                      record_routes, twisted_rank2_torus)
+                      rank2_torus_spectrum, record_routes,
+                      twisted_rank2_torus)
 
 
 def test_assembled_torus_matches_fourier_oracle():
@@ -62,15 +63,6 @@ def test_dense_eigh_runs_on_one_blas_thread():
     assert inside == [1] and get() == before
 
 
-def _rank2_torus_spectrum(n, seed):
-    # the rank-2 bundle splits along the columns of V into two rank-1
-    # twisted tori, with holonomies (a[j], b[j])
-    rng = np.random.default_rng(seed)
-    a, b = rng.uniform(0, 2 * np.pi, size=(2, 2))
-    return np.sort(np.concatenate([
-        spectral.discrete_torus_spectrum(n, a[j], b[j]) for j in range(2)]))
-
-
 @pytest.mark.parametrize("case, n, route", [
     ("real", 21, "lapack"), ("real", 22, "lanczos"),
     ("rank2", 15, "lapack"), ("rank2", 16, "lanczos")])
@@ -86,7 +78,7 @@ def test_routes_match_closed_forms_at_the_share(monkeypatch, case, n,
         oracle = spectral.discrete_rectangle_spectrum(n, n)
     else:
         disc = twisted_rank2_torus(n, seed=11)
-        oracle = _rank2_torus_spectrum(n, seed=11)
+        oracle = rank2_torus_spectrum(n, seed=11)
     k, routes, found = 10, record_routes(monkeypatch), []
     for share in (spectral.LANCZOS_SHARE,
                   0.0 if route == "lanczos" else np.inf):
